@@ -36,7 +36,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub mod cache;
 pub mod graph;
 pub mod lexer;
 pub mod lints;
@@ -224,18 +223,12 @@ pub const KNOWN_WAIVER_TAGS: &[&str] = &[
 pub const WAIVER_HYGIENE: &str = "waiver-hygiene";
 
 /// Loads every first-party source file under `root`: `crates/*/src/**`
-/// and `xtests/src/**`. Vendored code (`third_party/`), build output
-/// (`target/`), committed lint fixtures (`crates/analyze/fixtures/`),
-/// and integration-test / bench / example trees are out of scope — the
-/// lints govern shipped library and binary code.
+/// and `xtests/src/**`, each lexed and parsed. Vendored code
+/// (`third_party/`), build output (`target/`), committed lint fixtures
+/// (`crates/analyze/fixtures/`), and integration-test / bench / example
+/// trees are out of scope — the lints govern shipped library and binary
+/// code.
 pub fn load_workspace(root: &Path) -> io::Result<Workspace> {
-    let (ws, _) = cache::load_workspace_cached(root, None)?;
-    Ok(ws)
-}
-
-/// Collects the `.rs` files in scope under `root` as sorted
-/// `(workspace-relative path, absolute path)` pairs.
-pub(crate) fn collect_sources(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     let mut paths: Vec<PathBuf> = Vec::new();
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
@@ -251,20 +244,21 @@ pub(crate) fn collect_sources(root: &Path) -> io::Result<Vec<(String, PathBuf)>>
     if xtests_src.is_dir() {
         collect_rs(&xtests_src, &mut paths)?;
     }
-    paths.sort();
-    Ok(paths
-        .into_iter()
-        .map(|path| {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy().into_owned())
-                .collect::<Vec<_>>()
-                .join("/");
-            (rel, path)
-        })
-        .collect())
+    let mut files = Vec::with_capacity(paths.len());
+    for path in paths {
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .components()
+            .map(|c| c.as_os_str().to_string_lossy().into_owned())
+            .collect::<Vec<_>>()
+            .join("/");
+        let lexed = lex(&fs::read_to_string(&path)?);
+        let parsed = parse::parse(&lexed.code);
+        files.push(SourceFile { rel, lexed, parsed });
+    }
+    files.sort_by(|a, b| a.rel.cmp(&b.rel));
+    Ok(Workspace { files })
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -34,7 +34,6 @@ const TARGET_FILES: &[&str] = &[
     "crates/session/src/hibernate.rs",
     "crates/store/src/writer.rs",
     "crates/store/src/segment.rs",
-    "crates/store/src/crc.rs",
     "crates/store/src/compact.rs",
     "crates/store/src/manifest.rs",
     "crates/util/src/crc.rs",

@@ -5,8 +5,8 @@
 //! cargo run -p mobisense-analyze -- --list              # lint inventory
 //! cargo run -p mobisense-analyze -- --only determinism  # one lint
 //! cargo run -p mobisense-analyze -- --root /path/to/ws  # other root
-//! cargo run -p mobisense-analyze -- --cache .analyze-cache \
-//!     --report findings.json --deny-all                 # CI, warm + artifact
+//! cargo run -p mobisense-analyze -- \
+//!     --report findings.json --deny-all                 # CI + artifact
 //! ```
 //!
 //! Findings print one per line as `path:line: [lint] message`. Without
@@ -24,7 +24,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mobisense_analyze::{all_lints, cache, report, run_full};
+use mobisense_analyze::{all_lints, load_workspace, report, run_full};
 
 struct Options {
     root: PathBuf,
@@ -32,19 +32,17 @@ struct Options {
     list: bool,
     only: Vec<String>,
     report: Option<PathBuf>,
-    cache: Option<PathBuf>,
 }
 
 fn usage() -> &'static str {
     "usage: mobisense-analyze [--root DIR] [--deny-all] [--list] [--only LINT]...\n\
-     \x20                        [--report FILE] [--cache FILE]\n\
+     \x20                        [--report FILE]\n\
      \n\
      --root DIR    workspace root to scan (default: current directory)\n\
      --deny-all    exit 1 when any lint finding is reported\n\
      --list        print every lint with its invariant and exit\n\
      --only LINT   run only the named lint (repeatable; disables waiver hygiene)\n\
-     --report FILE write a JSON findings report (written pass or fail)\n\
-     --cache FILE  incremental lex cache: unchanged files skip re-lexing"
+     --report FILE write a JSON findings report (written pass or fail)"
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -54,7 +52,6 @@ fn parse_args() -> Result<Options, String> {
         list: false,
         only: Vec::new(),
         report: None,
-        cache: None,
     };
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -72,10 +69,6 @@ fn parse_args() -> Result<Options, String> {
             "--report" => {
                 let path = args.next().ok_or("--report needs a file path")?;
                 opts.report = Some(PathBuf::from(path));
-            }
-            "--cache" => {
-                let path = args.next().ok_or("--cache needs a file path")?;
-                opts.cache = Some(PathBuf::from(path));
             }
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -114,8 +107,8 @@ fn main() -> ExitCode {
         lints.retain(|l| opts.only.iter().any(|n| n == l.name()));
     }
 
-    let (ws, stats) = match cache::load_workspace_cached(&opts.root, opts.cache.as_deref()) {
-        Ok(pair) => pair,
+    let ws = match load_workspace(&opts.root) {
+        Ok(ws) => ws,
         Err(e) => {
             eprintln!(
                 "error: failed to load workspace at {}: {e}",
@@ -139,7 +132,7 @@ fn main() -> ExitCode {
         println!("{f}");
     }
     if let Some(path) = &opts.report {
-        let doc = report::render(&out, &stats);
+        let doc = report::render(&out, ws.files.len());
         if let Err(e) = fs::write(path, doc) {
             eprintln!("error: failed to write report {}: {e}", path.display());
             return ExitCode::from(2);
@@ -147,11 +140,8 @@ fn main() -> ExitCode {
     }
     let n = out.findings.len();
     eprintln!(
-        "mobisense-analyze: {} file(s) ({} re-lexed, {} cached), {} lint(s), \
-         {n} finding(s), {} suppression(s)",
-        stats.files,
-        stats.relexed,
-        stats.hits,
+        "mobisense-analyze: {} file(s), {} lint(s), {n} finding(s), {} suppression(s)",
+        ws.files.len(),
         lints.len(),
         out.suppressions.len()
     );

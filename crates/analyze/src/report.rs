@@ -3,15 +3,13 @@
 //!
 //! The CLI writes this with `--report <path>` on every run, pass or
 //! fail, so a green build still archives what the analyzer looked at
-//! (file counts, cache behavior, suppressions in force). The format is
-//! hand-rolled — the analyzer is std-only by design — and versioned:
+//! (file count, suppressions in force). The format is hand-rolled — the
+//! analyzer is std-only by design — and versioned:
 //!
 //! ```json
 //! {
-//!   "version": 1,
+//!   "version": 2,
 //!   "files": 63,
-//!   "relexed": 0,
-//!   "cache_hits": 63,
 //!   "findings": [
 //!     {"file": "...", "line": 7, "lint": "hot-path",
 //!      "severity": "error", "message": "..."}
@@ -29,7 +27,6 @@
 //! `"error"`. The CLI exit code ignores the distinction — `--deny-all`
 //! means deny all — but dashboards get to rank.
 
-use crate::cache::CacheStats;
 use crate::{Outcome, WAIVER_HYGIENE};
 
 /// Severity of a lint's findings, for the report only.
@@ -41,14 +38,12 @@ pub fn severity(lint: &str) -> &'static str {
     }
 }
 
-/// Renders the report document.
-pub fn render(out: &Outcome, stats: &CacheStats) -> String {
+/// Renders the report document for a run over `files` source files.
+pub fn render(out: &Outcome, files: usize) -> String {
     let mut s = String::with_capacity(1024);
     s.push_str("{\n");
-    s.push_str("  \"version\": 1,\n");
-    s.push_str(&format!("  \"files\": {},\n", stats.files));
-    s.push_str(&format!("  \"relexed\": {},\n", stats.relexed));
-    s.push_str(&format!("  \"cache_hits\": {},\n", stats.hits));
+    s.push_str("  \"version\": 2,\n");
+    s.push_str(&format!("  \"files\": {files},\n"));
     s.push_str("  \"findings\": [");
     for (i, f) in out.findings.iter().enumerate() {
         if i > 0 {
@@ -136,15 +131,9 @@ mod tests {
 
     #[test]
     fn renders_counts_severities_and_escapes() {
-        let stats = crate::cache::CacheStats {
-            files: 63,
-            relexed: 0,
-            hits: 63,
-        };
-        let doc = render(&sample(), &stats);
-        assert!(doc.contains("\"version\": 1"));
-        assert!(doc.contains("\"relexed\": 0"));
-        assert!(doc.contains("\"cache_hits\": 63"));
+        let doc = render(&sample(), 63);
+        assert!(doc.contains("\"version\": 2"));
+        assert!(doc.contains("\"files\": 63"));
         assert!(doc.contains("\"severity\": \"error\""));
         assert!(doc.contains("\"severity\": \"warning\""));
         assert!(doc.contains("a \\\"quoted\\\"\\nmessage"));
@@ -156,7 +145,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_well_formed() {
-        let doc = render(&Outcome::default(), &crate::cache::CacheStats::default());
+        let doc = render(&Outcome::default(), 0);
         assert!(doc.contains("\"findings\": []"));
         assert!(doc.contains("\"suppressions\": []"));
     }

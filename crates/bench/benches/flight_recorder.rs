@@ -15,9 +15,10 @@ use mobisense_bench::header;
 use mobisense_bench::report::{self, BenchReport};
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::recording::{RecordPolicy, RecordingConfig};
-use mobisense_serve::service::{serve_streams, serve_streams_recorded, ServeConfig};
-use mobisense_store::{crc32, spawn_flight_recorder, StoreConfig};
+use mobisense_serve::service::{serve_streams, ServeConfig};
+use mobisense_store::{spawn_flight_recorder, StoreConfig};
 use mobisense_telemetry::NoopSink;
+use mobisense_util::crc::crc32;
 use mobisense_util::units::{MILLISECOND, SECOND};
 
 fn main() {
@@ -49,7 +50,7 @@ fn main() {
 
     // Baseline: no recorder in the loop.
     let t0 = Instant::now();
-    let (_decisions, report) = serve_streams(&serve_cfg, &fleet.streams, &mut NoopSink);
+    let (_decisions, report) = serve_streams(&serve_cfg, &fleet.streams, None, &mut NoopSink);
     let wall = t0.elapsed();
     assert_eq!(report.frames_processed, total);
     let off_fps = total as f64 / wall.as_secs_f64();
@@ -80,7 +81,7 @@ fn main() {
         let handle = rec.handle();
         let t0 = Instant::now();
         let (_decisions, report) =
-            serve_streams_recorded(&serve_cfg, &fleet.streams, &handle, &mut NoopSink);
+            serve_streams(&serve_cfg, &fleet.streams, Some(&handle), &mut NoopSink);
         let (summary, stats) = rec.finish().expect("finish");
         // The blocking variant's wall time includes the drain; that is
         // the honest end-to-end cost of losslessness.

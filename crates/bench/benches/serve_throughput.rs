@@ -19,7 +19,7 @@
 use mobisense_bench::header;
 use mobisense_bench::report::{self, BenchReport};
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
-use mobisense_serve::service::{decision_log_csv, serve_fleet, ServeConfig};
+use mobisense_serve::service::{decision_log_csv, serve_streams, ServeConfig};
 use mobisense_telemetry::{NoopSink, Stage};
 use mobisense_util::units::{MILLISECOND, SECOND};
 
@@ -63,7 +63,7 @@ fn main() {
             n_shards,
             ..ServeConfig::default()
         };
-        let (decisions, report) = serve_fleet(&cfg, &fleet, &mut NoopSink);
+        let (decisions, report) = serve_streams(&cfg, &fleet.streams, None, &mut NoopSink);
         assert_eq!(report.frames_processed, fleet.total_frames());
         assert_eq!(report.shed, 0, "blocking mode never sheds");
 
@@ -102,7 +102,7 @@ fn main() {
         stage_sampling: 16,
         ..ServeConfig::default()
     };
-    let run = |cfg: &ServeConfig| serve_fleet(cfg, &fleet, &mut NoopSink);
+    let run = |cfg: &ServeConfig| serve_streams(cfg, &fleet.streams, None, &mut NoopSink);
     let rounds = if smoke { 2 } else { 4 };
     let mut untraced_fps = 0.0f64;
     let mut traced_fps = 0.0f64;

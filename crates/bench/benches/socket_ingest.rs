@@ -55,7 +55,7 @@ fn main() {
     // The ceiling: the same streams served with no sockets at all.
     let t0 = Instant::now();
     let (golden_decisions, golden_report) =
-        serve_streams(&serve_cfg, &fleet.streams, &mut NoopSink);
+        serve_streams(&serve_cfg, &fleet.streams, None, &mut NoopSink);
     let in_process_secs = t0.elapsed().as_secs_f64();
     let golden = decision_log_csv(&golden_decisions);
     assert_eq!(golden_report.frames_processed, fleet.total_frames());
@@ -77,9 +77,15 @@ fn main() {
         let rounds = if smoke { 1 } else { 2 };
         for _ in 0..rounds {
             let t0 = Instant::now();
-            let (decisions, report) =
-                serve_sockets(&serve_cfg, &edge_cfg, &fleet.streams, chunk, &mut NoopSink)
-                    .expect("socket serve");
+            let (decisions, report) = serve_sockets(
+                &serve_cfg,
+                &edge_cfg,
+                &fleet.streams,
+                chunk,
+                None,
+                &mut NoopSink,
+            )
+            .expect("socket serve");
             let secs = t0.elapsed().as_secs_f64();
             assert!(report.conserved(), "{label}: conservation broke");
             assert_eq!(report.stats.frames, fleet.total_frames());

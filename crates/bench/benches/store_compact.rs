@@ -20,8 +20,9 @@ use mobisense_bench::header;
 use mobisense_bench::report::{self, BenchReport};
 use mobisense_serve::wire::ObsFrame;
 use mobisense_store::segment::scan_segment;
-use mobisense_store::{compact, Crc32, StoreConfig, TraceReader, TraceWriter};
+use mobisense_store::{compact, StoreConfig, TraceReader, TraceWriter};
 use mobisense_telemetry::NoopSink;
+use mobisense_util::crc::Crc32;
 
 /// CRC-32 over the store's full record stream (kind byte plus payload
 /// of every record, in global order): the content identity compaction

@@ -18,9 +18,11 @@
 //! * [`reactor`] — [`Edge`]: a single-threaded, poll-based reactor over
 //!   a nonblocking `TcpListener` plus `UdpSocket`, handing decoded
 //!   frames into the serve layer's hash(client id) → shard queues
-//!   ([`mobisense_serve::ShardEngine`]) under the queue's explicit
-//!   backpressure policies, with the flight recorder teed on the exact
-//!   wire bytes.
+//!   ([`mobisense_serve::ShardEngine`], which also owns the ops monitor
+//!   and the run report) under the queue's explicit backpressure
+//!   policies, with the flight recorder teed on the exact wire bytes.
+//!   [`serve_sockets`] is the one socket driver: bind, send every
+//!   stream over TCP, finish, optionally record.
 //!
 //! The edge extends the serve determinism contract to the socket path:
 //! TCP preserves per-connection byte order, one client per connection
@@ -43,6 +45,6 @@ pub mod reactor;
 pub use conn::FrameAssembler;
 pub use poll::{Poller, SpinPark};
 pub use reactor::{
-    send_datagrams_udp, send_streams_tcp, serve_sockets, serve_sockets_recorded, ConnOutcome,
-    ConnSummary, Edge, EdgeConfig, EdgeReport, EdgeStats,
+    send_datagrams_udp, send_streams_tcp, serve_sockets, ConnOutcome, ConnSummary, Edge,
+    EdgeConfig, EdgeReport, EdgeStats,
 };

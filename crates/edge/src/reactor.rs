@@ -9,7 +9,9 @@
 //! frames go through [`ShardEngine::submit`] — the same
 //! hash(client id) → shard mapping and overflow policies as the
 //! in-process path — after the flight recorder (when attached) has been
-//! teed the frame's exact wire bytes.
+//! teed the frame's exact wire bytes. The engine owns the run lifecycle
+//! (ops monitor with the edge as an extra source, recorder counters,
+//! report); [`Edge`] only adds the sockets and their accounting.
 //!
 //! **Conservation invariant**: every frame decoded off the wire is
 //! accounted for exactly once — `accepted == processed + shed +
@@ -34,8 +36,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mobisense_serve::{
-    decision_log_csv, emit_report_events, ClientStream, ObsFrame, OpsMonitor, OpsSource,
-    RecorderHandle, ServeConfig, ServeDecision, ServeReport, ShardEngine, Ticket,
+    emit_report_events, record_golden_log, ClientStream, ObsFrame, OpsSource, RecorderHandle,
+    ServeConfig, ServeDecision, ServeReport, ShardEngine, Ticket,
 };
 use mobisense_telemetry::{Event, Registry, Sink};
 use mobisense_util::units::Nanos;
@@ -219,8 +221,8 @@ pub struct ConnSummary {
 /// the shard/worker side plus the socket-side accounting.
 #[derive(Clone, Debug)]
 pub struct EdgeReport {
-    /// The serve layer's report (decisions, latency, queue depths,
-    /// snapshots, stalls, recorder counters).
+    /// The serve layer's report (decisions, latency, queue depths, ops
+    /// snapshots and stalls, recorder counters).
     pub serve: ServeReport,
     /// One summary per connection, accept order.
     pub conns: Vec<ConnSummary>,
@@ -346,8 +348,8 @@ struct ReactorOutcome {
     last_at: Nanos,
 }
 
-/// A running socket edge: reactor thread + shard engine + (optional)
-/// ops monitor, bound to loopback TCP and UDP sockets.
+/// A running socket edge: reactor thread + shard engine (which owns the
+/// ops monitor), bound to loopback TCP and UDP sockets.
 ///
 /// Lifecycle: [`Edge::bind`] → clients connect to [`Edge::tcp_addr`] /
 /// send to [`Edge::udp_addr`] → [`Edge::finish`] drains: every
@@ -363,14 +365,12 @@ pub struct Edge {
     shared: Arc<EdgeShared>,
     stop: Arc<AtomicBool>,
     reactor: Option<std::thread::JoinHandle<io::Result<ReactorOutcome>>>,
-    monitor: Option<OpsMonitor>,
-    recorder: Option<RecorderHandle>,
 }
 
 impl Edge {
-    /// Binds loopback TCP + UDP sockets, spawns the shard engine, the
-    /// reactor thread, and (when `serve_cfg.snapshot` is set) the ops
-    /// monitor with the edge registered as an extra watched source.
+    /// Binds loopback TCP + UDP sockets and spawns the shard engine
+    /// (with the edge registered as an extra ops source, watched when
+    /// `serve_cfg.snapshot` is set) and the reactor thread.
     pub fn bind(
         serve_cfg: &ServeConfig,
         edge_cfg: &EdgeConfig,
@@ -385,26 +385,20 @@ impl Edge {
 
         let shared = Arc::new(EdgeShared::default());
         let stop = Arc::new(AtomicBool::new(false));
-        let engine = ShardEngine::spawn(serve_cfg)?;
-
-        let monitor = match serve_cfg.snapshot {
-            Some(policy) => Some(OpsMonitor::spawn_with_sources(
-                engine.queues().to_vec(),
-                recorder.clone(),
-                vec![Box::new(EdgeOpsSource {
-                    shared: Arc::clone(&shared),
-                    last_accepted: AtomicU64::new(0),
-                })],
-                policy,
-            )?),
-            None => None,
-        };
+        let engine = ShardEngine::start(
+            serve_cfg,
+            None,
+            recorder.clone(),
+            vec![Box::new(EdgeOpsSource {
+                shared: Arc::clone(&shared),
+                last_accepted: AtomicU64::new(0),
+            })],
+        )?;
 
         let reactor = {
             let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop);
             let cfg = edge_cfg.clone();
-            let recorder = recorder.clone();
             std::thread::Builder::new()
                 .name("edge-reactor".to_string())
                 .spawn(move || run_reactor(listener, udp, engine, recorder, &cfg, &shared, &stop))?
@@ -416,8 +410,6 @@ impl Edge {
             shared,
             stop,
             reactor: Some(reactor),
-            monitor,
-            recorder,
         })
     }
 
@@ -438,10 +430,10 @@ impl Edge {
 
     /// Drains and shuts down: accepts whatever is still queued in the
     /// kernel backlog, reads every connection to EOF, joins the
-    /// reactor / workers / monitor, emits telemetry into `sink`
-    /// (per-shard + per-connection events, snapshots, stalls, one
-    /// [`Event::EdgeServe`] summary), and returns the merged decision
-    /// log plus the run report.
+    /// reactor and finishes the engine (workers and monitor), emits
+    /// telemetry into `sink` (per-shard + per-connection events,
+    /// snapshots, stalls, one [`Event::EdgeServe`] summary), and
+    /// returns the merged decision log plus the run report.
     ///
     /// Blocks until every connected peer closes its socket.
     pub fn finish<S: Sink + ?Sized>(
@@ -459,18 +451,9 @@ impl Edge {
 
         let stats = self.shared.snapshot();
         let frames_in = stats.frames.saturating_sub(stats.frames_rejected);
-        let (decisions, mut serve) = outcome.engine.finish(frames_in);
+        let (decisions, serve) = outcome.engine.finish(frames_in);
 
-        let ops = self
-            .monitor
-            .take()
-            .map(OpsMonitor::stop)
-            .unwrap_or_default();
-        serve.snapshots = ops.snapshots;
-        serve.stalls = ops.stalls;
-        serve.recorder = self.recorder.as_ref().map(RecorderHandle::stats);
-
-        emit_report_events(&serve, &ops.meta, sink);
+        emit_report_events(&serve, sink);
         if sink.enabled() {
             for c in &outcome.conns {
                 sink.record(Event::EdgeConn {
@@ -743,56 +726,31 @@ pub fn send_datagrams_udp(addr: SocketAddr, streams: &[ClientStream]) -> io::Res
     Ok(sent)
 }
 
-/// Serves client streams over real loopback sockets: binds an
-/// [`Edge`], plays every stream through [`send_streams_tcp`], and
-/// finishes. The socket-path analogue of
-/// [`mobisense_serve::serve_streams`] — under blocking backpressure the
+/// Serves client streams over real loopback sockets — the one socket
+/// driver. Binds an [`Edge`], plays every stream through
+/// [`send_streams_tcp`], and finishes. The socket-path analogue of
+/// [`mobisense_serve::serve_streams`]: under blocking backpressure the
 /// returned decision log is bit-identical to it.
+///
+/// With a `recorder`, the reactor tees every decoded frame's exact wire
+/// bytes onto it and the run ends with
+/// [`record_golden_log`], exactly as in process: under
+/// [`RecordPolicy::Block`](mobisense_serve::RecordPolicy) the recording
+/// is lossless and replaying the resulting store reproduces this run's
+/// decision log byte-for-byte.
 pub fn serve_sockets<S: Sink + ?Sized>(
     serve_cfg: &ServeConfig,
     edge_cfg: &EdgeConfig,
     streams: &[ClientStream],
     chunk: usize,
+    recorder: Option<&RecorderHandle>,
     sink: &mut S,
 ) -> io::Result<(Vec<ServeDecision>, EdgeReport)> {
-    let edge = Edge::bind(serve_cfg, edge_cfg, None)?;
-    send_streams_tcp(edge.tcp_addr(), streams, chunk)?;
-    edge.finish(sink)
-}
-
-/// [`serve_sockets`] with the flight recorder attached: every decoded
-/// frame's exact wire bytes are teed onto `recorder` from the reactor,
-/// and after the run the golden decision log (every line of
-/// [`decision_log_csv`], header included — the store's `record_fleet`
-/// layout) is appended as decision rows. The socket-path analogue of
-/// [`mobisense_serve::serve_streams_recorded`]: under
-/// [`RecordPolicy::Block`](mobisense_serve::RecordPolicy) the recording
-/// is lossless and replaying the resulting store reproduces this run's
-/// decision log byte-for-byte.
-pub fn serve_sockets_recorded<S: Sink + ?Sized>(
-    serve_cfg: &ServeConfig,
-    edge_cfg: &EdgeConfig,
-    streams: &[ClientStream],
-    chunk: usize,
-    recorder: &RecorderHandle,
-    sink: &mut S,
-) -> io::Result<(Vec<ServeDecision>, EdgeReport)> {
-    let edge = Edge::bind(serve_cfg, edge_cfg, Some(recorder.clone()))?;
+    let edge = Edge::bind(serve_cfg, edge_cfg, recorder.cloned())?;
     send_streams_tcp(edge.tcp_addr(), streams, chunk)?;
     let (decisions, mut report) = edge.finish(sink)?;
-    for line in decision_log_csv(&decisions).lines() {
-        recorder.record_row(line);
-    }
-    report.serve.recorder = Some(recorder.stats());
-    if sink.enabled() {
-        let stats = recorder.stats();
-        sink.record(Event::ServeRecorder {
-            at: report.last_at,
-            frames: stats.frames,
-            rows: stats.rows,
-            dropped: stats.dropped,
-            max_depth: stats.max_depth,
-        });
+    if let Some(recorder) = recorder {
+        record_golden_log(recorder, &decisions, &mut report.serve, sink);
     }
     Ok((decisions, report))
 }

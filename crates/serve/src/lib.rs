@@ -14,7 +14,9 @@
 //!   one `std::thread` each) running one
 //!   [`PipelineSession`](mobisense_core::pipeline::PipelineSession) per
 //!   client and emitting a Table-2 policy update on every post-warm-up
-//!   mobility transition;
+//!   mobility transition. [`ShardEngine`] owns the run lifecycle (ops
+//!   monitor, recorder counters, report) and [`serve_streams`] is the
+//!   one in-process driver over it;
 //! * [`fleet`] — deterministic synthetic fleets: thousands of encoded
 //!   client streams generated from `mobisense-core` ground-truth
 //!   scenarios;
@@ -62,9 +64,8 @@ pub use recording::{
 };
 pub use routing::{mix64, shard_of};
 pub use service::{
-    decision_log_csv, emit_report_events, serve_fleet, serve_streams, serve_streams_recorded,
-    BoxedPager, ServeConfig, ServeDecision, ServeReport, SessionsSummary, ShardEngine,
-    ShardSummary,
+    decision_log_csv, emit_report_events, record_golden_log, serve_streams, BoxedPager,
+    ServeConfig, ServeDecision, ServeReport, SessionsSummary, ShardEngine, ShardSummary,
 };
-pub use sessions::{SessionGauges, SessionOpsSource};
+pub use sessions::SessionGauges;
 pub use wire::{decode_stream, decode_stream_lossy, FrameMeta, ObsFrame, WireError};

@@ -158,20 +158,11 @@ pub struct OpsMonitor {
 }
 
 impl OpsMonitor {
-    /// Spawns the monitor over the given shard queues and optional
-    /// recorder handle. Errs only when the OS refuses the thread.
+    /// Spawns the monitor over the given shard queues, optional
+    /// recorder handle and extra sources (watchdog sample order:
+    /// shards, recorder, then `sources` in the given order). Errs only
+    /// when the OS refuses the thread.
     pub fn spawn(
-        queues: Vec<Arc<ShardQueue>>,
-        recorder: Option<RecorderHandle>,
-        policy: SnapshotPolicy,
-    ) -> std::io::Result<OpsMonitor> {
-        Self::spawn_with_sources(queues, recorder, Vec::new(), policy)
-    }
-
-    /// [`OpsMonitor::spawn`] with extra monitored sources appended
-    /// after the shards and recorder (watchdog sample order: shards,
-    /// recorder, then `sources` in the given order).
-    pub fn spawn_with_sources(
         queues: Vec<Arc<ShardQueue>>,
         recorder: Option<RecorderHandle>,
         sources: Vec<Box<dyn OpsSource>>,
@@ -351,7 +342,8 @@ mod tests {
             interval: Duration::from_millis(2),
             stall_intervals: 2,
         };
-        let monitor = OpsMonitor::spawn(vec![Arc::clone(&q)], None, policy).expect("spawn");
+        let monitor =
+            OpsMonitor::spawn(vec![Arc::clone(&q)], None, Vec::new(), policy).expect("spawn");
         // Sleep long enough for several ticks; the stalled state is
         // stable the whole time, so this cannot flake.
         std::thread::sleep(Duration::from_millis(20));

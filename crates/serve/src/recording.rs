@@ -20,7 +20,8 @@
 //!   the recorder, but the trace is a sample, not a replayable whole.
 //!
 //! Decision rows always block: they are appended once, after the
-//! run, and losing one would silently corrupt the golden log.
+//! run, by [`record_golden_log`](crate::service::record_golden_log),
+//! and losing one would silently corrupt the golden log.
 
 use std::collections::VecDeque;
 use std::io;
@@ -229,8 +230,9 @@ impl Channel {
 }
 
 /// The cheap, cloneable producer side of the recording channel.
-/// [`serve_streams_recorded`](crate::service::serve_streams_recorded)
-/// takes one of these; every producer thread records through it.
+/// Both drivers ([`serve_streams`](crate::service::serve_streams) and
+/// `mobisense_edge::serve_sockets`) take an optional one; every
+/// producer thread (or the socket reactor) records through it.
 #[derive(Clone)]
 pub struct RecorderHandle {
     chan: Arc<Channel>,

@@ -37,8 +37,8 @@ use mobisense_telemetry::metrics::{Histogram, SPAN_NS_BUCKETS};
 use mobisense_telemetry::{Event, NoopSink, Registry, Sampler, Sink, Stage, StageHistograms};
 use mobisense_util::units::Nanos;
 
-use crate::fleet::{ClientStream, EncodedFleet};
-use crate::ops::{OpsMonitor, OpsOutcome, SnapshotMeta, SnapshotPolicy, StallFlag};
+use crate::fleet::ClientStream;
+use crate::ops::{OpsMonitor, OpsOutcome, OpsSource, SnapshotPolicy};
 use crate::queue::{MigrateParcel, OverflowPolicy, ShardQueue, Ticket, WorkItem};
 use crate::recording::{RecorderHandle, RecorderStats};
 use crate::routing::{mix64, shard_of};
@@ -74,9 +74,9 @@ pub struct ServeConfig {
     /// [`ServeReport::stages`]. `0` disables tracing entirely; traces
     /// never influence decisions, only telemetry.
     pub stage_sampling: u32,
-    /// When set, a background ops monitor snapshots queue / recorder
-    /// health at this cadence and flags stalled sources
-    /// ([`ServeReport::snapshots`] / [`ServeReport::stalls`]).
+    /// When set, a background ops monitor snapshots queue / recorder /
+    /// session health at this cadence and flags stalled sources
+    /// ([`ServeReport::ops`]).
     pub snapshot: Option<SnapshotPolicy>,
     /// Session residency policy: when idle (or hot-set-overflow)
     /// sessions are hibernated into the shard's pager — or, under
@@ -179,11 +179,10 @@ pub struct ServeReport {
     pub per_stage_shard: Vec<StageHistograms>,
     /// Per-shard accounting, index = shard.
     pub per_shard: Vec<ShardSummary>,
-    /// Serialized ops snapshots, one JSONL block per monitor tick
-    /// (empty unless [`ServeConfig::snapshot`] is set).
-    pub snapshots: Vec<String>,
-    /// Stalls the ops watchdog flagged during the run.
-    pub stalls: Vec<StallFlag>,
+    /// What the ops monitor observed: one serialized snapshot block per
+    /// tick plus the stalls its watchdog flagged (empty unless
+    /// [`ServeConfig::snapshot`] is set).
+    pub ops: OpsOutcome,
     /// Recording-channel counters at the end of the run, when a flight
     /// recorder was attached.
     pub recorder: Option<RecorderStats>,
@@ -682,15 +681,16 @@ fn run_producer(
 }
 
 /// The decode-side half of a serving run, shared by every frontend:
-/// per-shard bounded queues plus one owned worker thread each.
+/// per-shard bounded queues plus one owned worker thread each, and the
+/// run lifecycle around them (ops monitor, recorder counters, report).
 ///
 /// [`serve_streams`]' in-process producers and `mobisense-edge`'s
 /// socket reactor both feed the same engine through
-/// [`ShardEngine::submit`] (or by pushing to [`ShardEngine::queues`]
-/// directly), so a frame ingested over a socket runs through exactly
-/// the worker, session map and decision path a replayed frame does —
-/// which is what makes a socket-fed decision log comparable
-/// byte-for-byte to the golden in-process log.
+/// [`ShardEngine::submit`] (the in-process producers push whole
+/// per-shard batches to the queues directly), so a frame ingested over
+/// a socket runs through exactly the worker, session map and decision
+/// path a replayed frame does — which is what makes a socket-fed
+/// decision log comparable byte-for-byte to the golden in-process log.
 pub struct ShardEngine {
     queues: Vec<Arc<ShardQueue>>,
     workers: Vec<std::thread::JoinHandle<WorkerResult>>,
@@ -707,26 +707,47 @@ pub struct ShardEngine {
     /// One [`Event::SessionMigrate`] per completed migration, replayed
     /// into the report at [`finish`](Self::finish).
     migrate_log: Mutex<Vec<Event>>,
+    /// The ops monitor, running when [`ServeConfig::snapshot`] is set.
+    monitor: Option<OpsMonitor>,
+    /// The flight recorder frontends tee frames into, if any.
+    recorder: Option<RecorderHandle>,
 }
 
 impl ShardEngine {
     /// Spawns `cfg.n_shards` queues and worker threads with in-memory
-    /// snapshot pagers. Errs only when the OS refuses a thread.
+    /// snapshot pagers, no recorder and no extra ops sources. Errs only
+    /// when the OS refuses a thread.
     pub fn spawn(cfg: &ServeConfig) -> std::io::Result<ShardEngine> {
-        let pagers = (0..cfg.n_shards)
-            .map(|_| Box::new(MemoryPager::new()) as BoxedPager)
-            .collect();
-        Self::spawn_with_pagers(cfg, pagers)
+        Self::start(cfg, None, None, Vec::new())
     }
 
-    /// [`ShardEngine::spawn`] with one caller-supplied
-    /// [`SnapshotPager`] per shard — how the trace store's disk-backed
-    /// pager slots in. `pagers.len()` must equal `cfg.n_shards`.
-    pub fn spawn_with_pagers(
+    /// Spawns the engine together with its run lifecycle.
+    ///
+    /// * `pagers` — one [`SnapshotPager`] per shard (how the trace
+    ///   store's disk-backed pager slots in); `None` gives every shard
+    ///   an in-memory pager.
+    /// * `recorder` — the flight recorder the frontend tees frames
+    ///   into: the ops monitor watches its channel and
+    ///   [`finish`](Self::finish) reports its counters.
+    /// * `sources` — extra monitored sources (the socket edge
+    ///   registers its reactor here).
+    ///
+    /// When [`ServeConfig::snapshot`] is set the ops monitor starts
+    /// here, watching the shards, the recorder, the workers' session
+    /// gauges (`serve.sessions.*`), then `sources`, in that order;
+    /// otherwise `sources` are dropped unused.
+    pub fn start(
         cfg: &ServeConfig,
-        pagers: Vec<BoxedPager>,
+        pagers: Option<Vec<BoxedPager>>,
+        recorder: Option<RecorderHandle>,
+        sources: Vec<Box<dyn OpsSource>>,
     ) -> std::io::Result<ShardEngine> {
         assert!(cfg.n_shards > 0, "need at least one shard");
+        let pagers = pagers.unwrap_or_else(|| {
+            (0..cfg.n_shards)
+                .map(|_| Box::new(MemoryPager::new()) as BoxedPager)
+                .collect()
+        });
         assert_eq!(pagers.len(), cfg.n_shards, "one pager per shard");
         // lint: determinism -- run wall clock feeds the serve report only, never decisions
         let started = Instant::now();
@@ -749,6 +770,20 @@ impl ShardEngine {
                     .spawn(move || run_worker(&q, &cfg, i as u32, gauges, pager))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
+        let monitor = match cfg.snapshot {
+            Some(policy) => {
+                let mut watched: Vec<Box<dyn OpsSource>> =
+                    vec![Box::new(SessionOpsSource::new(session_gauges.clone()))];
+                watched.extend(sources);
+                Some(OpsMonitor::spawn(
+                    queues.clone(),
+                    recorder.clone(),
+                    watched,
+                    policy,
+                )?)
+            }
+            None => None,
+        };
         Ok(ShardEngine {
             queues,
             workers,
@@ -759,6 +794,8 @@ impl ShardEngine {
             session_gauges,
             migrations: AtomicU64::new(0),
             migrate_log: Mutex::new(Vec::new()),
+            monitor,
+            recorder,
         })
     }
 
@@ -767,20 +804,17 @@ impl ShardEngine {
         self.queues.len()
     }
 
-    /// The per-shard queues, index = shard (for frontends that pump
-    /// whole per-shard batches, like the in-process producers).
-    ///
-    /// Note: pushing here directly bypasses any [`migrate`]
-    /// (`Self::migrate`) route overrides — batch frontends that never
-    /// migrate may do so; anything else should go through
-    /// [`submit`](Self::submit).
-    pub fn queues(&self) -> &[Arc<ShardQueue>] {
+    /// The per-shard queues, index = shard, for the in-process
+    /// producers that pump whole per-shard batches. Pushing here
+    /// bypasses [`migrate`](Self::migrate) route overrides, which is
+    /// why it stays inside the crate.
+    pub(crate) fn queues(&self) -> &[Arc<ShardQueue>] {
         &self.queues
     }
 
     /// The per-shard session-residency gauges (hot / hibernated /
-    /// resident bytes / lifecycle counters), index = shard. Wrap them
-    /// in a [`SessionOpsSource`] to ride the ops snapshot stream.
+    /// resident bytes / lifecycle counters), index = shard. The ops
+    /// monitor already watches them; frontends may poll them mid-run.
     pub fn session_gauges(&self) -> &[Arc<SessionGauges>] {
         &self.session_gauges
     }
@@ -861,11 +895,12 @@ impl ShardEngine {
         Ok(bytes)
     }
 
-    /// Closes every queue, joins the workers and assembles the run's
-    /// merged decision log (sorted by `(client_id, seq)`) and report.
+    /// Closes every queue, joins the workers, stops the ops monitor
+    /// (one final tick, so its snapshots bracket the whole run) and
+    /// assembles the run's merged decision log (sorted by
+    /// `(client_id, seq)`) and report, recorder counters included.
     /// `frames_in` is the frontend's count of submitted frames (shed
-    /// frames included); the caller fills the report fields only it
-    /// knows (snapshots, stalls, recorder counters).
+    /// frames included).
     pub fn finish(self, frames_in: u64) -> (Vec<ServeDecision>, ServeReport) {
         for q in &self.queues {
             q.close();
@@ -875,6 +910,8 @@ impl ShardEngine {
             .into_iter()
             .map(|w| w.join().expect("worker panicked")) // lint: hot-path -- shutdown join: queues are closed, workers drain and exit
             .collect();
+        let wall = self.started.elapsed();
+        let ops = self.monitor.map(OpsMonitor::stop).unwrap_or_default();
         let mut decisions: Vec<ServeDecision> = Vec::new();
         let mut report = ServeReport {
             frames_in,
@@ -887,16 +924,15 @@ impl ShardEngine {
             stages: StageHistograms::new(),
             per_stage_shard: Vec::new(),
             per_shard: Vec::with_capacity(self.queues.len()),
-            snapshots: Vec::new(),
-            stalls: Vec::new(),
-            recorder: None,
+            ops,
+            recorder: self.recorder.as_ref().map(RecorderHandle::stats),
             sessions: SessionsSummary {
                 migrations: self.migrations.load(Ordering::Relaxed),
                 ..SessionsSummary::default()
             },
             fault_in_ns: Histogram::with_buckets(SPAN_NS_BUCKETS),
             session_events: Vec::new(),
-            wall: self.started.elapsed(),
+            wall,
         };
         for (shard, (result, queue)) in results.iter().zip(&self.queues).enumerate() {
             report.frames_processed += result.frames;
@@ -946,11 +982,7 @@ impl ShardEngine {
 /// tick, one [`Event::Stall`] per watchdog flag, and the `serve.run`
 /// wall-clock span. Shared by the in-process service and the socket
 /// edge so both run shapes trace identically.
-pub fn emit_report_events<S: Sink + ?Sized>(
-    report: &ServeReport,
-    ops_meta: &[SnapshotMeta],
-    sink: &mut S,
-) {
+pub fn emit_report_events<S: Sink + ?Sized>(report: &ServeReport, sink: &mut S) {
     if !sink.enabled() {
         return;
     }
@@ -966,7 +998,7 @@ pub fn emit_report_events<S: Sink + ?Sized>(
     }
     // Ops events are wall-clock phenomena with no sim timestamp;
     // `at` is 0 by convention (documented on the variants).
-    for m in ops_meta {
+    for m in &report.ops.meta {
         sink.record(Event::Snapshot {
             at: 0,
             seq: m.seq,
@@ -974,7 +1006,7 @@ pub fn emit_report_events<S: Sink + ?Sized>(
             bytes: m.bytes,
         });
     }
-    for stall in &report.stalls {
+    for stall in &report.ops.stalls {
         sink.record(Event::Stall {
             at: 0,
             source: stall.source.clone(),
@@ -991,57 +1023,80 @@ pub fn emit_report_events<S: Sink + ?Sized>(
     sink.span_ns("serve.run", report.wall.as_nanos() as u64);
 }
 
-/// Serves a whole fleet: spawns one producer and one worker per shard,
-/// waits for every stream to drain, and returns the merged decision log
-/// (sorted by client id, then sequence) plus the run report.
+/// Serves a set of client streams in process — the one in-process
+/// driver. Spawns one producer and one worker per shard, waits for
+/// every stream to drain, and returns the merged decision log (sorted
+/// by client id, then sequence) plus the run report. A generated
+/// fleet serves as `serve_streams(cfg, &fleet.streams, None, sink)`;
+/// replay hands it streams rebuilt from a recorded trace.
 ///
-/// Telemetry lands in `sink` after the threads join: one
-/// [`Event::ServeShard`] per shard and a `serve.run` wall-clock span.
-pub fn serve_fleet<S: Sink + ?Sized>(
-    cfg: &ServeConfig,
-    fleet: &EncodedFleet,
-    sink: &mut S,
-) -> (Vec<ServeDecision>, ServeReport) {
-    serve_streams(cfg, &fleet.streams, sink)
-}
-
-/// Serves a bare set of client streams — the entry point replay takes
-/// when streams were rebuilt from a recorded trace rather than
-/// generated as a fleet. [`serve_fleet`] is this with a fleet's
-/// streams; the determinism contract is identical.
-pub fn serve_streams<S: Sink + ?Sized>(
-    cfg: &ServeConfig,
-    streams: &[ClientStream],
-    sink: &mut S,
-) -> (Vec<ServeDecision>, ServeReport) {
-    serve_streams_inner(cfg, streams, None, sink)
-}
-
-/// [`serve_streams`] with the flight recorder attached: every frame's
-/// wire encoding is teed onto `recorder`'s channel as its producer
-/// submits it, and after the run the golden decision log (every CSV
-/// line of [`decision_log_csv`], header included — matching the
-/// store's `record_fleet` layout) is appended as decision rows.
-///
-/// Under [`crate::recording::RecordPolicy::Block`] the recording is
+/// With a `recorder`, every frame's wire encoding is teed onto its
+/// channel as the producer submits it, and the run ends with
+/// [`record_golden_log`]. Under
+/// [`crate::recording::RecordPolicy::Block`] the recording is
 /// lossless, so replaying the resulting store reproduces this run's
 /// decision log byte-for-byte; under `DropNewest` serving never waits
 /// on the recorder and the drop counter says what the trace is
-/// missing. Emits one [`Event::ServeRecorder`] with the channel
-/// counters alongside the usual per-shard events.
-pub fn serve_streams_recorded<S: Sink + ?Sized>(
+/// missing.
+///
+/// Telemetry lands in `sink` after the threads join (see
+/// [`emit_report_events`]).
+pub fn serve_streams<S: Sink + ?Sized>(
     cfg: &ServeConfig,
     streams: &[ClientStream],
-    recorder: &RecorderHandle,
+    recorder: Option<&RecorderHandle>,
     sink: &mut S,
 ) -> (Vec<ServeDecision>, ServeReport) {
-    let (decisions, mut report) = serve_streams_inner(cfg, streams, Some(recorder), sink);
-    for line in decision_log_csv(&decisions).lines() {
+    let engine =
+        ShardEngine::start(cfg, None, recorder.cloned(), Vec::new()).expect("shard workers spawn");
+    let mut by_shard: Vec<Vec<&ClientStream>> = vec![Vec::new(); cfg.n_shards];
+    for stream in streams {
+        by_shard[shard_of(stream.client_id, cfg.n_shards)].push(stream);
+    }
+
+    let mut frames_in = 0u64;
+    std::thread::scope(|scope| {
+        let producers: Vec<_> = engine
+            .queues()
+            .iter()
+            .zip(&by_shard)
+            .map(|(q, clients)| {
+                let clients: &[&ClientStream] = clients;
+                scope.spawn(move || {
+                    run_producer(q, clients, cfg.overflow, recorder, cfg.stage_sampling)
+                })
+            })
+            .collect();
+        for p in producers {
+            frames_in += p.join().expect("producer panicked");
+        }
+    });
+    let (decisions, mut report) = engine.finish(frames_in);
+    emit_report_events(&report, sink);
+    if let Some(recorder) = recorder {
+        record_golden_log(recorder, &decisions, &mut report, sink);
+    }
+    (decisions, report)
+}
+
+/// The tail of every recorded run, shared by the in-process and socket
+/// drivers: appends the golden decision log (every CSV line of
+/// [`decision_log_csv`], header included — the store's `record_fleet`
+/// layout) to `recorder` as decision rows, refreshes
+/// [`ServeReport::recorder`], and emits one [`Event::ServeRecorder`]
+/// stamped with the latest per-shard `last_at`.
+pub fn record_golden_log<S: Sink + ?Sized>(
+    recorder: &RecorderHandle,
+    decisions: &[ServeDecision],
+    report: &mut ServeReport,
+    sink: &mut S,
+) {
+    for line in decision_log_csv(decisions).lines() {
         recorder.record_row(line);
     }
-    report.recorder = Some(recorder.stats());
+    let stats = recorder.stats();
+    report.recorder = Some(stats);
     if sink.enabled() {
-        let stats = recorder.stats();
         let at = report
             .per_shard
             .iter()
@@ -1056,61 +1111,6 @@ pub fn serve_streams_recorded<S: Sink + ?Sized>(
             max_depth: stats.max_depth,
         });
     }
-    (decisions, report)
-}
-
-fn serve_streams_inner<S: Sink + ?Sized>(
-    cfg: &ServeConfig,
-    streams: &[ClientStream],
-    recorder: Option<&RecorderHandle>,
-    sink: &mut S,
-) -> (Vec<ServeDecision>, ServeReport) {
-    let engine = ShardEngine::spawn(cfg).expect("shard workers spawn");
-    let mut by_shard: Vec<Vec<&ClientStream>> = vec![Vec::new(); cfg.n_shards];
-    for stream in streams {
-        by_shard[shard_of(stream.client_id, cfg.n_shards)].push(stream);
-    }
-
-    // The ops monitor observes the run from outside the frame path; it
-    // is spawned before the workers and stopped (with one final tick)
-    // after they drain, so its snapshots bracket the whole run.
-    let monitor = cfg.snapshot.map(|policy| {
-        let sessions = SessionOpsSource::new(engine.session_gauges().to_vec());
-        OpsMonitor::spawn_with_sources(
-            engine.queues().to_vec(),
-            recorder.cloned(),
-            vec![Box::new(sessions)],
-            policy,
-        )
-        .expect("ops monitor spawn")
-    });
-
-    let mut frames_in = 0u64;
-    std::thread::scope(|scope| {
-        let producers: Vec<_> = engine
-            .queues()
-            .iter()
-            .zip(&by_shard)
-            .map(|(q, clients)| {
-                let q = Arc::clone(q);
-                let clients: &[&ClientStream] = clients;
-                scope.spawn(move || {
-                    run_producer(&q, clients, cfg.overflow, recorder, cfg.stage_sampling)
-                })
-            })
-            .collect();
-        for p in producers {
-            frames_in += p.join().expect("producer panicked");
-        }
-    });
-    let (decisions, mut report) = engine.finish(frames_in);
-    let ops: OpsOutcome = monitor.map(OpsMonitor::stop).unwrap_or_default();
-    report.snapshots = ops.snapshots;
-    report.stalls = ops.stalls;
-    report.recorder = recorder.map(RecorderHandle::stats);
-
-    emit_report_events(&report, &ops.meta, sink);
-    (decisions, report)
 }
 
 /// Renders a decision log as canonical CSV — the byte string the
@@ -1146,7 +1146,7 @@ pub fn decision_log_csv(decisions: &[ServeDecision]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::FleetConfig;
+    use crate::fleet::{EncodedFleet, FleetConfig};
     use mobisense_util::units::{MILLISECOND, SECOND};
 
     fn small_fleet() -> EncodedFleet {
@@ -1164,7 +1164,7 @@ mod tests {
     fn serves_every_frame_and_emits_decisions() {
         let fleet = small_fleet();
         let cfg = ServeConfig::default();
-        let (decisions, report) = serve_fleet(&cfg, &fleet, &mut NoopSink);
+        let (decisions, report) = serve_streams(&cfg, &fleet.streams, None, &mut NoopSink);
         assert_eq!(report.frames_in, fleet.total_frames());
         assert_eq!(report.frames_processed, fleet.total_frames());
         assert_eq!(report.shed, 0, "blocking mode never sheds");
@@ -1189,7 +1189,7 @@ mod tests {
                 n_shards,
                 ..ServeConfig::default()
             };
-            let (decisions, report) = serve_fleet(&cfg, &fleet, &mut NoopSink);
+            let (decisions, report) = serve_streams(&cfg, &fleet.streams, None, &mut NoopSink);
             assert_eq!(report.per_shard.len(), n_shards);
             logs.push(decision_log_csv(&decisions));
         }
@@ -1200,7 +1200,8 @@ mod tests {
     #[test]
     fn sorted_log_and_policies_are_consistent() {
         let fleet = small_fleet();
-        let (decisions, _) = serve_fleet(&ServeConfig::default(), &fleet, &mut NoopSink);
+        let (decisions, _) =
+            serve_streams(&ServeConfig::default(), &fleet.streams, None, &mut NoopSink);
         assert!(
             decisions
                 .windows(2)
@@ -1230,7 +1231,7 @@ mod tests {
             n_shards: 2,
             ..ServeConfig::default()
         };
-        let (_, report) = serve_fleet(&cfg, &fleet, &mut tel);
+        let (_, report) = serve_streams(&cfg, &fleet.streams, None, &mut tel);
         let shard_events: Vec<_> = tel
             .events()
             .filter(|e| matches!(e, Event::ServeShard { .. }))
@@ -1257,7 +1258,7 @@ mod tests {
             overflow: OverflowPolicy::ShedOldestPerClient,
             ..ServeConfig::default()
         };
-        let (_, report) = serve_fleet(&cfg, &fleet, &mut NoopSink);
+        let (_, report) = serve_streams(&cfg, &fleet.streams, None, &mut NoopSink);
         assert_eq!(
             report.frames_in,
             report.frames_processed + report.shed,
@@ -1274,8 +1275,8 @@ mod tests {
             stage_sampling: 4,
             ..ServeConfig::default()
         };
-        let (d_plain, r_plain) = serve_fleet(&plain, &fleet, &mut NoopSink);
-        let (d_traced, r_traced) = serve_fleet(&traced, &fleet, &mut NoopSink);
+        let (d_plain, r_plain) = serve_streams(&plain, &fleet.streams, None, &mut NoopSink);
+        let (d_traced, r_traced) = serve_streams(&traced, &fleet.streams, None, &mut NoopSink);
         // Tracing is telemetry-only: the decision log stays byte-identical.
         assert_eq!(
             decision_log_csv(&d_plain),
@@ -1317,20 +1318,24 @@ mod tests {
             }),
             ..ServeConfig::default()
         };
-        let (_, report) = serve_fleet(&cfg, &fleet, &mut tel);
+        let (_, report) = serve_streams(&cfg, &fleet.streams, None, &mut tel);
         // The monitor's final tick guarantees at least one snapshot
         // even on a fast run.
-        assert!(!report.snapshots.is_empty());
-        let snaps = mobisense_telemetry::parse_snapshots(&report.snapshots.concat())
+        assert!(!report.ops.snapshots.is_empty());
+        let snaps = mobisense_telemetry::parse_snapshots(&report.ops.snapshots.concat())
             .expect("snapshots parse");
-        assert_eq!(snaps.len(), report.snapshots.len());
+        assert_eq!(snaps.len(), report.ops.snapshots.len());
         let snap_events = tel
             .events()
             .filter(|e| matches!(e, Event::Snapshot { .. }))
             .count();
-        assert_eq!(snap_events, report.snapshots.len());
+        assert_eq!(snap_events, report.ops.snapshots.len());
         // A healthy drain never stalls.
-        assert!(report.stalls.is_empty(), "stalls: {:?}", report.stalls);
+        assert!(
+            report.ops.stalls.is_empty(),
+            "stalls: {:?}",
+            report.ops.stalls
+        );
         assert!(!tel.events().any(|e| matches!(e, Event::Stall { .. })));
         // The report assembles into a registry with the stage hists.
         let reg = report.registry();
@@ -1357,8 +1362,8 @@ mod tests {
             session_events: true,
             ..ServeConfig::default()
         };
-        let (d_base, r_base) = serve_fleet(&base, &fleet, &mut NoopSink);
-        let (d_hib, r_hib) = serve_fleet(&hib, &fleet, &mut NoopSink);
+        let (d_base, r_base) = serve_streams(&base, &fleet.streams, None, &mut NoopSink);
+        let (d_hib, r_hib) = serve_streams(&hib, &fleet.streams, None, &mut NoopSink);
         assert_eq!(
             decision_log_csv(&d_base),
             decision_log_csv(&d_hib),
@@ -1419,7 +1424,7 @@ mod tests {
             },
             ..ServeConfig::default()
         };
-        let (_, report) = serve_fleet(&cfg, &fleet, &mut NoopSink);
+        let (_, report) = serve_streams(&cfg, &fleet.streams, None, &mut NoopSink);
         assert!(report.sessions.evicted > 0);
         assert_eq!(report.sessions.hibernated, 0);
         assert_eq!(report.sessions.restored, 0);
@@ -1429,7 +1434,8 @@ mod tests {
     #[test]
     fn live_migration_preserves_decisions_and_conserves_frames() {
         let fleet = small_fleet();
-        let (golden, _) = serve_fleet(&ServeConfig::default(), &fleet, &mut NoopSink);
+        let (golden, _) =
+            serve_streams(&ServeConfig::default(), &fleet.streams, None, &mut NoopSink);
 
         // A manual single-submitter frontend (the contract migrate()
         // requires), moving one client to the other shard mid-stream.
@@ -1479,7 +1485,8 @@ mod tests {
     #[test]
     fn csv_log_has_header_and_one_row_per_decision() {
         let fleet = small_fleet();
-        let (decisions, _) = serve_fleet(&ServeConfig::default(), &fleet, &mut NoopSink);
+        let (decisions, _) =
+            serve_streams(&ServeConfig::default(), &fleet.streams, None, &mut NoopSink);
         let csv = decision_log_csv(&decisions);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), decisions.len() + 1);

@@ -8,10 +8,11 @@
 //! path, no cross-shard contention: one writer per gauge block, any
 //! number of readers.
 //!
-//! [`SessionOpsSource`] adapts a run's gauge blocks to the
-//! [`OpsSource`] trait so hot/hibernated/resident-bytes land in the
-//! same JSONL snapshot stream (and the same stall watchdog) as queue
-//! depth and recorder health.
+//! `SessionOpsSource` adapts a run's gauge blocks to the [`OpsSource`]
+//! trait so hot/hibernated/resident-bytes land in the same JSONL
+//! snapshot stream (and the same stall watchdog) as queue depth and
+//! recorder health. The shard engine registers it on every monitored
+//! run, so it is not public.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,13 +65,13 @@ impl SessionGauges {
 /// Adapts a run's per-shard [`SessionGauges`] to the ops monitor's
 /// [`OpsSource`] trait: sums across shards into `serve.sessions.*`
 /// metrics on every tick.
-pub struct SessionOpsSource {
+pub(crate) struct SessionOpsSource {
     shards: Vec<Arc<SessionGauges>>,
 }
 
 impl SessionOpsSource {
     /// Wraps the per-shard gauge blocks of one run.
-    pub fn new(shards: Vec<Arc<SessionGauges>>) -> Self {
+    pub(crate) fn new(shards: Vec<Arc<SessionGauges>>) -> Self {
         SessionOpsSource { shards }
     }
 }

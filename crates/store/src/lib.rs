@@ -8,9 +8,9 @@
 //! any production decision can be reproduced on a laptop. This crate
 //! is that subsystem, built entirely on `std`:
 //!
-//! * [`crc`] — hand-rolled CRC-32 (no dependencies);
 //! * [`segment`] — the on-disk format: a versioned header,
-//!   length-prefixed CRC-checksummed records, and a sealing footer
+//!   length-prefixed records checksummed with
+//!   [`mobisense_util::crc`]'s CRC-32, and a sealing footer
 //!   carrying the record count, a whole-body checksum and a **sparse
 //!   index** (client-id set, sequence and timestamp ranges);
 //! * [`writer`] — [`TraceWriter`]: append-only, size-based rotation,
@@ -22,8 +22,9 @@
 //!   ones, preserving record order and hence replay output;
 //! * [`replay`] — the golden-regression harness: record a fleet
 //!   together with the decision log the live service produced, then
-//!   replay the stored frames through [`serve_streams`] and verify the
-//!   merged decision log is byte-identical for any shard count;
+//!   replay the stored frames through [`serve_streams`] (the serve
+//!   layer's one in-process driver) and verify the merged decision log
+//!   is byte-identical for any shard count;
 //! * [`recording`] — the store as a flight-recorder backend: plugs a
 //!   [`TraceWriter`] into `mobisense-serve`'s background recording
 //!   channel so frames are persisted *during* normal serving;
@@ -52,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod compact;
-pub mod crc;
 pub mod manifest;
 pub mod pager;
 pub mod reader;
@@ -64,7 +64,6 @@ pub mod tail;
 pub mod writer;
 
 pub use compact::{compact, CompactOptions, CompactReport, CrashPoint, StreamingCompactor};
-pub use crc::{crc32, Crc32};
 pub use manifest::current_generation;
 pub use pager::StorePager;
 pub use reader::{Recovery, SegmentMeta, TraceReader};

@@ -33,8 +33,8 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::crc::crc32;
 use crate::segment::{le_u16, le_u32, le_u64};
+use mobisense_util::crc::crc32;
 
 /// Magic word opening the manifest ("MSMF" little-endian).
 pub const MANIFEST_MAGIC: u32 = 0x464D_534D;

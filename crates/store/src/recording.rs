@@ -10,7 +10,9 @@
 //! [`append_decision_row`](TraceWriter::append_decision_row), and the
 //! channel-drained `idle` hook flushes the buffered writer so a
 //! concurrent [`TailCursor`](crate::tail::TailCursor) sees records
-//! without waiting for a seal.
+//! without waiting for a seal. Either serve driver (in-process or
+//! socket) fills the store the same way: frames while serving, then
+//! the golden decision log as rows.
 
 use std::io;
 
@@ -60,8 +62,10 @@ impl RecordBackend for FlightRecorder {
 }
 
 /// Spawns the background recorder thread over a store at `store_cfg`:
-/// the one-call setup for
-/// [`serve_streams_recorded`](mobisense_serve::service::serve_streams_recorded).
+/// the one-call setup for a recorded run — hand its
+/// [`handle`](Recorder::handle) to
+/// [`serve_streams`](mobisense_serve::service::serve_streams) or the
+/// socket edge's `serve_sockets`.
 pub fn spawn_flight_recorder(
     store_cfg: StoreConfig,
     recording_cfg: RecordingConfig,

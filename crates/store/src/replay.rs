@@ -92,7 +92,7 @@ pub fn record_fleet<S: Sink + ?Sized>(
         for bytes in fleet.encoded_frames_time_major() {
             writer.append_encoded(bytes)?;
         }
-        let (decisions, report) = serve_streams(serve_cfg, &fleet.streams, sink);
+        let (decisions, report) = serve_streams(serve_cfg, &fleet.streams, None, sink);
         let golden = decision_log_csv(&decisions);
         for line in golden.lines() {
             writer.append_decision_row(line)?;
@@ -207,7 +207,7 @@ pub fn replay_fleet<S: Sink + ?Sized>(
                 n_shards,
                 ..serve_cfg.clone()
             };
-            let (decisions, _) = serve_streams(&cfg, &streams, sink);
+            let (decisions, _) = serve_streams(&cfg, &streams, None, sink);
             logs.push((n_shards, decision_log_csv(&decisions)));
         }
         Ok(ReplayReport {
@@ -239,7 +239,7 @@ pub fn replay_client<S: Sink + ?Sized>(
         n_shards: 1,
         ..serve_cfg.clone()
     };
-    let (decisions, _) = serve_streams(&cfg, &[stream], sink);
+    let (decisions, _) = serve_streams(&cfg, &[stream], None, sink);
     Ok(decision_log_csv(&decisions)
         .lines()
         .skip(1)

@@ -40,7 +40,7 @@
 
 use mobisense_util::units::Nanos;
 
-use crate::crc::{crc32, Crc32};
+use mobisense_util::crc::{crc32, Crc32};
 
 /// Segment file magic: `"MSSG"` little-endian.
 pub const SEGMENT_MAGIC: u32 = 0x4753_534D;

@@ -18,13 +18,13 @@ use std::path::{Path, PathBuf};
 use mobisense_serve::wire::ObsFrame;
 use mobisense_util::units::Nanos;
 
-use crate::crc::Crc32;
 use crate::reader::{SegmentMeta, TraceReader};
 use crate::retention::RetentionPolicy;
 use crate::segment::{
     self, RecordKind, SealInfo, SegmentIndex, MAX_RECORD_LEN, RECORD_OVERHEAD, SEGMENT_HEADER_LEN,
 };
 use crate::{open_name, parse_segment_name, sealed_name, StoreError};
+use mobisense_util::crc::Crc32;
 
 /// Where and how a trace store writes its segments.
 #[derive(Clone, Debug)]

@@ -3,8 +3,7 @@
 //!
 //! This lives in the foundation crate so that every on-disk and
 //! on-the-wire format in the workspace (store segments, session
-//! snapshots) shares a single audited checksum; `mobisense_store::crc`
-//! re-exports it under its historical path. The update uses
+//! snapshots) shares a single audited checksum. The update uses
 //! **slicing-by-8**: eight 256-entry tables built in a `const fn`,
 //! consuming one 8-byte chunk per iteration instead of one byte, which
 //! keeps the record path from being checksum-bound now that the flight

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::recording::{RecordPolicy, RecordingConfig};
-use mobisense_serve::service::{decision_log_csv, serve_streams_recorded, ServeConfig};
+use mobisense_serve::service::{decision_log_csv, serve_streams, ServeConfig};
 use mobisense_store::{
     enforce_retention, replay_fleet, spawn_flight_recorder, RetentionPolicy, StoreConfig,
     TailCursor, TailItem, TraceReader,
@@ -83,7 +83,7 @@ fn main() {
         .expect("spawn recorder");
         let handle = rec.handle();
         let (decisions, report) =
-            serve_streams_recorded(&serve_cfg, &fleet.streams, &handle, &mut NoopSink);
+            serve_streams(&serve_cfg, &fleet.streams, Some(&handle), &mut NoopSink);
         let (summary, stats) = rec.finish().expect("recorder finish");
         stop.store(true, Ordering::Release);
         let (tail_frames, tail_rows, polls) = tailer.join().expect("tailer");

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
-use mobisense_serve::service::{serve_fleet, ServeConfig};
+use mobisense_serve::service::{serve_streams, ServeConfig};
 use mobisense_serve::{
     ObsFrame, OpsMonitor, OverflowPolicy, ShardQueue, SnapshotPolicy, Ticket, WorkItem,
 };
@@ -51,7 +51,7 @@ fn main() {
         ..ServeConfig::default()
     };
     let mut tel = Telemetry::new();
-    let (_decisions, report) = serve_fleet(&cfg, &fleet, &mut tel);
+    let (_decisions, report) = serve_streams(&cfg, &fleet.streams, None, &mut tel);
 
     println!();
     println!(
@@ -89,7 +89,7 @@ fn main() {
 
     // The monitor's snapshot stream: versioned JSONL blocks, one per
     // tick, parseable by anything downstream.
-    let snaps = parse_snapshots(&report.snapshots.concat()).expect("snapshot stream parses");
+    let snaps = parse_snapshots(&report.ops.snapshots.concat()).expect("snapshot stream parses");
     println!();
     println!(
         "ops monitor: {} snapshots over the run ({} Event::Snapshot in the sink)",
@@ -143,6 +143,7 @@ fn main() {
     let monitor = OpsMonitor::spawn(
         vec![Arc::clone(&gated)],
         None,
+        Vec::new(),
         SnapshotPolicy {
             interval: Duration::from_millis(5),
             stall_intervals: 2,

@@ -48,12 +48,18 @@ fn main() {
     let edge_cfg = EdgeConfig::default();
 
     // The reference: the same streams served in-process.
-    let (golden_decisions, _) = serve_streams(&serve_cfg, &fleet.streams, &mut NoopSink);
+    let (golden_decisions, _) = serve_streams(&serve_cfg, &fleet.streams, None, &mut NoopSink);
 
     let t0 = std::time::Instant::now();
-    let (decisions, report) =
-        serve_sockets(&serve_cfg, &edge_cfg, &fleet.streams, chunk, &mut NoopSink)
-            .expect("socket serve");
+    let (decisions, report) = serve_sockets(
+        &serve_cfg,
+        &edge_cfg,
+        &fleet.streams,
+        chunk,
+        None,
+        &mut NoopSink,
+    )
+    .expect("socket serve");
     let wall = t0.elapsed();
 
     println!();

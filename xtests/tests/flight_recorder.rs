@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::recording::{RecordBackend, RecordPolicy, Recorder, RecordingConfig};
-use mobisense_serve::service::{decision_log_csv, serve_streams_recorded, ServeConfig};
+use mobisense_serve::service::{decision_log_csv, serve_streams, ServeConfig};
 use mobisense_serve::wire::ObsFrame;
 use mobisense_store::{
     enforce_retention, replay_fleet, spawn_flight_recorder, RetentionPolicy, StoreConfig,
@@ -99,7 +99,7 @@ fn recorded_serve_replays_byte_identically_with_concurrent_tail() {
         .expect("spawn recorder");
         let handle = rec.handle();
         let (decisions, report) =
-            serve_streams_recorded(&serve_cfg, &fleet.streams, &handle, &mut NoopSink);
+            serve_streams(&serve_cfg, &fleet.streams, Some(&handle), &mut NoopSink);
         assert_eq!(report.frames_processed, fleet.total_frames());
         let (_summary, stats) = rec.finish().expect("recorder finish");
         stop.store(true, Ordering::Release);

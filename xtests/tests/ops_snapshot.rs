@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use mobisense_bench::report::{compare, BenchReport};
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
-use mobisense_serve::service::{decision_log_csv, serve_fleet, ServeConfig};
+use mobisense_serve::service::{decision_log_csv, serve_streams, ServeConfig};
 use mobisense_serve::{
     ObsFrame, OpsMonitor, OverflowPolicy, ShardQueue, SnapshotPolicy, StallDetector, Ticket,
     WorkItem,
@@ -42,15 +42,15 @@ fn live_snapshot_stream_round_trips_with_unique_monotone_metrics() {
         }),
         ..ServeConfig::default()
     };
-    let (_decisions, report) = serve_fleet(&cfg, &fleet, &mut NoopSink);
+    let (_decisions, report) = serve_streams(&cfg, &fleet.streams, None, &mut NoopSink);
     assert!(
-        !report.snapshots.is_empty(),
+        !report.ops.snapshots.is_empty(),
         "the monitor takes a final snapshot even on a fast run"
     );
 
-    let stream = report.snapshots.concat();
+    let stream = report.ops.snapshots.concat();
     let snaps = parse_snapshots(&stream).expect("live stream parses");
-    assert_eq!(snaps.len(), report.snapshots.len());
+    assert_eq!(snaps.len(), report.ops.snapshots.len());
     for snap in &snaps {
         // `metrics()` counts each map's entries; the parser enforced
         // the header's declared count and rejected duplicates, so
@@ -97,9 +97,9 @@ fn observability_never_perturbs_the_decision_log() {
         }),
         ..ServeConfig::default()
     };
-    let (d_plain, _) = serve_fleet(&plain, &fleet, &mut NoopSink);
+    let (d_plain, _) = serve_streams(&plain, &fleet.streams, None, &mut NoopSink);
     let mut tel = Telemetry::new();
-    let (d_observed, report) = serve_fleet(&observed, &fleet, &mut tel);
+    let (d_observed, report) = serve_streams(&observed, &fleet.streams, None, &mut tel);
     assert_eq!(
         decision_log_csv(&d_plain),
         decision_log_csv(&d_observed),
@@ -122,7 +122,7 @@ fn observability_never_perturbs_the_decision_log() {
         .events()
         .filter(|e| matches!(e, Event::Snapshot { .. }))
         .count();
-    assert_eq!(snapshot_events, report.snapshots.len());
+    assert_eq!(snapshot_events, report.ops.snapshots.len());
     assert!(
         tel.events().all(|e| !matches!(e, Event::Stall { .. })),
         "a healthy run must not flag stalls"
@@ -176,6 +176,7 @@ fn monitor_flags_a_deterministically_gated_shard() {
     let monitor = OpsMonitor::spawn(
         vec![Arc::clone(&q)],
         None,
+        Vec::new(),
         SnapshotPolicy {
             interval: Duration::from_millis(2),
             stall_intervals: 2,

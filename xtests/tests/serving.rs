@@ -4,7 +4,7 @@
 
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::queue::OverflowPolicy;
-use mobisense_serve::service::{decision_log_csv, serve_fleet, ServeConfig};
+use mobisense_serve::service::{decision_log_csv, serve_streams, ServeConfig};
 use mobisense_telemetry::{Event, NoopSink, Telemetry};
 use mobisense_util::units::{MILLISECOND, SECOND};
 
@@ -29,7 +29,7 @@ fn decision_log_identical_across_shard_counts() {
             n_shards,
             ..ServeConfig::default()
         };
-        let (decisions, report) = serve_fleet(&cfg, &fleet, &mut NoopSink);
+        let (decisions, report) = serve_streams(&cfg, &fleet.streams, None, &mut NoopSink);
         assert_eq!(
             report.frames_processed,
             fleet.total_frames(),
@@ -48,7 +48,8 @@ fn decision_log_identical_across_shard_counts() {
     }
     // And the whole run replays: a second pass over the same fleet
     // yields the same log again.
-    let (decisions, _) = serve_fleet(&ServeConfig::default(), &fleet, &mut NoopSink);
+    let (decisions, _) =
+        serve_streams(&ServeConfig::default(), &fleet.streams, None, &mut NoopSink);
     assert_eq!(base, &decision_log_csv(&decisions), "replay diverged");
 }
 
@@ -65,7 +66,7 @@ fn soak_smoke_64_clients_2_shards() {
         ..ServeConfig::default()
     };
     let mut tel = Telemetry::new();
-    let (decisions, report) = serve_fleet(&cfg, &fleet, &mut tel);
+    let (decisions, report) = serve_streams(&cfg, &fleet.streams, None, &mut tel);
 
     // Frame conservation: every submitted frame was processed or shed.
     assert_eq!(report.frames_in, fleet.total_frames());
@@ -135,7 +136,7 @@ fn served_decisions_match_in_process_session() {
     };
     let fleet = EncodedFleet::generate(&fleet_cfg);
     let serve_cfg = ServeConfig::default();
-    let (decisions, _) = serve_fleet(&serve_cfg, &fleet, &mut NoopSink);
+    let (decisions, _) = serve_streams(&serve_cfg, &fleet.streams, None, &mut NoopSink);
 
     // In-process replay: same scenario, same wire-quantised digests.
     let kind = fleet_cfg.kind_for(0);

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::queue::Ticket;
 use mobisense_serve::service::{
-    decision_log_csv, serve_fleet, BoxedPager, ServeConfig, ShardEngine,
+    decision_log_csv, serve_streams, BoxedPager, ServeConfig, ShardEngine,
 };
 use mobisense_session::{HibernationConfig, RetirePolicy, SessionSnapshot, SnapshotPager};
 use mobisense_store::{record_fleet, replay_fleet, StoreConfig, StorePager, TraceReader};
@@ -109,12 +109,17 @@ fn hibernation_golden_replay_across_shard_counts() {
 #[test]
 fn disk_paged_hibernation_is_invisible_and_recoverable() {
     let fleet = fleet_64();
-    let (golden, _) = serve_fleet(&ServeConfig::default(), &fleet, &mut NoopSink);
+    let (golden, _) = serve_streams(&ServeConfig::default(), &fleet.streams, None, &mut NoopSink);
 
     let cfg = thrash(ServeConfig::default());
     let dir = fresh_dir("disk-paged");
-    let engine =
-        ShardEngine::spawn_with_pagers(&cfg, store_pagers(&dir, cfg.n_shards)).expect("engine");
+    let engine = ShardEngine::start(
+        &cfg,
+        Some(store_pagers(&dir, cfg.n_shards)),
+        None,
+        Vec::new(),
+    )
+    .expect("engine");
     let mut submitted = 0u64;
     let max_frames = fleet.streams.iter().map(|s| s.n_frames).max().unwrap_or(0);
     for i in 0..max_frames {
@@ -175,12 +180,17 @@ fn disk_paged_hibernation_is_invisible_and_recoverable() {
 #[test]
 fn migration_with_disk_pagers_preserves_decisions_and_conserves_frames() {
     let fleet = fleet_64();
-    let (golden, _) = serve_fleet(&ServeConfig::default(), &fleet, &mut NoopSink);
+    let (golden, _) = serve_streams(&ServeConfig::default(), &fleet.streams, None, &mut NoopSink);
 
     let cfg = thrash(ServeConfig::default());
     let dir = fresh_dir("migrate");
-    let engine =
-        ShardEngine::spawn_with_pagers(&cfg, store_pagers(&dir, cfg.n_shards)).expect("engine");
+    let engine = ShardEngine::start(
+        &cfg,
+        Some(store_pagers(&dir, cfg.n_shards)),
+        None,
+        Vec::new(),
+    )
+    .expect("engine");
 
     let mut frames = Vec::new();
     let max_frames = fleet.streams.iter().map(|s| s.n_frames).max().unwrap_or(0);

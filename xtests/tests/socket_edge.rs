@@ -23,16 +23,14 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use mobisense_edge::{
-    serve_sockets, serve_sockets_recorded, ConnOutcome, Edge, EdgeConfig, EdgeStats,
-};
+use mobisense_edge::{serve_sockets, ConnOutcome, Edge, EdgeConfig, EdgeStats};
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::recording::{RecordPolicy, RecordingConfig};
 use mobisense_serve::service::{decision_log_csv, serve_streams, ServeConfig};
 use mobisense_serve::wire::ObsFrame;
-use mobisense_serve::OverflowPolicy;
+use mobisense_serve::{OverflowPolicy, SnapshotPolicy};
 use mobisense_store::{replay_fleet, spawn_flight_recorder, StoreConfig, TraceReader};
-use mobisense_telemetry::{NoopSink, Telemetry};
+use mobisense_telemetry::{parse_snapshots, Event, NoopSink, Telemetry};
 use mobisense_util::units::{Nanos, MILLISECOND, SECOND};
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -90,26 +88,34 @@ fn socket_serve_matches_in_process_golden_and_replays() {
     });
     let serve_cfg = ServeConfig::default();
     let store = StoreConfig::new(&dir).with_target_segment_bytes(64 << 10);
+    let lossless = RecordingConfig {
+        capacity: 1024,
+        policy: RecordPolicy::Block,
+    };
 
-    let (in_process, _) = serve_streams(&serve_cfg, &fleet.streams, &mut NoopSink);
+    // The in-process golden run, recorded through the same tail.
+    let in_dir = fresh_dir("golden-in-process");
+    let in_rec =
+        spawn_flight_recorder(StoreConfig::new(&in_dir), lossless).expect("spawn recorder");
+    let mut in_sink = Telemetry::new();
+    let (in_process, _) = serve_streams(
+        &serve_cfg,
+        &fleet.streams,
+        Some(&in_rec.handle()),
+        &mut in_sink,
+    );
+    in_rec.finish().expect("in-process recorder finish");
     let golden = decision_log_csv(&in_process);
 
-    let rec = spawn_flight_recorder(
-        store.clone(),
-        RecordingConfig {
-            capacity: 1024,
-            policy: RecordPolicy::Block,
-        },
-    )
-    .expect("spawn recorder");
+    let rec = spawn_flight_recorder(store.clone(), lossless).expect("spawn recorder");
     let handle = rec.handle();
     let mut sink = Telemetry::new();
-    let (decisions, report) = serve_sockets_recorded(
+    let (decisions, report) = serve_sockets(
         &serve_cfg,
         &EdgeConfig::default(),
         &fleet.streams,
         7,
-        &handle,
+        Some(&handle),
         &mut sink,
     )
     .expect("socket serve");
@@ -146,6 +152,33 @@ fn socket_serve_matches_in_process_golden_and_replays() {
         1
     );
 
+    // Both drivers end a recorded run through the same tail: the same
+    // golden rows on disk and exactly one `serve_recorder` event each,
+    // stamped with the same latest per-shard frame time.
+    let rows = |dir: &PathBuf| {
+        TraceReader::open(dir)
+            .expect("open")
+            .read_frames()
+            .expect("read")
+            .1
+    };
+    assert_eq!(rows(&in_dir), rows(&dir), "golden rows differ by driver");
+    let recorder_at = |tel: &Telemetry| -> Vec<Nanos> {
+        tel.events()
+            .filter_map(|e| match e {
+                Event::ServeRecorder { at, .. } => Some(*at),
+                _ => None,
+            })
+            .collect()
+    };
+    let at = recorder_at(&in_sink);
+    assert_eq!(at.len(), 1, "one serve_recorder event in process");
+    assert_eq!(
+        recorder_at(&sink),
+        at,
+        "one serve_recorder event over sockets"
+    );
+
     // And the store replays byte-identically at several shard counts.
     let replay = replay_fleet(&store, &serve_cfg, &[1, 4], &mut NoopSink).expect("replay");
     assert_eq!(replay.golden, golden, "stored golden == live golden");
@@ -153,6 +186,44 @@ fn socket_serve_matches_in_process_golden_and_replays() {
         replay.all_match(),
         "replay diverged at shard counts {:?}",
         replay.mismatches()
+    );
+}
+
+/// A socket-fed run with the ops monitor on snapshots the session
+/// gauges an in-process run does, alongside the edge's own counters.
+#[test]
+fn socket_snapshots_carry_session_gauges() {
+    let fleet = EncodedFleet::generate(&FleetConfig {
+        n_clients: 4,
+        duration: SECOND,
+        step: 50 * MILLISECOND,
+        base_seed: 31,
+        ..FleetConfig::default()
+    });
+    let serve_cfg = ServeConfig {
+        snapshot: Some(SnapshotPolicy {
+            interval: Duration::from_millis(5),
+            stall_intervals: 2,
+        }),
+        ..ServeConfig::default()
+    };
+    let (_decisions, report) = serve_sockets(
+        &serve_cfg,
+        &EdgeConfig::default(),
+        &fleet.streams,
+        0,
+        None,
+        &mut NoopSink,
+    )
+    .expect("socket serve");
+    let snaps = parse_snapshots(&report.serve.ops.snapshots.concat()).expect("snapshots parse");
+    // The final tick runs after the workers joined: every session is
+    // resident and the edge has counted every frame.
+    let last = snaps.last().expect("the monitor takes a final snapshot");
+    assert_eq!(last.gauges.get("serve.sessions.hot"), Some(&4.0));
+    assert_eq!(
+        last.counters.get("edge.frames"),
+        Some(&fleet.total_frames())
     );
 }
 
@@ -297,6 +368,7 @@ fn socket_soak_smoke() {
         &EdgeConfig::default(),
         &fleet.streams,
         32,
+        None,
         &mut NoopSink,
     )
     .expect("socket serve");
