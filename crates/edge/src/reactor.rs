@@ -5,13 +5,20 @@
 //! until `WouldBlock` (rejecting past [`EdgeConfig::max_conns`]), give
 //! every live connection one bounded read (fairness: no connection can
 //! monopolize a sweep), drain the UDP socket, then consult the
-//! [`Poller`](crate::poll::Poller) with whether anything moved. Decoded
-//! frames go through [`ShardEngine::submit`] — the same
+//! [`Poller`](crate::poll::Poller) with whether anything moved.
+//!
+//! Decoded frames travel in batches: everything one connection read
+//! yields, or everything one UDP sweep yields, is one [`IngestBatch`]
+//! whose tickets share a single ingest clock read (and which carries a
+//! stage trace on every [`ServeConfig::stage_sampling`]-th frame).
+//! [`ShardEngine::submit_ingest`] tees the batch's exact wire bytes to
+//! the flight recorder (when attached) as one message, stamps `Record`,
+//! then routes the frames with one queue push per shard — the same
 //! hash(client id) → shard mapping and overflow policies as the
-//! in-process path — after the flight recorder (when attached) has been
-//! teed the frame's exact wire bytes. The engine owns the run lifecycle
-//! (ops monitor with the edge as an extra source, recorder counters,
-//! report); [`Edge`] only adds the sockets and their accounting.
+//! in-process path, at one lock and at most one wake-up per batch
+//! instead of per frame. The engine owns the run lifecycle (ops monitor
+//! with the edge as an extra source, recorder counters, report);
+//! [`Edge`] only adds the sockets and their accounting.
 //!
 //! **Conservation invariant**: every frame decoded off the wire is
 //! accounted for exactly once — `accepted == processed + shed +
@@ -36,8 +43,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mobisense_serve::{
-    emit_report_events, record_golden_log, ClientStream, ObsFrame, OpsSource, RecorderHandle,
-    ServeConfig, ServeDecision, ServeReport, ShardEngine, Ticket,
+    emit_report_events, record_golden_log, ClientStream, IngestBatch, OpsSource, RecorderHandle,
+    ServeConfig, ServeDecision, ServeReport, ShardEngine,
 };
 use mobisense_telemetry::{Event, Registry, Sink};
 use mobisense_util::units::Nanos;
@@ -275,13 +282,14 @@ impl Conn {
         }
     }
 
-    /// One bounded read + decode + submit pass.
+    /// One bounded read + decode pass, collecting the frames it yields
+    /// (with their wire bytes) into `batch`.
     fn pump(
         &mut self,
         scratch: &mut [u8],
         cfg: &EdgeConfig,
         shared: &EdgeShared,
-        submit: &mut dyn FnMut(ObsFrame, &[u8]),
+        batch: &mut IngestBatch,
     ) -> Pump {
         match self.sock.read(scratch) {
             Ok(0) => Pump::Closed(if self.condemned {
@@ -294,6 +302,7 @@ impl Conn {
                 shared.bytes.fetch_add(n as u64, Ordering::Relaxed);
                 let chunk = scratch.get(..n).unwrap_or_default();
                 let quota = cfg.frame_quota;
+                let (mut decoded, mut rejected) = (0u64, 0u64);
                 let Conn {
                     asm,
                     frames,
@@ -302,18 +311,22 @@ impl Conn {
                     ..
                 } = self;
                 asm.feed(chunk, &mut |frame, raw| {
-                    shared.frames.fetch_add(1, Ordering::Relaxed);
+                    decoded += 1;
                     if *condemned || (quota > 0 && *frames >= quota) {
                         *condemned = true;
-                        shared.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                        rejected += 1;
                         return;
                     }
                     *frames += 1;
                     if frame.at > *last_at {
                         *last_at = frame.at;
                     }
-                    submit(frame, raw);
+                    batch.push(frame, raw);
                 });
+                shared.frames.fetch_add(decoded, Ordering::Relaxed);
+                shared
+                    .frames_rejected
+                    .fetch_add(rejected, Ordering::Relaxed);
                 if self.condemned {
                     Pump::Closed(ConnOutcome::Rejected)
                 } else if self.asm.pending() > cfg.read_buf_cap {
@@ -388,7 +401,7 @@ impl Edge {
         let engine = ShardEngine::start(
             serve_cfg,
             None,
-            recorder.clone(),
+            recorder,
             vec![Box::new(EdgeOpsSource {
                 shared: Arc::clone(&shared),
                 last_accepted: AtomicU64::new(0),
@@ -401,7 +414,7 @@ impl Edge {
             let cfg = edge_cfg.clone();
             std::thread::Builder::new()
                 .name("edge-reactor".to_string())
-                .spawn(move || run_reactor(listener, udp, engine, recorder, &cfg, &shared, &stop))?
+                .spawn(move || run_reactor(listener, udp, engine, &cfg, &shared, &stop))?
         };
 
         Ok(Edge {
@@ -499,7 +512,6 @@ fn run_reactor(
     listener: TcpListener,
     udp: UdpSocket,
     engine: ShardEngine,
-    recorder: Option<RecorderHandle>,
     cfg: &EdgeConfig,
     shared: &EdgeShared,
     stop: &AtomicBool,
@@ -513,17 +525,13 @@ fn run_reactor(
     let mut truncated = 0u64;
     let mut last_at: Nanos = 0;
 
-    // The frame path: tee the exact wire bytes to the recorder (the
-    // byte-identical-replay contract), then hand the frame to the
+    // The frame path: each read (or UDP sweep) fills `batch`, and
+    // `submit_ingest` tees its exact wire bytes to the recorder (the
+    // byte-identical-replay contract), then hands its frames to the
     // shard engine. Under Block overflow this is where socket-side
     // backpressure happens: the reactor stalls, the kernel buffers
     // fill, senders block — pressure propagates to the wire.
-    let mut submit = |frame: ObsFrame, raw: &[u8]| {
-        if let Some(rec) = recorder.as_ref() {
-            rec.record_frame(raw);
-        }
-        engine.submit(Ticket::untraced(), frame);
-    };
+    let mut batch = engine.ingest_batch();
 
     // Consecutive read sweeps skipped under an accept storm (bounded:
     // reads are delayed, never starved).
@@ -591,9 +599,10 @@ fn run_reactor(
         let mut buffered = 0u64;
         while i < conns.len() {
             let pumped = match conns.get_mut(i) {
-                Some(conn) => conn.pump(&mut scratch, cfg, shared, &mut submit),
+                Some(conn) => conn.pump(&mut scratch, cfg, shared, &mut batch),
                 None => break,
             };
+            engine.submit_ingest(&mut batch);
             match pumped {
                 Pump::Open(moved) => {
                     progress |= moved;
@@ -619,7 +628,8 @@ fn run_reactor(
 
         // UDP sweep: each datagram is a self-contained frame batch; a
         // trailing fragment or corrupt tail is dropped (counted), never
-        // reassembled across datagrams.
+        // reassembled across datagrams. The whole sweep is one hand-off
+        // unless a flood fills the batch first.
         loop {
             match udp.recv_from(&mut udp_buf) {
                 Ok((n, _peer)) => {
@@ -627,25 +637,31 @@ fn run_reactor(
                     shared.datagrams.fetch_add(1, Ordering::Relaxed);
                     shared.bytes.fetch_add(n as u64, Ordering::Relaxed);
                     let datagram = udp_buf.get(..n).unwrap_or_default();
-                    let (frames, consumed, err) = decode_datagram(datagram);
-                    for (frame, raw_range) in frames {
-                        shared.frames.fetch_add(1, Ordering::Relaxed);
-                        if frame.at > last_at {
-                            last_at = frame.at;
-                        }
-                        let raw = datagram.get(raw_range).unwrap_or_default();
-                        submit(frame, raw);
+                    let (frames, consumed, err) = mobisense_serve::decode_stream_lossy(datagram);
+                    shared
+                        .frames
+                        .fetch_add(frames.len() as u64, Ordering::Relaxed);
+                    let mut off = 0usize;
+                    for frame in frames {
+                        let len = frame.encoded_len();
+                        last_at = last_at.max(frame.at);
+                        batch.push(frame, datagram.get(off..off + len).unwrap_or_default());
+                        off += len;
                     }
-                    if err {
+                    if err.is_some() {
                         shared.resyncs.fetch_add(1, Ordering::Relaxed);
                     }
                     truncated += (n - consumed) as u64;
+                    if batch.is_full() {
+                        engine.submit_ingest(&mut batch);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
         }
+        engine.submit_ingest(&mut batch);
 
         if stop.load(Ordering::Relaxed) && conns.is_empty() {
             break;
@@ -659,20 +675,6 @@ fn run_reactor(
         truncated_bytes: truncated,
         last_at,
     })
-}
-
-/// Decodes one datagram: whole frames with their byte ranges, bytes
-/// consumed, and whether a decode error cut the batch short.
-fn decode_datagram(datagram: &[u8]) -> (Vec<(ObsFrame, std::ops::Range<usize>)>, usize, bool) {
-    let (frames, consumed, err) = mobisense_serve::decode_stream_lossy(datagram);
-    let mut out = Vec::with_capacity(frames.len());
-    let mut off = 0usize;
-    for frame in frames {
-        let len = frame.encoded_len();
-        out.push((frame, off..off + len));
-        off += len;
-    }
-    (out, consumed, err.is_some())
 }
 
 /// Plays a set of client streams against `addr` over TCP, one
@@ -733,7 +735,7 @@ pub fn send_datagrams_udp(addr: SocketAddr, streams: &[ClientStream]) -> io::Res
 /// returned decision log is bit-identical to it.
 ///
 /// With a `recorder`, the reactor tees every decoded frame's exact wire
-/// bytes onto it and the run ends with
+/// bytes onto it (one message per read) and the run ends with
 /// [`record_golden_log`], exactly as in process: under
 /// [`RecordPolicy::Block`](mobisense_serve::RecordPolicy) the recording
 /// is lossless and replaying the resulting store reproduces this run's

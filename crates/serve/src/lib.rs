@@ -9,7 +9,8 @@
 //!   round-trip parser;
 //! * [`queue`] — bounded per-shard ingest queues with two explicit
 //!   overflow policies: blocking backpressure or oldest-per-client load
-//!   shedding;
+//!   shedding; every hand-off moves a whole [`IngestBatch`] under one
+//!   lock and wakes a parked peer only when one exists;
 //! * [`service`] — client-sharded workers (hash(client id) → shard,
 //!   one `std::thread` each) running one
 //!   [`PipelineSession`](mobisense_core::pipeline::PipelineSession) per
@@ -58,7 +59,7 @@ pub use fleet::{ClientStream, EncodedFleet, FleetConfig};
 pub use ops::{
     OpsMonitor, OpsOutcome, OpsSource, SnapshotMeta, SnapshotPolicy, StallDetector, StallFlag,
 };
-pub use queue::{MigrateParcel, OverflowPolicy, ShardQueue, Ticket, WorkItem};
+pub use queue::{IngestBatch, MigrateParcel, OverflowPolicy, ShardQueue, Ticket, WorkItem};
 pub use recording::{
     RecordBackend, RecordPolicy, Recorder, RecorderHandle, RecorderStats, RecordingConfig,
 };

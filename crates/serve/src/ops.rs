@@ -377,9 +377,7 @@ mod tests {
         }
         // Drain fully: instantaneous depth is 0, but the high-water
         // mark since the last read must still show the peak.
-        for _ in 0..10 {
-            q.pop().expect("queued frame");
-        }
+        assert!(q.pop_batch(&mut std::collections::VecDeque::new()));
         let (reg, _) = observe_sources(&[Arc::clone(&q)], None);
         assert_eq!(reg.gauge_value("serve.queue.depth"), Some(0.0));
         assert_eq!(reg.gauge_value("serve.queue.high_water"), Some(10.0));

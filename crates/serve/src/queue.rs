@@ -1,4 +1,5 @@
-//! Bounded per-shard ingest queues with explicit overflow policy.
+//! Bounded per-shard ingest queues with explicit overflow policy, and
+//! the batches frontends fill on their way into them.
 //!
 //! `std::sync::mpsc` offers bounded channels, but its only overflow
 //! behaviours are "block" and "fail"; the serving layer also needs
@@ -6,6 +7,15 @@
 //! every client its freshest frame rather than a backlog of stale
 //! ones). So the queue is hand-rolled: a `Mutex<VecDeque>` with two
 //! condvars, one item type, no unsafe.
+//!
+//! Every hand-off moves a batch, not a frame. A frontend collects what
+//! one socket read, one UDP sweep or one producer step yields into an
+//! [`IngestBatch`] — every ticket stamped from one clock read — and
+//! [`ShardQueue::push_batch`] enqueues it under one lock hold; the
+//! worker's [`ShardQueue::pop_batch`] takes the whole queue under one
+//! lock. Each side counts its parked waiters under the mutex and
+//! notifies only when one exists, so a queue that never fills or runs
+//! dry costs no wake-up syscall at all, and a batch costs at most one.
 //!
 //! The serve layer has exactly two locks. A worker never takes the
 //! recorder channel lock while holding its shard-queue lock-order
@@ -19,9 +29,10 @@ use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use mobisense_telemetry::{Stage, StageTrace};
+use mobisense_telemetry::{Sampler, Stage, StageTrace};
 use mobisense_util::units::Nanos;
 
+use crate::recording::{FrameBatch, RecorderHandle};
 use crate::wire::ObsFrame;
 
 /// What a producer does when a shard's queue is full.
@@ -53,10 +64,7 @@ pub struct Ticket {
 impl Ticket {
     /// A plain ticket: ingest stamp only, no stage trace.
     pub fn untraced() -> Self {
-        Ticket {
-            ingested: Instant::now(),
-            trace: None,
-        }
+        Self::at(Instant::now(), false)
     }
 
     /// A ticket carrying a stage trace started at `Ingest`. One clock
@@ -64,11 +72,99 @@ impl Ticket {
     /// traced path pays no extra read here and the trace origin *is*
     /// the latency epoch.
     pub fn traced() -> Self {
-        let now = Instant::now();
+        Self::at(Instant::now(), true)
+    }
+
+    /// A ticket stamped at an already-read instant.
+    fn at(ingested: Instant, traced: bool) -> Self {
         Ticket {
-            ingested: now,
-            trace: Some(StageTrace::start_at(now)),
+            ingested,
+            trace: traced.then(|| StageTrace::start_at(ingested)),
         }
+    }
+}
+
+/// One hand-off's worth of decoded frames — everything one socket
+/// read, one UDP sweep or one producer step yields — on their way to
+/// the shard queues, plus their wire bytes on their way to the flight
+/// recorder when one is attached. Build one per frontend with
+/// [`ShardEngine::ingest_batch`] and hand it over with
+/// [`ShardEngine::submit_ingest`].
+///
+/// Every ticket in a batch shares one ingest clock read, taken when the
+/// batch's first frame arrives; a [`Sampler`] running across batches
+/// picks which tickets carry a stage trace. The buffers survive each
+/// hand-off, so a warm frontend allocates nothing per batch.
+///
+/// [`ShardEngine::ingest_batch`]: crate::service::ShardEngine::ingest_batch
+/// [`ShardEngine::submit_ingest`]: crate::service::ShardEngine::submit_ingest
+#[derive(Debug)]
+pub struct IngestBatch {
+    frames: Vec<(Ticket, ObsFrame)>,
+    /// The frames' wire bytes, kept only when recording.
+    raw: Option<FrameBatch>,
+    sampler: Sampler,
+    /// The batch's ingest stamp, read at its first frame.
+    ingested: Option<Instant>,
+    /// Frames past which [`is_full`](Self::is_full) says hand over.
+    limit: usize,
+}
+
+impl IngestBatch {
+    /// An empty batch tracing every `stage_sampling`-th frame (0 =
+    /// never), keeping wire bytes when `record` is set, and reporting
+    /// full at `limit` frames.
+    pub(crate) fn new(stage_sampling: u32, record: bool, limit: usize) -> Self {
+        IngestBatch {
+            frames: Vec::new(),
+            raw: record.then(FrameBatch::new),
+            sampler: Sampler::every(stage_sampling),
+            ingested: None,
+            limit: limit.max(1),
+        }
+    }
+
+    /// Adds one decoded frame and its exact wire bytes.
+    pub fn push(&mut self, frame: ObsFrame, raw: &[u8]) {
+        let ingested = *self.ingested.get_or_insert_with(Instant::now);
+        self.frames
+            .push((Ticket::at(ingested, self.sampler.sample()), frame));
+        if let Some(bytes) = self.raw.as_mut() {
+            bytes.push(raw);
+        }
+    }
+
+    /// Whether the batch holds no frame.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// Whether the batch reached its limit — the memory bound for
+    /// sources with no natural end (a UDP sweep under a flood, a
+    /// producer step over a huge shard); one queue's capacity.
+    pub fn is_full(&self) -> bool {
+        self.frames.len() >= self.limit
+    }
+
+    /// Tees the batch's wire bytes to `recorder` as one message, then
+    /// stamps `Record` on every traced ticket from one clock read.
+    pub(crate) fn tee(&mut self, recorder: &RecorderHandle) {
+        if let Some(bytes) = self.raw.as_mut() {
+            recorder.record_batch(bytes);
+        }
+        let mut recorded = None;
+        for (ticket, _) in &mut self.frames {
+            if let Some(trace) = ticket.trace.as_mut() {
+                trace.mark_at(Stage::Record, *recorded.get_or_insert_with(Instant::now));
+            }
+        }
+    }
+
+    /// Hands the frames over in arrival order; the next frame pushed
+    /// starts a new batch with a fresh ingest stamp.
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, (Ticket, ObsFrame)> {
+        self.ingested = None;
+        self.frames.drain(..)
     }
 }
 
@@ -141,6 +237,10 @@ struct Inner {
     /// Deepest occupancy since the last [`ShardQueue::take_high_water`]
     /// read (the ops monitor's between-ticks peak detector).
     high_water: usize,
+    /// Producers parked on `not_full`.
+    producers_waiting: usize,
+    /// Whether the worker is parked on `not_empty`.
+    worker_waiting: bool,
 }
 
 /// A bounded FIFO between one ingest producer and one shard worker.
@@ -167,6 +267,11 @@ impl ShardQueue {
         }
     }
 
+    /// The queue's capacity, in frames.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Locks the queue state, recovering a poisoned guard. Poisoning
     /// here only means some peer panicked *while holding the lock*;
     /// every critical section in this module either leaves the
@@ -177,70 +282,122 @@ impl ShardQueue {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enqueues one frame under the given overflow policy. Returns the
-    /// number of frames shed to make room (always 0 under
+    /// Enqueues `items` in order under the given overflow policy and
+    /// returns the number of frames shed to make room (always 0 under
     /// [`OverflowPolicy::Block`]).
     ///
-    /// Pushing to a closed queue drops the frame silently; the service
-    /// only closes queues after every producer has finished.
+    /// The whole batch goes in under one lock hold unless Block
+    /// backpressure parks the producer mid-batch, in which case the
+    /// worker first gets to see what is already queued, or a
+    /// [`OverflowPolicy::ShedOldestPerClient`] eviction ends the hold:
+    /// each eviction scans the queue, and a batch of them under one
+    /// hold would lock an overloaded worker out for the whole scan
+    /// series. The worker is notified at most once per hold, and only
+    /// when it is parked; traced tickets share one `Enqueue` clock read
+    /// per hold.
     ///
-    /// The frame paths (`push`/`pop`) deliberately keep the loud
-    /// `expect`: if a peer died mid-mutation the FIFO's contents can no
-    /// longer be trusted, and silently serving a maybe-reordered or
-    /// maybe-truncated stream would break the determinism contract.
-    /// Failing the whole run is the correct outcome there.
-    pub fn push(&self, mut item: QueueItem, policy: OverflowPolicy) -> u64 {
-        // lint: poison-loud -- frame path: a poisoned FIFO cannot be trusted, fail the run
-        let mut inner = self.inner.lock().expect("queue poisoned");
+    /// Pushing to a closed queue drops the rest of the batch silently;
+    /// the service only closes queues after every producer has
+    /// finished.
+    ///
+    /// The frame paths (`push_batch`/`pop_batch`) deliberately keep the
+    /// loud `expect`: if a peer died mid-mutation the FIFO's contents
+    /// can no longer be trusted, and silently serving a
+    /// maybe-reordered or maybe-truncated stream would break the
+    /// determinism contract. Failing the whole run is the correct
+    /// outcome there.
+    pub fn push_batch<I>(&self, items: I, policy: OverflowPolicy) -> u64
+    where
+        I: IntoIterator<Item = QueueItem>,
+    {
+        let mut items = items.into_iter().peekable();
         let mut shed_now = 0u64;
-        match (&item, policy) {
-            // Control items never wait and never shed: a `Migrate`
-            // marker that blocked behind its own shard's backlog while
-            // the submit frontend waits on the reply would deadlock the
-            // engine, and shedding one would silently lose a session.
-            // They are rare (one per migration), so the transient
-            // one-over-capacity occupancy is harmless.
-            (WorkItem::Migrate { .. } | WorkItem::Adopt(_), _) => {}
-            (WorkItem::Frame(..), OverflowPolicy::Block) => {
-                while inner.q.len() >= self.capacity && !inner.closed {
-                    // lint: poison-loud, hot-path -- fail fast on poison; Block backpressure parks the producer until the worker drains (woken by pop/close)
-                    inner = self.not_full.wait(inner).expect("queue poisoned");
-                }
-            }
-            (WorkItem::Frame(_, new), OverflowPolicy::ShedOldestPerClient) => {
-                if inner.q.len() >= self.capacity {
-                    let client = new.client_id;
-                    // Only frames are sheddable; control items must
-                    // survive overload, so the eviction scan skips them.
-                    let same_client = inner.q.iter().position(
-                        |it| matches!(it, WorkItem::Frame(_, f) if f.client_id == client),
-                    );
-                    let victim =
-                        same_client.or_else(|| inner.q.iter().position(WorkItem::is_frame));
-                    if let Some(i) = victim {
-                        inner.q.remove(i);
-                        shed_now = 1;
-                        inner.shed += 1;
+        while items.peek().is_some() {
+            // lint: poison-loud -- frame path: a poisoned FIFO cannot be trusted, fail the run
+            let mut inner = self.inner.lock().expect("queue poisoned");
+            // Items enqueued since the worker last had a chance to see
+            // them.
+            let mut unseen = false;
+            let mut enqueued_at: Option<Instant> = None;
+            let mut evicted = false;
+            while !evicted {
+                let Some(mut item) = items.next() else {
+                    break;
+                };
+                match (&item, policy) {
+                    // Control items never wait and never shed: a
+                    // `Migrate` marker that blocked behind its own
+                    // shard's backlog while the submit frontend waits on
+                    // the reply would deadlock the engine, and shedding
+                    // one would silently lose a session. They are rare
+                    // (one per migration), so the transient
+                    // one-over-capacity occupancy is harmless.
+                    (WorkItem::Migrate { .. } | WorkItem::Adopt(_), _) => {}
+                    (WorkItem::Frame(..), OverflowPolicy::Block) => {
+                        while inner.q.len() >= self.capacity && !inner.closed {
+                            if unseen && inner.worker_waiting {
+                                self.not_empty.notify_one();
+                            }
+                            unseen = false;
+                            enqueued_at = None;
+                            inner.producers_waiting += 1;
+                            // lint: poison-loud, hot-path -- fail fast on poison; Block backpressure parks the producer until the worker drains (woken by pop_batch/close)
+                            inner = self.not_full.wait(inner).expect("queue poisoned");
+                            inner.producers_waiting -= 1;
+                        }
+                    }
+                    (WorkItem::Frame(_, new), OverflowPolicy::ShedOldestPerClient) => {
+                        if inner.q.len() >= self.capacity {
+                            let client = new.client_id;
+                            // Only frames are sheddable; control items
+                            // must survive overload, so the eviction
+                            // scan skips them.
+                            let same_client = inner.q.iter().position(
+                                |it| matches!(it, WorkItem::Frame(_, f) if f.client_id == client),
+                            );
+                            let victim =
+                                same_client.or_else(|| inner.q.iter().position(WorkItem::is_frame));
+                            if let Some(i) = victim {
+                                inner.q.remove(i);
+                                shed_now += 1;
+                                inner.shed += 1;
+                                evicted = true;
+                            }
+                        }
                     }
                 }
+                if inner.closed {
+                    return shed_now;
+                }
+                // Stamped after any backpressure wait, immediately
+                // before insertion, so the dequeue delta is pure queue
+                // residency.
+                if let WorkItem::Frame(ticket, _) = &mut item {
+                    if let Some(trace) = ticket.trace.as_mut() {
+                        trace.mark_at(
+                            Stage::Enqueue,
+                            *enqueued_at.get_or_insert_with(Instant::now),
+                        );
+                    }
+                }
+                inner.q.push_back(item);
+                let len = inner.q.len();
+                inner.max_depth = inner.max_depth.max(len);
+                inner.high_water = inner.high_water.max(len);
+                unseen = true;
+            }
+            let wake = unseen && inner.worker_waiting;
+            drop(inner);
+            if wake {
+                self.not_empty.notify_one();
             }
         }
-        if inner.closed {
-            return shed_now;
-        }
-        // Stamped after any backpressure wait, immediately before
-        // insertion, so the dequeue delta is pure queue residency.
-        if let WorkItem::Frame(ticket, _) = &mut item {
-            if let Some(trace) = ticket.trace.as_mut() {
-                trace.mark(Stage::Enqueue);
-            }
-        }
-        inner.q.push_back(item);
-        inner.max_depth = inner.max_depth.max(inner.q.len());
-        inner.high_water = inner.high_water.max(inner.q.len());
-        drop(inner);
-        self.not_empty.notify_one();
         shed_now
+    }
+
+    /// Enqueues one item: a one-element [`push_batch`](Self::push_batch).
+    pub fn push(&self, item: QueueItem, policy: OverflowPolicy) -> u64 {
+        self.push_batch(std::iter::once(item), policy)
     }
 
     /// Enqueues a control item ([`WorkItem::Migrate`] /
@@ -258,36 +415,52 @@ impl ShardQueue {
         inner.q.push_back(item);
         inner.max_depth = inner.max_depth.max(inner.q.len());
         inner.high_water = inner.high_water.max(inner.q.len());
+        let wake = inner.worker_waiting;
         drop(inner);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         true
     }
 
-    /// Dequeues the oldest frame, blocking while the queue is open and
-    /// empty. Returns the frame and the queue depth *before* the pop
-    /// (for depth telemetry), or `None` once the queue is closed and
-    /// drained.
-    pub fn pop(&self) -> Option<(QueueItem, usize)> {
+    /// Moves every queued item into `out`, oldest first, under one
+    /// lock, blocking while the queue is open and empty; parked
+    /// producers are woken (all of them: the whole capacity just
+    /// freed) only if there are any. Returns `false` once the queue is
+    /// closed and drained.
+    ///
+    /// `out` is normally empty on entry and then simply trades buffers
+    /// with the queue; anything already in it stays ahead of the new
+    /// items.
+    pub fn pop_batch(&self, out: &mut VecDeque<QueueItem>) -> bool {
         // lint: poison-loud -- frame path: a poisoned FIFO cannot be trusted, fail the run
         let mut inner = self.inner.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = inner.q.pop_front() {
-                let depth = inner.q.len() + 1;
-                inner.popped += 1;
-                drop(inner);
-                self.not_full.notify_one();
-                return Some((item, depth));
-            }
+        while inner.q.is_empty() {
             if inner.closed {
-                return None;
+                return false;
             }
-            // lint: poison-loud, hot-path -- fail fast on poison; the worker idles here until a producer enqueues (woken by push/close)
+            inner.worker_waiting = true;
+            // lint: poison-loud, hot-path -- fail fast on poison; the worker idles here until a producer enqueues (woken by push_batch/close)
             inner = self.not_empty.wait(inner).expect("queue poisoned");
+            inner.worker_waiting = false;
         }
+        inner.popped += inner.q.len() as u64;
+        if out.is_empty() {
+            std::mem::swap(&mut inner.q, out);
+        } else {
+            out.append(&mut inner.q);
+        }
+        let wake = inner.producers_waiting > 0;
+        drop(inner);
+        if wake {
+            self.not_full.notify_all();
+        }
+        true
     }
 
-    /// Closes the queue: blocked producers unblock, and the worker sees
-    /// `None` once the backlog drains.
+    /// Closes the queue: blocked producers unblock, and the worker's
+    /// [`pop_batch`](Self::pop_batch) returns `false` once the backlog
+    /// drains.
     pub fn close(&self) {
         let mut inner = self.lock_recovered();
         inner.closed = true;
@@ -311,7 +484,7 @@ impl ShardQueue {
         self.lock_recovered().q.len()
     }
 
-    /// Frames dequeued by the worker so far (the watchdog's progress
+    /// Items dequeued by the worker so far (the watchdog's progress
     /// counter).
     pub fn popped(&self) -> u64 {
         self.lock_recovered().popped
@@ -332,6 +505,8 @@ impl ShardQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn frame(client_id: u32, seq: u32) -> ObsFrame {
         ObsFrame {
@@ -347,13 +522,30 @@ mod tests {
         WorkItem::frame(Ticket::untraced(), frame(client_id, seq))
     }
 
+    /// Pops one batch, describing each item as `kind:client:seq`.
+    fn pop_kinds(q: &ShardQueue) -> Option<Vec<String>> {
+        let mut out = VecDeque::new();
+        q.pop_batch(&mut out).then(|| {
+            out.into_iter()
+                .map(|it| match it {
+                    WorkItem::Frame(_, f) => format!("frame:{}:{}", f.client_id, f.seq),
+                    WorkItem::Migrate { client_id, .. } => format!("migrate:{client_id}"),
+                    WorkItem::Adopt(p) => format!("adopt:{}", p.client_id),
+                })
+                .collect()
+        })
+    }
+
     /// Drains the queue, asserting every item is a frame.
     fn drain_frames(q: &ShardQueue) -> Vec<(u32, u32)> {
         let mut got = Vec::new();
-        while let Some((it, _)) = q.pop() {
-            match it {
-                WorkItem::Frame(_, f) => got.push((f.client_id, f.seq)),
-                other => panic!("expected frame, got {other:?}"),
+        let mut out = VecDeque::new();
+        while q.pop_batch(&mut out) {
+            for it in out.drain(..) {
+                match it {
+                    WorkItem::Frame(_, f) => got.push((f.client_id, f.seq)),
+                    other => panic!("expected frame, got {other:?}"),
+                }
             }
         }
         got
@@ -396,6 +588,26 @@ mod tests {
     }
 
     #[test]
+    fn shed_batch_conserves_frames() {
+        // One batch of 20 frames over 3 clients into a capacity-4
+        // queue: the batch sheds against itself exactly as 20 single
+        // pushes would, and every pushed frame is popped or shed.
+        let q = ShardQueue::new(4);
+        q.push(item(9, 0), OverflowPolicy::ShedOldestPerClient);
+        let batch = (0..20u32).map(|seq| item(seq % 3, seq));
+        let shed = q.push_batch(batch, OverflowPolicy::ShedOldestPerClient);
+        q.close();
+        let popped = drain_frames(&q);
+        assert_eq!(shed, q.shed());
+        assert_eq!(21, popped.len() as u64 + q.shed());
+        assert_eq!(popped.len(), 4);
+        assert!(q.max_depth() <= 4);
+        // Client 9 kept its only frame; clients 0–2 each kept their
+        // freshest, in arrival order.
+        assert_eq!(popped, vec![(9, 0), (2, 17), (0, 18), (1, 19)]);
+    }
+
+    #[test]
     fn control_items_bypass_capacity_and_survive_shedding() {
         let q = ShardQueue::new(2);
         q.push(item(1, 0), OverflowPolicy::ShedOldestPerClient);
@@ -412,15 +624,11 @@ mod tests {
         // client 3 has nothing queued, so the global-oldest frame goes.
         q.push(item(3, 0), OverflowPolicy::ShedOldestPerClient);
         q.close();
-        let mut kinds = Vec::new();
-        while let Some((it, _)) = q.pop() {
-            kinds.push(match it {
-                WorkItem::Frame(_, f) => format!("frame:{}", f.client_id),
-                WorkItem::Migrate { client_id, .. } => format!("migrate:{client_id}"),
-                WorkItem::Adopt(p) => format!("adopt:{}", p.client_id),
-            });
-        }
-        assert_eq!(kinds, vec!["frame:2", "migrate:9", "frame:3"]);
+        assert_eq!(
+            pop_kinds(&q).expect("one batch"),
+            vec!["frame:2:0", "migrate:9", "frame:3:0"]
+        );
+        assert_eq!(pop_kinds(&q), None, "closed and drained");
         assert_eq!(q.shed(), 1);
     }
 
@@ -437,17 +645,17 @@ mod tests {
 
     #[test]
     fn close_unblocks_empty_pop() {
-        let q = std::sync::Arc::new(ShardQueue::new(1));
+        let q = Arc::new(ShardQueue::new(1));
         let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.pop());
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        let h = std::thread::spawn(move || q2.pop_batch(&mut VecDeque::new()));
+        std::thread::sleep(Duration::from_millis(10));
         q.close();
-        assert!(h.join().expect("no panic").is_none());
+        assert!(!h.join().expect("no panic"));
     }
 
     #[test]
     fn stat_reads_survive_a_poisoned_lock() {
-        let q = std::sync::Arc::new(ShardQueue::new(2));
+        let q = Arc::new(ShardQueue::new(2));
         q.push(item(1, 0), OverflowPolicy::Block);
         let q2 = q.clone();
         // A worker dying while holding the lock poisons the mutex...
@@ -463,7 +671,7 @@ mod tests {
         // while the frame path stays loud by design: a FIFO whose
         // mutation was interrupted can no longer be trusted.
         let q3 = q.clone();
-        let popper = std::thread::spawn(move || q3.pop());
+        let popper = std::thread::spawn(move || q3.pop_batch(&mut VecDeque::new()));
         assert!(popper.join().is_err(), "pop fails fast on poison");
     }
 
@@ -473,9 +681,7 @@ mod tests {
         for seq in 0..6 {
             q.push(item(1, seq), OverflowPolicy::Block);
         }
-        for _ in 0..6 {
-            q.pop().expect("queued frame");
-        }
+        assert_eq!(pop_kinds(&q).expect("queued frames").len(), 6);
         assert_eq!(q.depth(), 0);
         assert_eq!(q.popped(), 6);
         // The drained queue still reports the peak once...
@@ -496,8 +702,9 @@ mod tests {
             OverflowPolicy::Block,
         );
         q.close();
-        let (it, _) = q.pop().expect("queued frame");
-        let WorkItem::Frame(ticket, _) = it else {
+        let mut out = VecDeque::new();
+        assert!(q.pop_batch(&mut out));
+        let Some(WorkItem::Frame(ticket, _)) = out.pop_front() else {
             panic!("expected frame");
         };
         let trace = ticket.trace.expect("traced ticket");
@@ -507,26 +714,92 @@ mod tests {
 
     #[test]
     fn blocking_push_waits_for_capacity() {
-        let q = std::sync::Arc::new(ShardQueue::new(1));
+        let q = Arc::new(ShardQueue::new(1));
         q.push(item(1, 0), OverflowPolicy::Block);
         let q2 = q.clone();
         let h = std::thread::spawn(move || {
             q2.push(item(1, 1), OverflowPolicy::Block);
         });
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        // The producer is parked; draining one slot lets it through.
-        let (it, depth) = q.pop().expect("first frame");
-        let WorkItem::Frame(_, f) = it else {
-            panic!("expected frame");
-        };
-        assert_eq!((f.seq, depth), (0, 1));
+        std::thread::sleep(Duration::from_millis(10));
+        // The producer is parked; draining the queue lets it through.
+        assert_eq!(pop_kinds(&q).expect("first frame"), vec!["frame:1:0"]);
         h.join().expect("producer finished");
-        let (it, _) = q.pop().expect("second frame");
-        let WorkItem::Frame(_, f) = it else {
-            panic!("expected frame");
-        };
-        assert_eq!(f.seq, 1);
+        assert_eq!(pop_kinds(&q).expect("second frame"), vec!["frame:1:1"]);
         assert_eq!(q.shed(), 0);
         assert_eq!(q.max_depth(), 1);
+    }
+
+    #[test]
+    fn block_batch_larger_than_capacity_completes_in_order() {
+        let q = Arc::new(ShardQueue::new(3));
+        let q2 = q.clone();
+        let producer = std::thread::spawn(move || {
+            q2.push_batch((0..50).map(|seq| item(1, seq)), OverflowPolicy::Block)
+        });
+        let mut got = Vec::new();
+        let mut out = VecDeque::new();
+        while got.len() < 50 {
+            assert!(q.pop_batch(&mut out));
+            got.extend(out.drain(..).map(|it| match it {
+                WorkItem::Frame(_, f) => f.seq,
+                other => panic!("expected frame, got {other:?}"),
+            }));
+        }
+        assert_eq!(producer.join().expect("producer"), 0, "Block never sheds");
+        assert_eq!(got, (0..50).collect::<Vec<_>>());
+        assert!(q.max_depth() <= 3, "max depth {}", q.max_depth());
+        assert_eq!(q.popped(), 50);
+    }
+
+    /// Waiter-gated wakes lose nothing: ~200k frames in batches of 1–7
+    /// through queues of capacity 1 and 3, so nearly every hand-off
+    /// parks one side. Guarded by a timeout so a lost wake-up fails
+    /// instead of hanging.
+    #[test]
+    fn handoff_stress_queue_capacity_1_and_3() {
+        const FRAMES: u32 = 200_000;
+        for capacity in [1, 3] {
+            let (done_tx, done_rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let q = Arc::new(ShardQueue::new(capacity));
+                let producer = std::thread::spawn({
+                    let q = q.clone();
+                    move || {
+                        let (mut next, mut size) = (0u32, 1u32);
+                        while next < FRAMES {
+                            let end = (next + size).min(FRAMES);
+                            q.push_batch(
+                                (next..end).map(|s| item(s % 5, s)),
+                                OverflowPolicy::Block,
+                            );
+                            next = end;
+                            size = size % 7 + 1;
+                        }
+                        q.close();
+                    }
+                });
+                let (mut expect, mut in_order) = (0u32, true);
+                let mut out = VecDeque::new();
+                while q.pop_batch(&mut out) {
+                    for it in out.drain(..) {
+                        if let WorkItem::Frame(_, f) = it {
+                            in_order &= f.seq == expect;
+                            expect += 1;
+                        }
+                    }
+                }
+                producer.join().expect("producer");
+                done_tx
+                    .send((expect, in_order, q.max_depth(), q.popped()))
+                    .expect("report");
+            });
+            let (seen, in_order, max_depth, popped) = done_rx
+                .recv_timeout(Duration::from_secs(120))
+                .expect("queue stress finished without a lost wake-up");
+            assert_eq!(seen, FRAMES, "capacity {capacity}");
+            assert!(in_order, "capacity {capacity}: FIFO order");
+            assert!(max_depth <= capacity);
+            assert_eq!(popped, u64::from(FRAMES));
+        }
     }
 }

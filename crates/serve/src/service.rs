@@ -3,6 +3,14 @@
 //! decoded), run one [`PipelineSession`] per client, and emit a policy
 //! decision on every post-warm-up mode transition.
 //!
+//! Frames move in batches. A frontend hands the [`ShardEngine`] one
+//! [`IngestBatch`] per socket read or producer step
+//! ([`ShardEngine::submit_ingest`]); the engine tees it to the flight
+//! recorder as one message and pushes each shard's share under one
+//! queue lock. A worker takes its whole queue per lock
+//! ([`ShardQueue::pop_batch`]) and publishes its session gauges once per
+//! batch.
+//!
 //! ## Determinism contract
 //!
 //! Each client id hashes to exactly one shard, its producer submits its
@@ -20,7 +28,7 @@
 //! and one depth histogram per shard, merged after join), so shard
 //! scaling costs no cross-shard synchronisation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -34,12 +42,12 @@ use mobisense_session::{
     SnapshotPager,
 };
 use mobisense_telemetry::metrics::{Histogram, SPAN_NS_BUCKETS};
-use mobisense_telemetry::{Event, NoopSink, Registry, Sampler, Sink, Stage, StageHistograms};
+use mobisense_telemetry::{Event, NoopSink, Registry, Sink, Stage, StageHistograms};
 use mobisense_util::units::Nanos;
 
 use crate::fleet::ClientStream;
 use crate::ops::{OpsMonitor, OpsOutcome, OpsSource, SnapshotPolicy};
-use crate::queue::{MigrateParcel, OverflowPolicy, ShardQueue, Ticket, WorkItem};
+use crate::queue::{IngestBatch, MigrateParcel, OverflowPolicy, ShardQueue, Ticket, WorkItem};
 use crate::recording::{RecorderHandle, RecorderStats};
 use crate::routing::{mix64, shard_of};
 use crate::sessions::{SessionGauges, SessionOpsSource};
@@ -485,6 +493,86 @@ impl WorkerSessions<'_> {
         self.manager.touch(client_id, last_at);
     }
 
+    /// Classifies one frame: faults its session in if hibernated,
+    /// observes it, records a decision on a post-warm-up transition,
+    /// and retires whatever the frame's sim time makes due. `depth` is
+    /// the queue depth the frame was popped at.
+    fn serve_frame(
+        &mut self,
+        mut ticket: Ticket,
+        frame: ObsFrame,
+        depth: usize,
+        out: &mut WorkerResult,
+    ) {
+        let cfg = self.cfg;
+        if let Some(trace) = ticket.trace.as_mut() {
+            trace.mark(Stage::Dequeue);
+        }
+        out.depth.observe(depth as f64);
+        out.frames += 1;
+        out.last_at = out.last_at.max(frame.at);
+        self.fault_in_if_hibernated(frame.client_id, frame.at, out);
+        let state = self
+            .map
+            .entry(frame.client_id)
+            .or_insert_with(|| ClientState {
+                session: PipelineSession::new(
+                    cfg.pipeline.clone(),
+                    cfg.session_seed_for(frame.client_id),
+                ),
+                last_emitted: None,
+                last_at: 0,
+                bytes: 0,
+            });
+        let decided = state.session.observe_profile_with(
+            frame.at,
+            frame.profile(),
+            frame.distance_m,
+            &mut NoopSink,
+        );
+        if let Some(trace) = ticket.trace.as_mut() {
+            trace.mark(Stage::Classify);
+        }
+        if let Some(c) = decided {
+            if frame.at >= cfg.pipeline.warmup && state.last_emitted != Some(c) {
+                state.last_emitted = Some(c);
+                out.decisions.push(ServeDecision {
+                    client_id: frame.client_id,
+                    seq: frame.seq,
+                    at: frame.at,
+                    classification: c,
+                    policy: MobilityPolicy::for_classification(c),
+                });
+            }
+        }
+        state.last_at = frame.at;
+        // Re-measure the session's footprint (O(1): sizes, not walks)
+        // and keep the running resident-bytes ledger exact.
+        let now_bytes = state.session.approx_bytes();
+        self.resident_bytes = self.resident_bytes - state.bytes as u64 + now_bytes as u64;
+        state.bytes = now_bytes;
+        self.manager.touch(frame.client_id, frame.at);
+        if let Some(trace) = ticket.trace.as_mut() {
+            // One clock read stamps the `Decide` span and, when the
+            // classifier emitted, the end-to-end decision latency — the
+            // traced path pays no read the untraced path doesn't.
+            // lint: determinism -- wall-clock latency telemetry only, never decisions
+            let now = Instant::now();
+            trace.mark_at(Stage::Decide, now);
+            out.stages.observe_trace(trace);
+            if decided.is_some() {
+                out.latency_ns
+                    .observe(now.saturating_duration_since(ticket.ingested).as_nanos() as f64);
+            }
+        } else if decided.is_some() {
+            out.latency_ns
+                .observe(ticket.ingested.elapsed().as_nanos() as f64);
+        }
+        // Retirement runs on the sim clock of the frame just served, so
+        // victim choice replays identically run over run.
+        self.retire_victims(frame.at, out);
+    }
+
     /// Publishes the current residency picture to the shared gauges
     /// (absolute stores; this worker is the only writer).
     fn publish_gauges(&self) {
@@ -540,89 +628,26 @@ fn run_worker(
         fault_in_ns: Histogram::with_buckets(SPAN_NS_BUCKETS),
         session_events: Vec::new(),
     };
-    let warmup = cfg.pipeline.warmup;
-    while let Some((item, depth)) = queue.pop() {
-        let (mut ticket, frame) = match item {
-            WorkItem::Frame(ticket, frame) => (ticket, frame),
-            WorkItem::Migrate { client_id, reply } => {
-                let parcel = ws.extract_parcel(client_id);
-                // lint: error-swallow -- a dropped receiver means the engine is already finishing; the parcel has nowhere to go
-                let _ = reply.send(parcel);
-                ws.publish_gauges();
-                continue;
-            }
-            WorkItem::Adopt(parcel) => {
-                ws.adopt(*parcel);
-                ws.publish_gauges();
-                continue;
-            }
-        };
-        if let Some(trace) = ticket.trace.as_mut() {
-            trace.mark(Stage::Dequeue);
-        }
-        out.depth.observe(depth as f64);
-        out.frames += 1;
-        out.last_at = out.last_at.max(frame.at);
-        ws.fault_in_if_hibernated(frame.client_id, frame.at, &mut out);
-        let state = ws
-            .map
-            .entry(frame.client_id)
-            .or_insert_with(|| ClientState {
-                session: PipelineSession::new(
-                    cfg.pipeline.clone(),
-                    cfg.session_seed_for(frame.client_id),
-                ),
-                last_emitted: None,
-                last_at: 0,
-                bytes: 0,
-            });
-        let decided = state.session.observe_profile_with(
-            frame.at,
-            frame.profile(),
-            frame.distance_m,
-            &mut NoopSink,
-        );
-        if let Some(trace) = ticket.trace.as_mut() {
-            trace.mark(Stage::Classify);
-        }
-        if let Some(c) = decided {
-            if frame.at >= warmup && state.last_emitted != Some(c) {
-                state.last_emitted = Some(c);
-                out.decisions.push(ServeDecision {
-                    client_id: frame.client_id,
-                    seq: frame.seq,
-                    at: frame.at,
-                    classification: c,
-                    policy: MobilityPolicy::for_classification(c),
-                });
+    let mut batch = VecDeque::with_capacity(cfg.queue_capacity);
+    while queue.pop_batch(&mut batch) {
+        let popped = batch.len();
+        for (k, item) in batch.drain(..).enumerate() {
+            match item {
+                // The depth a one-at-a-time pop would have seen, so the
+                // histogram keeps one sample per processed frame.
+                WorkItem::Frame(ticket, frame) => {
+                    ws.serve_frame(ticket, frame, popped - k, &mut out)
+                }
+                WorkItem::Migrate { client_id, reply } => {
+                    let parcel = ws.extract_parcel(client_id);
+                    // lint: error-swallow -- a dropped receiver means the engine is already finishing; the parcel has nowhere to go
+                    let _ = reply.send(parcel);
+                }
+                WorkItem::Adopt(parcel) => ws.adopt(*parcel),
             }
         }
-        state.last_at = frame.at;
-        // Re-measure the session's footprint (O(1): sizes, not walks)
-        // and keep the running resident-bytes ledger exact.
-        let now_bytes = state.session.approx_bytes();
-        ws.resident_bytes = ws.resident_bytes - state.bytes as u64 + now_bytes as u64;
-        state.bytes = now_bytes;
-        ws.manager.touch(frame.client_id, frame.at);
-        if let Some(trace) = ticket.trace.as_mut() {
-            // One clock read stamps the `Decide` span and, when the
-            // classifier emitted, the end-to-end decision latency — the
-            // traced path pays no read the untraced path doesn't.
-            // lint: determinism -- wall-clock latency telemetry only, never decisions
-            let now = Instant::now();
-            trace.mark_at(Stage::Decide, now);
-            out.stages.observe_trace(trace);
-            if decided.is_some() {
-                out.latency_ns
-                    .observe(now.saturating_duration_since(ticket.ingested).as_nanos() as f64);
-            }
-        } else if decided.is_some() {
-            out.latency_ns
-                .observe(ticket.ingested.elapsed().as_nanos() as f64);
-        }
-        // Retirement runs on the sim clock of the frame just served, so
-        // victim choice replays identically run over run.
-        ws.retire_victims(frame.at, &mut out);
+        // Absolute stores, so once per batch is as fresh as the ops
+        // monitor can observe.
         ws.publish_gauges();
     }
     let stats = ws.manager.stats();
@@ -634,49 +659,34 @@ fn run_worker(
     out
 }
 
-/// Pumps one shard's client streams into its queue, time-major (frame
+/// Pumps one shard's client streams into the engine, time-major (frame
 /// `i` of every client before frame `i + 1` of any), which preserves
 /// each client's sequence order and interleaves clients fairly. Frames
 /// are decoded through the wire codec on the way in — the replay path
 /// exercises exactly the parser an ingest socket would.
-/// When a recorder is attached, each frame's wire encoding is teed to
-/// it before the push — so the recording channel sees frames in the
-/// same per-client order the shard consumes them, which is what makes
-/// a lossless recording replay byte-identically.
-fn run_producer(
-    queue: &ShardQueue,
-    clients: &[&ClientStream],
-    overflow: OverflowPolicy,
-    recorder: Option<&RecorderHandle>,
-    stage_sampling: u32,
-) -> u64 {
+///
+/// Each step (capped at one queue's capacity) is one [`IngestBatch`]:
+/// teed to the recorder, when attached, as one message and pushed as
+/// one batch — so the recording channel sees frames in the same
+/// per-client order the shard consumes them, which is what makes a
+/// lossless recording replay byte-identically.
+fn run_producer(engine: &ShardEngine, clients: &[&ClientStream]) -> u64 {
     let max_frames = clients.iter().map(|s| s.n_frames).max().unwrap_or(0);
     let mut submitted = 0u64;
-    let mut sampler = Sampler::every(stage_sampling);
+    let mut batch = engine.ingest_batch();
     for i in 0..max_frames {
         for stream in clients {
             if i >= stream.n_frames {
                 continue;
             }
-            // The ingest wall-clock stamp (inside the ticket) feeds
-            // latency telemetry only, never decisions; a sampled ticket
-            // additionally carries a stage trace started at `Ingest`.
-            let mut ticket = if sampler.sample() {
-                Ticket::traced()
-            } else {
-                Ticket::untraced()
-            };
-            if let Some(rec) = recorder {
-                rec.record_frame(stream.frame(i));
-                if let Some(trace) = ticket.trace.as_mut() {
-                    trace.mark(Stage::Record);
-                }
-            }
-            queue.push(WorkItem::frame(ticket, stream.obs(i)), overflow);
+            batch.push(stream.obs(i), stream.frame(i));
             submitted += 1;
+            if batch.is_full() {
+                engine.submit_ingest(&mut batch);
+            }
         }
+        engine.submit_ingest(&mut batch);
     }
-    queue.close();
     submitted
 }
 
@@ -685,12 +695,12 @@ fn run_producer(
 /// run lifecycle around them (ops monitor, recorder counters, report).
 ///
 /// [`serve_streams`]' in-process producers and `mobisense-edge`'s
-/// socket reactor both feed the same engine through
-/// [`ShardEngine::submit`] (the in-process producers push whole
-/// per-shard batches to the queues directly), so a frame ingested over
-/// a socket runs through exactly the worker, session map and decision
-/// path a replayed frame does — which is what makes a socket-fed
-/// decision log comparable byte-for-byte to the golden in-process log.
+/// socket reactor both feed the same engine one [`IngestBatch`] at a
+/// time through [`ShardEngine::submit_ingest`], so a frame ingested
+/// over a socket runs through exactly the recorder tee, worker, session
+/// map and decision path a replayed frame does — which is what makes a
+/// socket-fed decision log comparable byte-for-byte to the golden
+/// in-process log.
 pub struct ShardEngine {
     queues: Vec<Arc<ShardQueue>>,
     workers: Vec<std::thread::JoinHandle<WorkerResult>>,
@@ -699,7 +709,7 @@ pub struct ShardEngine {
     started: Instant,
     /// Per-client shard overrides installed by [`migrate`]
     /// (`Self::migrate`); clients not present route by [`shard_of`].
-    /// Read on every submit, written once per migration.
+    /// Read once per submitted batch, written once per migration.
     routes: RwLock<BTreeMap<u32, usize>>,
     /// Per-shard session-residency gauges, written by each worker.
     session_gauges: Vec<Arc<SessionGauges>>,
@@ -804,14 +814,6 @@ impl ShardEngine {
         self.queues.len()
     }
 
-    /// The per-shard queues, index = shard, for the in-process
-    /// producers that pump whole per-shard batches. Pushing here
-    /// bypasses [`migrate`](Self::migrate) route overrides, which is
-    /// why it stays inside the crate.
-    pub(crate) fn queues(&self) -> &[Arc<ShardQueue>] {
-        &self.queues
-    }
-
     /// The per-shard session-residency gauges (hot / hibernated /
     /// resident bytes / lifecycle counters), index = shard. The ops
     /// monitor already watches them; frontends may poll them mid-run.
@@ -823,18 +825,72 @@ impl ShardEngine {
     /// unless a migration moved it.
     pub fn route_of(&self, client_id: u32) -> usize {
         let routes = self.routes.read().unwrap_or_else(|e| e.into_inner());
+        self.route_in(&routes, client_id)
+    }
+
+    fn route_in(&self, routes: &BTreeMap<u32, usize>, client_id: u32) -> usize {
         routes
             .get(&client_id)
             .copied()
             .unwrap_or_else(|| shard_of(client_id, self.queues.len()))
     }
 
-    /// Routes one decoded frame to its shard's queue under the engine's
+    /// Routes a batch of decoded frames to their shards — reading the
+    /// route table once — and enqueues each shard's share, in arrival
+    /// order, with one [`ShardQueue::push_batch`] under the engine's
     /// overflow policy. Returns the number of frames shed to make room
     /// (always 0 under [`OverflowPolicy::Block`]).
+    pub fn submit_batch<I>(&self, frames: I) -> u64
+    where
+        I: IntoIterator<Item = (Ticket, ObsFrame)>,
+    {
+        let frames = frames.into_iter();
+        if let [queue] = self.queues.as_slice() {
+            return queue.push_batch(frames.map(|(t, f)| WorkItem::frame(t, f)), self.overflow);
+        }
+        let mut per_shard: Vec<Vec<WorkItem>> = self.queues.iter().map(|_| Vec::new()).collect();
+        let routes = self.routes.read().unwrap_or_else(|e| e.into_inner());
+        for (ticket, frame) in frames {
+            let shard = self.route_in(&routes, frame.client_id);
+            per_shard[shard].push(WorkItem::frame(ticket, frame));
+        }
+        drop(routes);
+        per_shard
+            .into_iter()
+            .zip(&self.queues)
+            .filter(|(items, _)| !items.is_empty())
+            .map(|(items, queue)| queue.push_batch(items, self.overflow))
+            .sum()
+    }
+
+    /// Routes one decoded frame: a one-element
+    /// [`submit_batch`](Self::submit_batch).
     pub fn submit(&self, ticket: Ticket, frame: ObsFrame) -> u64 {
-        let shard = self.route_of(frame.client_id);
-        self.queues[shard].push(WorkItem::frame(ticket, frame), self.overflow)
+        self.submit_batch(std::iter::once((ticket, frame)))
+    }
+
+    /// An empty [`IngestBatch`] for a frontend of this engine: tracing
+    /// every [`ServeConfig::stage_sampling`]-th frame, keeping wire
+    /// bytes when a recorder is attached, full at one queue's capacity.
+    pub fn ingest_batch(&self) -> IngestBatch {
+        let limit = self.queues.first().map_or(1, |q| q.capacity());
+        IngestBatch::new(self.stage_sampling, self.recorder.is_some(), limit)
+    }
+
+    /// Hands one ingest batch over and leaves it empty for reuse: its
+    /// wire bytes go to the recorder (when attached) as one message,
+    /// then its frames to [`submit_batch`](Self::submit_batch). Teeing
+    /// first keeps the recording in the per-client order the shards
+    /// consume, which is what lets a lossless recording replay
+    /// byte-identically. Returns the number of frames shed.
+    pub fn submit_ingest(&self, batch: &mut IngestBatch) -> u64 {
+        if batch.is_empty() {
+            return 0;
+        }
+        if let Some(recorder) = &self.recorder {
+            batch.tee(recorder);
+        }
+        self.submit_batch(batch.drain())
     }
 
     /// Live-migrates one client's session to `to_shard`:
@@ -1031,7 +1087,8 @@ pub fn emit_report_events<S: Sink + ?Sized>(report: &ServeReport, sink: &mut S) 
 /// replay hands it streams rebuilt from a recorded trace.
 ///
 /// With a `recorder`, every frame's wire encoding is teed onto its
-/// channel as the producer submits it, and the run ends with
+/// channel as the producer submits it (one message per producer step),
+/// and the run ends with
 /// [`record_golden_log`]. Under
 /// [`crate::recording::RecordPolicy::Block`] the recording is
 /// lossless, so replaying the resulting store reproduces this run's
@@ -1056,15 +1113,12 @@ pub fn serve_streams<S: Sink + ?Sized>(
 
     let mut frames_in = 0u64;
     std::thread::scope(|scope| {
-        let producers: Vec<_> = engine
-            .queues()
+        let engine = &engine;
+        let producers: Vec<_> = by_shard
             .iter()
-            .zip(&by_shard)
-            .map(|(q, clients)| {
+            .map(|clients| {
                 let clients: &[&ClientStream] = clients;
-                scope.spawn(move || {
-                    run_producer(q, clients, cfg.overflow, recorder, cfg.stage_sampling)
-                })
+                scope.spawn(move || run_producer(engine, clients))
             })
             .collect();
         for p in producers {

@@ -30,7 +30,7 @@ use mobisense_serve::service::{decision_log_csv, serve_streams, ServeConfig};
 use mobisense_serve::wire::ObsFrame;
 use mobisense_serve::{OverflowPolicy, SnapshotPolicy};
 use mobisense_store::{replay_fleet, spawn_flight_recorder, StoreConfig, TraceReader};
-use mobisense_telemetry::{parse_snapshots, Event, NoopSink, Telemetry};
+use mobisense_telemetry::{parse_snapshots, Event, NoopSink, Stage, Telemetry};
 use mobisense_util::units::{Nanos, MILLISECOND, SECOND};
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -72,22 +72,22 @@ fn wait_for(edge: &Edge, deadline: Duration, pred: impl Fn(&EdgeStats) -> bool) 
 }
 
 /// The headline determinism contract on the wire: serving a fleet over
-/// real loopback TCP — deliberately fragmented into 7-byte writes —
-/// yields a decision log byte-identical to the in-process run, and the
-/// recorded session replays byte-identically through the store at
-/// shard counts 1 and 4.
+/// real loopback TCP yields a decision log byte-identical to the
+/// in-process run, and the recorded session replays byte-identically
+/// through the store at shard counts 1 and 4 — whatever the batch size
+/// each read hands over: 7-byte writes into 4 KiB reads, 7-byte reads
+/// (batches of zero or one frame), and whole streams into 64 KiB reads
+/// (hundreds of frames per batch).
 #[test]
 fn socket_serve_matches_in_process_golden_and_replays() {
-    let dir = fresh_dir("golden");
     let fleet = EncodedFleet::generate(&FleetConfig {
         n_clients: 24,
-        duration: SECOND,
+        duration: 10 * SECOND,
         step: 50 * MILLISECOND,
         base_seed: 2107,
         ..FleetConfig::default()
     });
     let serve_cfg = ServeConfig::default();
-    let store = StoreConfig::new(&dir).with_target_segment_bytes(64 << 10);
     let lossless = RecordingConfig {
         capacity: 1024,
         policy: RecordPolicy::Block,
@@ -106,55 +106,11 @@ fn socket_serve_matches_in_process_golden_and_replays() {
     );
     in_rec.finish().expect("in-process recorder finish");
     let golden = decision_log_csv(&in_process);
-
-    let rec = spawn_flight_recorder(store.clone(), lossless).expect("spawn recorder");
-    let handle = rec.handle();
-    let mut sink = Telemetry::new();
-    let (decisions, report) = serve_sockets(
-        &serve_cfg,
-        &EdgeConfig::default(),
-        &fleet.streams,
-        7,
-        Some(&handle),
-        &mut sink,
-    )
-    .expect("socket serve");
-    let (_summary, stats) = rec.finish().expect("recorder finish");
-
-    assert_eq!(
-        decision_log_csv(&decisions),
-        golden,
-        "socket path diverged from the in-process decision log"
-    );
-    assert_eq!(report.stats.frames, fleet.total_frames());
-    assert_eq!(report.serve.frames_processed, fleet.total_frames());
-    assert_eq!(report.stats.conns_accepted, 24);
-    assert_eq!(report.stats.resyncs, 0);
-    assert_eq!(report.truncated_bytes, 0);
-    assert!(report.conserved(), "conservation broke on the clean path");
-    assert!(report
-        .conns
-        .iter()
-        .all(|c| c.outcome == ConnOutcome::Eof && c.frames > 0));
-
-    // Lossless recording (Block policy): every frame and row.
-    assert_eq!(stats.frames, fleet.total_frames());
-    assert_eq!(stats.dropped, 0);
-    assert_eq!(stats.rows as usize, golden.lines().count());
-
-    // The edge emitted its lifecycle telemetry.
-    assert_eq!(
-        sink.events().filter(|e| e.kind() == "edge_conn").count(),
-        24
-    );
-    assert_eq!(
-        sink.events().filter(|e| e.kind() == "edge_serve").count(),
-        1
+    assert!(
+        golden.lines().count() > 24,
+        "the fleet clears warm-up, so the golden log has content"
     );
 
-    // Both drivers end a recorded run through the same tail: the same
-    // golden rows on disk and exactly one `serve_recorder` event each,
-    // stamped with the same latest per-shard frame time.
     let rows = |dir: &PathBuf| {
         TraceReader::open(dir)
             .expect("open")
@@ -162,7 +118,6 @@ fn socket_serve_matches_in_process_golden_and_replays() {
             .expect("read")
             .1
     };
-    assert_eq!(rows(&in_dir), rows(&dir), "golden rows differ by driver");
     let recorder_at = |tel: &Telemetry| -> Vec<Nanos> {
         tel.events()
             .filter_map(|e| match e {
@@ -171,22 +126,144 @@ fn socket_serve_matches_in_process_golden_and_replays() {
             })
             .collect()
     };
-    let at = recorder_at(&in_sink);
-    assert_eq!(at.len(), 1, "one serve_recorder event in process");
-    assert_eq!(
-        recorder_at(&sink),
-        at,
-        "one serve_recorder event over sockets"
-    );
+    let in_at = recorder_at(&in_sink);
+    assert_eq!(in_at.len(), 1, "one serve_recorder event in process");
 
-    // And the store replays byte-identically at several shard counts.
-    let replay = replay_fleet(&store, &serve_cfg, &[1, 4], &mut NoopSink).expect("replay");
-    assert_eq!(replay.golden, golden, "stored golden == live golden");
-    assert!(
-        replay.all_match(),
-        "replay diverged at shard counts {:?}",
-        replay.mismatches()
+    for (read_chunk, write_chunk) in [(4096, 7), (7, 7), (64 << 10, 0)] {
+        let case = format!("read_chunk {read_chunk}");
+        let dir = fresh_dir(&format!("golden-{read_chunk}"));
+        let store = StoreConfig::new(&dir).with_target_segment_bytes(64 << 10);
+        let edge_cfg = EdgeConfig {
+            read_chunk,
+            ..EdgeConfig::default()
+        };
+        let rec = spawn_flight_recorder(store.clone(), lossless).expect("spawn recorder");
+        let handle = rec.handle();
+        let mut sink = Telemetry::new();
+        let (decisions, report) = serve_sockets(
+            &serve_cfg,
+            &edge_cfg,
+            &fleet.streams,
+            write_chunk,
+            Some(&handle),
+            &mut sink,
+        )
+        .expect("socket serve");
+        let (_summary, stats) = rec.finish().expect("recorder finish");
+
+        assert_eq!(
+            decision_log_csv(&decisions),
+            golden,
+            "{case}: socket path diverged from the in-process decision log"
+        );
+        assert_eq!(report.stats.frames, fleet.total_frames(), "{case}");
+        assert_eq!(
+            report.serve.frames_processed,
+            fleet.total_frames(),
+            "{case}"
+        );
+        assert_eq!(report.stats.conns_accepted, 24, "{case}");
+        assert_eq!(report.stats.resyncs, 0, "{case}");
+        assert_eq!(report.truncated_bytes, 0, "{case}");
+        assert!(report.conserved(), "{case}: conservation broke");
+        assert!(report
+            .conns
+            .iter()
+            .all(|c| c.outcome == ConnOutcome::Eof && c.frames > 0));
+
+        // Lossless recording (Block policy): every frame and row.
+        assert_eq!(stats.frames, fleet.total_frames(), "{case}");
+        assert_eq!(stats.dropped, 0, "{case}");
+        assert_eq!(stats.rows as usize, golden.lines().count(), "{case}");
+
+        // The edge emitted its lifecycle telemetry.
+        assert_eq!(
+            sink.events().filter(|e| e.kind() == "edge_conn").count(),
+            24
+        );
+        assert_eq!(
+            sink.events().filter(|e| e.kind() == "edge_serve").count(),
+            1
+        );
+
+        // Both drivers end a recorded run through the same tail: the
+        // same golden rows on disk and exactly one `serve_recorder`
+        // event each, stamped with the same latest per-shard frame time.
+        assert_eq!(rows(&in_dir), rows(&dir), "{case}: golden rows differ");
+        assert_eq!(recorder_at(&sink), in_at, "{case}: serve_recorder event");
+
+        // And the store replays byte-identically at several shard
+        // counts.
+        let replay = replay_fleet(&store, &serve_cfg, &[1, 4], &mut NoopSink).expect("replay");
+        assert_eq!(replay.golden, golden, "{case}: stored golden == live");
+        assert!(
+            replay.all_match(),
+            "{case}: replay diverged at shard counts {:?}",
+            replay.mismatches()
+        );
+    }
+}
+
+/// Socket runs honour `ServeConfig::stage_sampling`: sampled frames
+/// carry a stage trace from the edge's per-read ingest stamp through
+/// the recorder tee, the queue and the worker — and tracing changes no
+/// decision.
+#[test]
+fn socket_runs_trace_stages_without_perturbing_decisions() {
+    let fleet = EncodedFleet::generate(&FleetConfig {
+        n_clients: 8,
+        duration: 8 * SECOND,
+        step: 50 * MILLISECOND,
+        base_seed: 77,
+        ..FleetConfig::default()
+    });
+    let (plain, plain_report) = serve_sockets(
+        &ServeConfig::default(),
+        &EdgeConfig::default(),
+        &fleet.streams,
+        0,
+        None,
+        &mut NoopSink,
+    )
+    .expect("untraced socket serve");
+    assert_eq!(plain_report.serve.stages.traces(), 0);
+
+    let traced_cfg = ServeConfig {
+        stage_sampling: 4,
+        ..ServeConfig::default()
+    };
+    let dir = fresh_dir("stage-traces");
+    let rec = spawn_flight_recorder(StoreConfig::new(&dir), RecordingConfig::default())
+        .expect("spawn recorder");
+    let (traced, report) = serve_sockets(
+        &traced_cfg,
+        &EdgeConfig::default(),
+        &fleet.streams,
+        0,
+        Some(&rec.handle()),
+        &mut NoopSink,
+    )
+    .expect("traced socket serve");
+    rec.finish().expect("recorder finish");
+
+    assert_eq!(
+        decision_log_csv(&traced),
+        decision_log_csv(&plain),
+        "tracing must not perturb decisions"
     );
+    let stages = &report.serve.stages;
+    let traces = stages.traces();
+    // One sampler over the reactor's whole frame stream.
+    assert_eq!(traces, fleet.total_frames() / 4);
+    for stage in [
+        Stage::Record,
+        Stage::Enqueue,
+        Stage::Dequeue,
+        Stage::Classify,
+        Stage::Decide,
+    ] {
+        assert_eq!(stages.get(stage).count(), traces, "{stage:?}");
+    }
 }
 
 /// A socket-fed run with the ops monitor on snapshots the session
