@@ -3,8 +3,9 @@
 //!
 //! The CLI writes this with `--report <path>` on every run, pass or
 //! fail, so a green build still archives what the analyzer looked at
-//! (file count, suppressions in force). The format is hand-rolled — the
-//! analyzer is std-only by design — and versioned:
+//! (file count, suppressions in force). Strings are written with
+//! `mobisense_util::json`, the workspace's one JSON codec; the format is
+//! versioned:
 //!
 //! ```json
 //! {
@@ -27,6 +28,10 @@
 //! `"error"`. The CLI exit code ignores the distinction — `--deny-all`
 //! means deny all — but dashboards get to rank.
 
+use std::fmt::Write as _;
+
+use mobisense_util::json::Str;
+
 use crate::{Outcome, WAIVER_HYGIENE};
 
 /// Severity of a lint's findings, for the report only.
@@ -41,62 +46,43 @@ pub fn severity(lint: &str) -> &'static str {
 /// Renders the report document for a run over `files` source files.
 pub fn render(out: &Outcome, files: usize) -> String {
     let mut s = String::with_capacity(1024);
-    s.push_str("{\n");
-    s.push_str("  \"version\": 2,\n");
-    s.push_str(&format!("  \"files\": {files},\n"));
-    s.push_str("  \"findings\": [");
+    let _ = write!(
+        s,
+        "{{\n  \"version\": 2,\n  \"files\": {files},\n  \"findings\": ["
+    );
     for (i, f) in out.findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n    {");
-        s.push_str(&format!("\"file\": {}, ", json_str(&f.file)));
-        s.push_str(&format!("\"line\": {}, ", f.line));
-        s.push_str(&format!("\"lint\": {}, ", json_str(f.lint)));
-        s.push_str(&format!("\"severity\": {}, ", json_str(severity(f.lint))));
-        s.push_str(&format!("\"message\": {}", json_str(&f.message)));
-        s.push('}');
+        let _ = write!(
+            s,
+            "{}\n    {{\"file\": {}, \"line\": {}, \"lint\": {}, \"severity\": {}, \"message\": {}}}",
+            if i == 0 { "" } else { "," },
+            Str(&f.file),
+            f.line,
+            Str(f.lint),
+            Str(severity(f.lint)),
+            Str(&f.message)
+        );
     }
     if !out.findings.is_empty() {
         s.push_str("\n  ");
     }
-    s.push_str("],\n");
-    s.push_str("  \"suppressions\": [");
+    s.push_str("],\n  \"suppressions\": [");
     for (i, sp) in out.suppressions.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n    {");
-        s.push_str(&format!("\"file\": {}, ", json_str(&sp.file)));
-        s.push_str(&format!("\"waiver_line\": {}, ", sp.waiver_line));
-        s.push_str(&format!("\"finding_line\": {}, ", sp.finding_line));
-        s.push_str(&format!("\"lint\": {}, ", json_str(sp.lint)));
-        s.push_str(&format!("\"tag\": {}", json_str(&sp.tag)));
-        s.push('}');
+        let _ = write!(
+            s,
+            "{}\n    {{\"file\": {}, \"waiver_line\": {}, \"finding_line\": {}, \"lint\": {}, \
+             \"tag\": {}}}",
+            if i == 0 { "" } else { "," },
+            Str(&sp.file),
+            sp.waiver_line,
+            sp.finding_line,
+            Str(sp.lint),
+            Str(&sp.tag)
+        );
     }
     if !out.suppressions.is_empty() {
         s.push_str("\n  ");
     }
     s.push_str("]\n}\n");
-    s
-}
-
-/// JSON string escaping: quotes, backslashes, and control characters.
-fn json_str(raw: &str) -> String {
-    let mut s = String::with_capacity(raw.len() + 2);
-    s.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
     s
 }
 

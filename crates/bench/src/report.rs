@@ -3,15 +3,18 @@
 //! mode diffs a fresh run against committed baselines with per-metric
 //! tolerances — the CI regression gate (`bench_gate`).
 //!
-//! The JSON is hand-rolled (workspace rule: no external deps) and
-//! schema-versioned, so a gate comparing reports from two different
-//! layouts fails loudly instead of silently passing. Metric names are
-//! stored in a `BTreeMap`, making the serialization byte-deterministic
-//! for a given set of values.
+//! The JSON goes through `mobisense_util::json` (workspace rule: no
+//! external deps) and is schema-versioned, so a gate comparing reports
+//! from two different layouts fails loudly instead of silently passing.
+//! Metric names are stored in a `BTreeMap`, making the serialization
+//! byte-deterministic for a given set of values.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use mobisense_util::json::{self, Num, Str};
 
 /// Version of the on-disk report layout. Bump on any breaking change;
 /// [`compare`] refuses to diff mismatched versions.
@@ -78,26 +81,27 @@ impl BenchReport {
     /// Serializes the report as pretty-printed JSON (deterministic:
     /// metrics are name-sorted).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema_version\": {},\n", self.schema_version));
-        out.push_str(&format!("  \"name\": {},\n", json_string(&self.name)));
-        out.push_str(&format!("  \"os\": {},\n", json_string(&self.os)));
-        out.push_str(&format!("  \"arch\": {},\n", json_string(&self.arch)));
-        out.push_str(&format!("  \"cpus\": {},\n", self.cpus));
-        out.push_str("  \"metrics\": {");
-        let mut first = true;
-        for (name, m) in &self.metrics {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    {}: {{\"value\": {}, \"higher_is_better\": {}, \"tol_pct\": {}}}",
-                json_string(name),
-                json_f64(m.value),
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\n  \"schema_version\": {},\n  \"name\": {},\n  \"os\": {},\n  \"arch\": {},\n  \
+             \"cpus\": {},\n  \"metrics\": {{",
+            self.schema_version,
+            Str(&self.name),
+            Str(&self.os),
+            Str(&self.arch),
+            self.cpus
+        );
+        for (i, (name, m)) in self.metrics.iter().enumerate() {
+            let _ = write!(
+                out,
+                "{}\n    {}: {{\"value\": {}, \"higher_is_better\": {}, \"tol_pct\": {}}}",
+                if i == 0 { "" } else { "," },
+                Str(name),
+                Num(m.value),
                 m.higher_is_better,
-                json_f64(m.tol_pct)
-            ));
+                Num(m.tol_pct)
+            );
         }
         out.push_str("\n  }\n}\n");
         out
@@ -106,37 +110,24 @@ impl BenchReport {
     /// Parses a report previously written by [`BenchReport::to_json`]
     /// (or hand-edited to the same shape).
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let root = match parse_value(&mut Cursor::new(text))? {
-            Val::Obj(map) => map,
-            _ => return Err("report root must be a JSON object".into()),
-        };
-        let schema_version = get_num(&root, "schema_version")? as u64;
+        let root = json::parse_object(text)?;
+        let raw = root.object("metrics")?;
         let mut metrics = BTreeMap::new();
-        match root.get("metrics") {
-            Some(Val::Obj(raw)) => {
-                for (name, v) in raw {
-                    let m = match v {
-                        Val::Obj(m) => m,
-                        _ => return Err(format!("metric {name} must be an object")),
-                    };
-                    metrics.insert(
-                        name.clone(),
-                        Metric {
-                            value: get_num(m, "value")?,
-                            higher_is_better: get_bool(m, "higher_is_better")?,
-                            tol_pct: get_num(m, "tol_pct")?,
-                        },
-                    );
-                }
-            }
-            _ => return Err("missing metrics object".into()),
+        for name in raw.keys() {
+            let m = raw.object(name)?;
+            let metric = Metric {
+                value: m.get("value")?,
+                higher_is_better: m.get("higher_is_better")?,
+                tol_pct: m.get("tol_pct")?,
+            };
+            metrics.insert(name.to_owned(), metric);
         }
         Ok(BenchReport {
-            schema_version,
-            name: get_str(&root, "name")?,
-            os: get_str(&root, "os")?,
-            arch: get_str(&root, "arch")?,
-            cpus: get_num(&root, "cpus")? as u64,
+            schema_version: root.get("schema_version")?,
+            name: root.get("name")?,
+            os: root.get("os")?,
+            arch: root.get("arch")?,
+            cpus: root.get("cpus")?,
             metrics,
         })
     }
@@ -243,224 +234,6 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport) -> Result<Vec<Regr
     Ok(regressions)
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        // JSON has no NaN/inf; null round-trips to NaN on parse.
-        return "null".into();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
-
-// --- minimal JSON reader (objects, strings, numbers, bools, null) ---
-
-#[derive(Clone, Debug)]
-enum Val {
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    Obj(BTreeMap<String, Val>),
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        Cursor {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(b) if b == byte => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                byte as char,
-                self.pos,
-                other.map(|b| b as char)
-            )),
-        }
-    }
-}
-
-fn parse_value(c: &mut Cursor<'_>) -> Result<Val, String> {
-    match c.peek() {
-        Some(b'{') => parse_object(c),
-        Some(b'"') => Ok(Val::Str(parse_string(c)?)),
-        Some(b't') | Some(b'f') => parse_keyword(c),
-        Some(b'n') => parse_keyword(c),
-        Some(b) if b == b'-' || b.is_ascii_digit() => parse_number(c),
-        other => Err(format!("unexpected input at byte {}: {other:?}", c.pos)),
-    }
-}
-
-fn parse_object(c: &mut Cursor<'_>) -> Result<Val, String> {
-    c.expect(b'{')?;
-    let mut map = BTreeMap::new();
-    if c.peek() == Some(b'}') {
-        c.pos += 1;
-        return Ok(Val::Obj(map));
-    }
-    loop {
-        let key = parse_string(c)?;
-        c.expect(b':')?;
-        let value = parse_value(c)?;
-        if map.insert(key.clone(), value).is_some() {
-            return Err(format!("duplicate key {key:?}"));
-        }
-        match c.peek() {
-            Some(b',') => c.pos += 1,
-            Some(b'}') => {
-                c.pos += 1;
-                return Ok(Val::Obj(map));
-            }
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
-    }
-}
-
-fn parse_string(c: &mut Cursor<'_>) -> Result<String, String> {
-    c.expect(b'"')?;
-    let mut out = String::new();
-    loop {
-        match c.bytes.get(c.pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                c.pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                c.pos += 1;
-                match c.bytes.get(c.pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = c
-                            .bytes
-                            .get(c.pos + 1..c.pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        c.pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                }
-                c.pos += 1;
-            }
-            Some(_) => {
-                // Consume one whole UTF-8 scalar.
-                let rest = std::str::from_utf8(&c.bytes[c.pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                c.pos += ch.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_number(c: &mut Cursor<'_>) -> Result<Val, String> {
-    c.skip_ws();
-    let start = c.pos;
-    while c
-        .bytes
-        .get(c.pos)
-        .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-    {
-        c.pos += 1;
-    }
-    let text = std::str::from_utf8(&c.bytes[start..c.pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Val::Num)
-        .map_err(|e| format!("bad number {text:?}: {e}"))
-}
-
-fn parse_keyword(c: &mut Cursor<'_>) -> Result<Val, String> {
-    c.skip_ws();
-    for (word, val) in [
-        ("true", Val::Bool(true)),
-        ("false", Val::Bool(false)),
-        ("null", Val::Num(f64::NAN)),
-    ] {
-        if c.bytes[c.pos..].starts_with(word.as_bytes()) {
-            c.pos += word.len();
-            return Ok(val);
-        }
-    }
-    Err(format!("unknown keyword at byte {}", c.pos))
-}
-
-fn get_num(map: &BTreeMap<String, Val>, key: &str) -> Result<f64, String> {
-    match map.get(key) {
-        Some(Val::Num(v)) => Ok(*v),
-        other => Err(format!("field {key} must be a number, found {other:?}")),
-    }
-}
-
-fn get_str(map: &BTreeMap<String, Val>, key: &str) -> Result<String, String> {
-    match map.get(key) {
-        Some(Val::Str(s)) => Ok(s.clone()),
-        other => Err(format!("field {key} must be a string, found {other:?}")),
-    }
-}
-
-fn get_bool(map: &BTreeMap<String, Val>, key: &str) -> Result<bool, String> {
-    match map.get(key) {
-        Some(Val::Bool(b)) => Ok(*b),
-        other => Err(format!("field {key} must be a bool, found {other:?}")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,6 +319,24 @@ mod tests {
         assert!(BenchReport::from_json("[1,2]").is_err());
         assert!(BenchReport::from_json("{\"schema_version\": 1}").is_err());
         assert!(BenchReport::from_json("{\"a\": 1, \"a\": 2}").is_err());
+    }
+
+    #[test]
+    fn integer_fields_reject_fractions_and_negatives() {
+        let text = sample().to_json();
+        let cpus = format!("\"cpus\": {}", sample().cpus);
+        for (from, to, field) in [
+            (cpus.as_str(), "\"cpus\": 1.5", "cpus"),
+            (cpus.as_str(), "\"cpus\": -1", "cpus"),
+            (
+                "\"schema_version\": 1",
+                "\"schema_version\": 1.0",
+                "schema_version",
+            ),
+        ] {
+            let err = BenchReport::from_json(&text.replacen(from, to, 1)).expect_err(to);
+            assert!(err.contains(&format!("field \"{field}\"")), "{err}");
+        }
     }
 
     #[test]

@@ -7,56 +7,119 @@
 
 use std::collections::VecDeque;
 
+use mobisense_util::json::{self, Field as _};
 use mobisense_util::units::Nanos;
 
-/// One telemetry event, stamped with the *simulation* clock (`at`, in
-/// nanoseconds since run start) — never the wall clock, so traces are
-/// bit-reproducible per seed.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Event {
+/// Declares [`Event`] from one table. Each row is a variant: its JSONL
+/// `"type"` tag and its documented fields, in JSONL order. The table
+/// generates the enum, [`Event::at`], [`Event::kind`], the tag list and
+/// both directions of the JSONL codec, so a variant, a field or a tag
+/// is written once and the encoder and parser cannot disagree.
+macro_rules! event_table {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $tag:literal {
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty,)+
+        }
+    )+) => {
+        /// One telemetry event, stamped with the *simulation* clock (`at`, in
+        /// nanoseconds since run start) — never the wall clock, so traces are
+        /// bit-reproducible per seed.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Event {
+            $($(#[$doc])* $variant { $($(#[$field_doc])* $field: $ty,)+ },)+
+        }
+
+        /// Every variant's `"type"` tag, in table order.
+        pub const KINDS: &[&str] = &[$($tag),+];
+
+        impl Event {
+            /// The event's sim-clock timestamp.
+            pub fn at(&self) -> Nanos {
+                match *self {
+                    $(Event::$variant { at, .. })|+ => at,
+                }
+            }
+
+            /// Stable snake-case tag identifying the variant (the `"type"`
+            /// field of the JSONL encoding).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $tag,)+
+                }
+            }
+
+            /// Appends the event as one flat JSON object: the `"type"` tag,
+            /// then the fields in table order.
+            pub(crate) fn write_json(&self, out: &mut String) {
+                match self {
+                    $(Event::$variant { $($field),+ } => {
+                        out.push_str(concat!("{\"type\":\"", $tag, "\""));
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.write(out);
+                        )+
+                    })+
+                }
+                out.push('}');
+            }
+
+            /// Reads an event from a flat JSON object written by
+            /// [`Event::write_json`].
+            pub(crate) fn read_json(obj: &json::Object) -> Result<Event, String> {
+                match obj.get::<String>("type")?.as_str() {
+                    $($tag => Ok(Event::$variant { $($field: obj.get(stringify!($field))?,)+ }),)+
+                    other => Err(format!("unknown event type {other:?}")),
+                }
+            }
+        }
+    };
+}
+
+event_table! {
     /// The mobility classifier published a decision.
-    Decision {
+    Decision = "decision" {
         /// Sim time of the decision.
         at: Nanos,
         /// Decided mobility mode label (`MobilityMode::label()`).
         mode: String,
         /// Macro-mobility direction label, when resolved.
         direction: Option<String>,
-    },
+    }
     /// A ToF median over one measurement window was produced.
-    TofMedian {
+    TofMedian = "tof_median" {
         /// Sim time the window closed.
         at: Nanos,
         /// Median time-of-flight, in 88 MHz clock cycles.
         cycles: f64,
-    },
+    }
     /// The rate adapter switched MCS between consecutive A-MPDUs.
-    RateChange {
+    RateChange = "rate_change" {
         /// Sim time of the first frame at the new rate.
         at: Nanos,
         /// Previous MCS index.
         from_mcs: u8,
         /// New MCS index.
         to_mcs: u8,
-    },
+    }
     /// A station re-associated to a different AP.
-    Handoff {
+    Handoff = "handoff" {
         /// Sim time the roam completed.
         at: Nanos,
         /// Previous AP id.
         from_ap: u32,
         /// New AP id.
         to_ap: u32,
-    },
+    }
     /// A beamforming sounding (CSI feedback) exchange occurred.
-    Beamsound {
+    Beamsound = "beamsound" {
         /// Sim time of the sounding.
         at: Nanos,
         /// AP id performing the sounding.
         ap: u32,
-    },
+    }
     /// One A-MPDU transmission attempt finished.
-    AmpduTx {
+    AmpduTx = "ampdu_tx" {
         /// Sim time the A-MPDU exchange completed.
         at: Nanos,
         /// MCS index used.
@@ -67,18 +130,18 @@ pub enum Event {
         n_delivered: u32,
         /// Airtime consumed by the exchange.
         airtime: Nanos,
-    },
+    }
     /// Payload bits delivered during one accounting interval.
-    Goodput {
+    Goodput = "goodput" {
         /// Sim time the interval ended.
         at: Nanos,
         /// Interval length.
         elapsed: Nanos,
         /// Payload bits delivered within the interval.
         bits: u64,
-    },
+    }
     /// One serving shard's end-of-run accounting (`mobisense-serve`).
-    ServeShard {
+    ServeShard = "serve_shard" {
         /// Sim time of the last frame the shard processed.
         at: Nanos,
         /// Shard index.
@@ -91,9 +154,9 @@ pub enum Event {
         shed: u64,
         /// Deepest ingest-queue occupancy the worker observed.
         max_depth: u64,
-    },
+    }
     /// The trace store sealed one segment (`mobisense-store`).
-    StoreSegment {
+    StoreSegment = "store_segment" {
         /// Sim time of the newest frame in the segment (0 for
         /// segments holding no observation frames).
         at: Nanos,
@@ -103,10 +166,10 @@ pub enum Event {
         frames: u64,
         /// Sealed segment size on disk, bytes.
         bytes: u64,
-    },
+    }
     /// The trace store salvaged or skipped damaged data during a
     /// recovering read (`mobisense-store`).
-    StoreRecovery {
+    StoreRecovery = "store_recovery" {
         /// Sim time of the newest frame recovered from the damaged
         /// segment (0 when nothing was salvageable).
         at: Nanos,
@@ -117,10 +180,10 @@ pub enum Event {
         /// Frames known lost (sealed segments record their count; 0
         /// when the loss is unknowable, e.g. a truncated tail).
         lost: u64,
-    },
+    }
     /// End-of-run accounting of the background flight recorder behind
     /// the serving layer (`mobisense-serve`).
-    ServeRecorder {
+    ServeRecorder = "serve_recorder" {
         /// Sim time of the last frame the run consumed.
         at: Nanos,
         /// Observation frames accepted onto the recording channel.
@@ -131,10 +194,10 @@ pub enum Event {
         dropped: u64,
         /// Deepest recording-queue occupancy observed.
         max_depth: u64,
-    },
+    }
     /// The trace store's retention policy deleted one sealed segment
     /// (`mobisense-store`).
-    StoreRetention {
+    StoreRetention = "store_retention" {
         /// Sim time of the newest frame the deleted segment held.
         at: Nanos,
         /// The deleted segment's id.
@@ -143,12 +206,12 @@ pub enum Event {
         frames: u64,
         /// Bytes freed on disk.
         bytes: u64,
-    },
+    }
     /// The serving layer's stall watchdog saw a shard or recorder make
     /// no progress across consecutive snapshot intervals while work was
     /// pending (`mobisense-serve`). `at` is 0: stalls are wall-clock
     /// phenomena observed outside the simulation clock.
-    Stall {
+    Stall = "stall" {
         /// Sim time (always 0; see above).
         at: Nanos,
         /// The stalled source, e.g. `"shard-3"` or `"recorder"`.
@@ -157,11 +220,11 @@ pub enum Event {
         intervals: u64,
         /// Items pending at the stalled source when flagged.
         backlog: u64,
-    },
+    }
     /// The serving layer's ops monitor captured one live registry
     /// snapshot (`telemetry::snapshot` JSONL block). `at` is 0 for the
     /// same reason as [`Event::Stall`].
-    Snapshot {
+    Snapshot = "snapshot" {
         /// Sim time (always 0; see above).
         at: Nanos,
         /// The snapshot's sequence number within the run.
@@ -170,10 +233,10 @@ pub enum Event {
         metrics: u64,
         /// Serialized size of the JSONL block, bytes.
         bytes: u64,
-    },
+    }
     /// One socket connection's lifecycle accounting from the network
     /// edge (`mobisense-edge`), emitted when the connection closes.
-    EdgeConn {
+    EdgeConn = "edge_conn" {
         /// Sim time of the last frame decoded on the connection (0 when
         /// it closed before delivering a whole frame).
         at: Nanos,
@@ -191,10 +254,10 @@ pub enum Event {
         /// limit) or `"oversize"` (a frame exceeded the read-buffer
         /// cap).
         outcome: String,
-    },
+    }
     /// End-of-run accounting of the socket ingestion frontend
     /// (`mobisense-edge`).
-    EdgeServe {
+    EdgeServe = "edge_serve" {
         /// Sim time of the newest frame the edge accepted (0 when no
         /// frame ever decoded).
         at: Nanos,
@@ -211,11 +274,11 @@ pub enum Event {
         bytes: u64,
         /// UDP datagrams received.
         datagrams: u64,
-    },
+    }
     /// A shard worker paged an idle client's session out of the hot set
     /// (`mobisense-serve`): the session was snapshotted into the
     /// configured pager and its resident state dropped.
-    SessionHibernate {
+    SessionHibernate = "session_hibernate" {
         /// Sim time of the worker tick that retired the session.
         at: Nanos,
         /// The hibernated client.
@@ -224,10 +287,10 @@ pub enum Event {
         shard: u32,
         /// Encoded snapshot size, bytes.
         bytes: u64,
-    },
+    }
     /// A hibernated session was faulted back in on its client's next
     /// frame (`mobisense-serve`).
-    SessionRestore {
+    SessionRestore = "session_restore" {
         /// Sim time of the frame that triggered the fault-in.
         at: Nanos,
         /// The restored client.
@@ -237,12 +300,12 @@ pub enum Event {
         /// Wall-clock fault-in latency (page-in + decode + restore),
         /// nanoseconds. Telemetry only, never decisions.
         wait_ns: u64,
-    },
+    }
     /// A live session migrated between shard workers
     /// (`mobisense-serve`): drained at the source, snapshotted,
     /// transferred, and resumed at the target with zero decision-log
     /// divergence.
-    SessionMigrate {
+    SessionMigrate = "session_migrate" {
         /// Sim time of the client's last activity before the move (0
         /// when the client had no live session to move).
         at: Nanos,
@@ -255,10 +318,10 @@ pub enum Event {
         /// Encoded snapshot size transferred, bytes (0 when the client
         /// had no session and the target starts it fresh).
         bytes: u64,
-    },
+    }
     /// The trace store finished one compaction pass
     /// (`mobisense-store`).
-    StoreCompaction {
+    StoreCompaction = "store_compaction" {
         /// Sim time of the newest frame carried into the compacted
         /// output (0 when nothing survived).
         at: Nanos,
@@ -272,61 +335,6 @@ pub enum Event {
         bytes_in: u64,
         /// Output bytes written.
         bytes_out: u64,
-    },
-}
-
-impl Event {
-    /// The event's sim-clock timestamp.
-    pub fn at(&self) -> Nanos {
-        match *self {
-            Event::Decision { at, .. }
-            | Event::TofMedian { at, .. }
-            | Event::RateChange { at, .. }
-            | Event::Handoff { at, .. }
-            | Event::Beamsound { at, .. }
-            | Event::AmpduTx { at, .. }
-            | Event::Goodput { at, .. }
-            | Event::ServeShard { at, .. }
-            | Event::StoreSegment { at, .. }
-            | Event::StoreRecovery { at, .. }
-            | Event::ServeRecorder { at, .. }
-            | Event::StoreRetention { at, .. }
-            | Event::Stall { at, .. }
-            | Event::Snapshot { at, .. }
-            | Event::EdgeConn { at, .. }
-            | Event::EdgeServe { at, .. }
-            | Event::SessionHibernate { at, .. }
-            | Event::SessionRestore { at, .. }
-            | Event::SessionMigrate { at, .. }
-            | Event::StoreCompaction { at, .. } => at,
-        }
-    }
-
-    /// Stable snake-case tag identifying the variant (the `"type"`
-    /// field of the JSONL encoding).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::Decision { .. } => "decision",
-            Event::TofMedian { .. } => "tof_median",
-            Event::RateChange { .. } => "rate_change",
-            Event::Handoff { .. } => "handoff",
-            Event::Beamsound { .. } => "beamsound",
-            Event::AmpduTx { .. } => "ampdu_tx",
-            Event::Goodput { .. } => "goodput",
-            Event::ServeShard { .. } => "serve_shard",
-            Event::StoreSegment { .. } => "store_segment",
-            Event::StoreRecovery { .. } => "store_recovery",
-            Event::ServeRecorder { .. } => "serve_recorder",
-            Event::StoreRetention { .. } => "store_retention",
-            Event::Stall { .. } => "stall",
-            Event::Snapshot { .. } => "snapshot",
-            Event::EdgeConn { .. } => "edge_conn",
-            Event::EdgeServe { .. } => "edge_serve",
-            Event::SessionHibernate { .. } => "session_hibernate",
-            Event::SessionRestore { .. } => "session_restore",
-            Event::SessionMigrate { .. } => "session_migrate",
-            Event::StoreCompaction { .. } => "store_compaction",
-        }
     }
 }
 

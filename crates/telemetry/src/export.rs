@@ -1,14 +1,16 @@
-//! Hand-rolled JSON-lines and CSV export (and parse-back) — no serde.
+//! JSON-lines and CSV export of a run, and JSONL parse-back.
 //!
 //! The JSONL encoding is one flat object per event with a `"type"` tag
 //! (see [`Event::kind`]); [`parse_jsonl`] reverses it field-for-field,
-//! which the test-suite uses to prove dumps are lossless. Floats are
-//! printed with Rust's shortest round-trip formatting, so re-parsing
+//! which the test-suite uses to prove dumps are lossless. Both
+//! directions are generated from the variant table in
+//! [`crate::event`] and written with `mobisense_util::json`, whose
+//! floats print in Rust's shortest round-trip form, so re-parsing
 //! yields bit-identical values.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use mobisense_util::json;
 use mobisense_util::units::Nanos;
 
 use crate::event::Event;
@@ -17,234 +19,7 @@ use crate::metrics::Registry;
 /// Serializes one event as a single-line flat JSON object.
 pub fn event_to_json(event: &Event) -> String {
     let mut s = String::with_capacity(96);
-    s.push_str("{\"type\":\"");
-    s.push_str(event.kind());
-    s.push('"');
-    let field_u64 = |s: &mut String, key: &str, v: u64| {
-        let _ = write!(s, ",\"{key}\":{v}");
-    };
-    match *event {
-        Event::Decision {
-            at,
-            ref mode,
-            ref direction,
-        } => {
-            field_u64(&mut s, "at", at);
-            let _ = write!(s, ",\"mode\":{}", json_string(mode));
-            match direction {
-                Some(d) => {
-                    let _ = write!(s, ",\"direction\":{}", json_string(d));
-                }
-                None => s.push_str(",\"direction\":null"),
-            }
-        }
-        Event::TofMedian { at, cycles } => {
-            field_u64(&mut s, "at", at);
-            let _ = write!(s, ",\"cycles\":{}", json_f64(cycles));
-        }
-        Event::RateChange {
-            at,
-            from_mcs,
-            to_mcs,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "from_mcs", from_mcs.into());
-            field_u64(&mut s, "to_mcs", to_mcs.into());
-        }
-        Event::Handoff { at, from_ap, to_ap } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "from_ap", from_ap.into());
-            field_u64(&mut s, "to_ap", to_ap.into());
-        }
-        Event::Beamsound { at, ap } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "ap", ap.into());
-        }
-        Event::AmpduTx {
-            at,
-            mcs,
-            n_mpdus,
-            n_delivered,
-            airtime,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "mcs", mcs.into());
-            field_u64(&mut s, "n_mpdus", n_mpdus.into());
-            field_u64(&mut s, "n_delivered", n_delivered.into());
-            field_u64(&mut s, "airtime", airtime);
-        }
-        Event::Goodput { at, elapsed, bits } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "elapsed", elapsed);
-            field_u64(&mut s, "bits", bits);
-        }
-        Event::ServeShard {
-            at,
-            shard,
-            frames,
-            decisions,
-            shed,
-            max_depth,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "shard", shard.into());
-            field_u64(&mut s, "frames", frames);
-            field_u64(&mut s, "decisions", decisions);
-            field_u64(&mut s, "shed", shed);
-            field_u64(&mut s, "max_depth", max_depth);
-        }
-        Event::StoreSegment {
-            at,
-            segment,
-            frames,
-            bytes,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "segment", segment);
-            field_u64(&mut s, "frames", frames);
-            field_u64(&mut s, "bytes", bytes);
-        }
-        Event::StoreRecovery {
-            at,
-            segment,
-            frames,
-            lost,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "segment", segment);
-            field_u64(&mut s, "frames", frames);
-            field_u64(&mut s, "lost", lost);
-        }
-        Event::ServeRecorder {
-            at,
-            frames,
-            rows,
-            dropped,
-            max_depth,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "frames", frames);
-            field_u64(&mut s, "rows", rows);
-            field_u64(&mut s, "dropped", dropped);
-            field_u64(&mut s, "max_depth", max_depth);
-        }
-        Event::StoreRetention {
-            at,
-            segment,
-            frames,
-            bytes,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "segment", segment);
-            field_u64(&mut s, "frames", frames);
-            field_u64(&mut s, "bytes", bytes);
-        }
-        Event::Stall {
-            at,
-            ref source,
-            intervals,
-            backlog,
-        } => {
-            field_u64(&mut s, "at", at);
-            let _ = write!(s, ",\"source\":{}", json_string(source));
-            field_u64(&mut s, "intervals", intervals);
-            field_u64(&mut s, "backlog", backlog);
-        }
-        Event::Snapshot {
-            at,
-            seq,
-            metrics,
-            bytes,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "seq", seq);
-            field_u64(&mut s, "metrics", metrics);
-            field_u64(&mut s, "bytes", bytes);
-        }
-        Event::EdgeConn {
-            at,
-            conn,
-            frames,
-            bytes,
-            resyncs,
-            ref outcome,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "conn", conn);
-            field_u64(&mut s, "frames", frames);
-            field_u64(&mut s, "bytes", bytes);
-            field_u64(&mut s, "resyncs", resyncs);
-            let _ = write!(s, ",\"outcome\":{}", json_string(outcome));
-        }
-        Event::EdgeServe {
-            at,
-            conns,
-            rejected_conns,
-            frames,
-            rejected_frames,
-            bytes,
-            datagrams,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "conns", conns);
-            field_u64(&mut s, "rejected_conns", rejected_conns);
-            field_u64(&mut s, "frames", frames);
-            field_u64(&mut s, "rejected_frames", rejected_frames);
-            field_u64(&mut s, "bytes", bytes);
-            field_u64(&mut s, "datagrams", datagrams);
-        }
-        Event::SessionHibernate {
-            at,
-            client_id,
-            shard,
-            bytes,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "client_id", client_id.into());
-            field_u64(&mut s, "shard", shard.into());
-            field_u64(&mut s, "bytes", bytes);
-        }
-        Event::SessionRestore {
-            at,
-            client_id,
-            shard,
-            wait_ns,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "client_id", client_id.into());
-            field_u64(&mut s, "shard", shard.into());
-            field_u64(&mut s, "wait_ns", wait_ns);
-        }
-        Event::SessionMigrate {
-            at,
-            client_id,
-            from_shard,
-            to_shard,
-            bytes,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "client_id", client_id.into());
-            field_u64(&mut s, "from_shard", from_shard.into());
-            field_u64(&mut s, "to_shard", to_shard.into());
-            field_u64(&mut s, "bytes", bytes);
-        }
-        Event::StoreCompaction {
-            at,
-            segments_in,
-            segments_out,
-            records,
-            bytes_in,
-            bytes_out,
-        } => {
-            field_u64(&mut s, "at", at);
-            field_u64(&mut s, "segments_in", segments_in);
-            field_u64(&mut s, "segments_out", segments_out);
-            field_u64(&mut s, "records", records);
-            field_u64(&mut s, "bytes_in", bytes_in);
-            field_u64(&mut s, "bytes_out", bytes_out);
-        }
-    }
-    s.push('}');
+    event.write_json(&mut s);
     s
 }
 
@@ -253,7 +28,7 @@ pub fn event_to_json(event: &Event) -> String {
 pub fn events_to_jsonl<'a>(events: impl Iterator<Item = &'a Event>) -> String {
     let mut out = String::new();
     for e in events {
-        out.push_str(&event_to_json(e));
+        e.write_json(&mut out);
         out.push('\n');
     }
     out
@@ -271,143 +46,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
 
 /// Parses one flat JSON event object.
 pub fn parse_event(line: &str) -> Result<Event, String> {
-    let fields = parse_flat_object(line)?;
-    let kind = match fields.get("type") {
-        Some(Val::Str(k)) => k.as_str(),
-        _ => return Err("missing string \"type\" field".into()),
-    };
-    let at = get_u64(&fields, "at")?;
-    match kind {
-        "decision" => Ok(Event::Decision {
-            at,
-            mode: get_string(&fields, "mode")?,
-            direction: match fields.get("direction") {
-                Some(Val::Null) | None => None,
-                Some(Val::Str(s)) => Some(s.clone()),
-                Some(_) => return Err("field \"direction\" must be a string or null".into()),
-            },
-        }),
-        "tof_median" => Ok(Event::TofMedian {
-            at,
-            cycles: get_f64(&fields, "cycles")?,
-        }),
-        "rate_change" => Ok(Event::RateChange {
-            at,
-            from_mcs: get_u64(&fields, "from_mcs")? as u8,
-            to_mcs: get_u64(&fields, "to_mcs")? as u8,
-        }),
-        "handoff" => Ok(Event::Handoff {
-            at,
-            from_ap: get_u64(&fields, "from_ap")? as u32,
-            to_ap: get_u64(&fields, "to_ap")? as u32,
-        }),
-        "beamsound" => Ok(Event::Beamsound {
-            at,
-            ap: get_u64(&fields, "ap")? as u32,
-        }),
-        "ampdu_tx" => Ok(Event::AmpduTx {
-            at,
-            mcs: get_u64(&fields, "mcs")? as u8,
-            n_mpdus: get_u64(&fields, "n_mpdus")? as u32,
-            n_delivered: get_u64(&fields, "n_delivered")? as u32,
-            airtime: get_u64(&fields, "airtime")?,
-        }),
-        "goodput" => Ok(Event::Goodput {
-            at,
-            elapsed: get_u64(&fields, "elapsed")?,
-            bits: get_u64(&fields, "bits")?,
-        }),
-        "serve_shard" => Ok(Event::ServeShard {
-            at,
-            shard: get_u64(&fields, "shard")? as u32,
-            frames: get_u64(&fields, "frames")?,
-            decisions: get_u64(&fields, "decisions")?,
-            shed: get_u64(&fields, "shed")?,
-            max_depth: get_u64(&fields, "max_depth")?,
-        }),
-        "store_segment" => Ok(Event::StoreSegment {
-            at,
-            segment: get_u64(&fields, "segment")?,
-            frames: get_u64(&fields, "frames")?,
-            bytes: get_u64(&fields, "bytes")?,
-        }),
-        "store_recovery" => Ok(Event::StoreRecovery {
-            at,
-            segment: get_u64(&fields, "segment")?,
-            frames: get_u64(&fields, "frames")?,
-            lost: get_u64(&fields, "lost")?,
-        }),
-        "serve_recorder" => Ok(Event::ServeRecorder {
-            at,
-            frames: get_u64(&fields, "frames")?,
-            rows: get_u64(&fields, "rows")?,
-            dropped: get_u64(&fields, "dropped")?,
-            max_depth: get_u64(&fields, "max_depth")?,
-        }),
-        "store_retention" => Ok(Event::StoreRetention {
-            at,
-            segment: get_u64(&fields, "segment")?,
-            frames: get_u64(&fields, "frames")?,
-            bytes: get_u64(&fields, "bytes")?,
-        }),
-        "stall" => Ok(Event::Stall {
-            at,
-            source: get_string(&fields, "source")?,
-            intervals: get_u64(&fields, "intervals")?,
-            backlog: get_u64(&fields, "backlog")?,
-        }),
-        "snapshot" => Ok(Event::Snapshot {
-            at,
-            seq: get_u64(&fields, "seq")?,
-            metrics: get_u64(&fields, "metrics")?,
-            bytes: get_u64(&fields, "bytes")?,
-        }),
-        "edge_conn" => Ok(Event::EdgeConn {
-            at,
-            conn: get_u64(&fields, "conn")?,
-            frames: get_u64(&fields, "frames")?,
-            bytes: get_u64(&fields, "bytes")?,
-            resyncs: get_u64(&fields, "resyncs")?,
-            outcome: get_string(&fields, "outcome")?,
-        }),
-        "edge_serve" => Ok(Event::EdgeServe {
-            at,
-            conns: get_u64(&fields, "conns")?,
-            rejected_conns: get_u64(&fields, "rejected_conns")?,
-            frames: get_u64(&fields, "frames")?,
-            rejected_frames: get_u64(&fields, "rejected_frames")?,
-            bytes: get_u64(&fields, "bytes")?,
-            datagrams: get_u64(&fields, "datagrams")?,
-        }),
-        "session_hibernate" => Ok(Event::SessionHibernate {
-            at,
-            client_id: get_u64(&fields, "client_id")? as u32,
-            shard: get_u64(&fields, "shard")? as u32,
-            bytes: get_u64(&fields, "bytes")?,
-        }),
-        "session_restore" => Ok(Event::SessionRestore {
-            at,
-            client_id: get_u64(&fields, "client_id")? as u32,
-            shard: get_u64(&fields, "shard")? as u32,
-            wait_ns: get_u64(&fields, "wait_ns")?,
-        }),
-        "session_migrate" => Ok(Event::SessionMigrate {
-            at,
-            client_id: get_u64(&fields, "client_id")? as u32,
-            from_shard: get_u64(&fields, "from_shard")? as u32,
-            to_shard: get_u64(&fields, "to_shard")? as u32,
-            bytes: get_u64(&fields, "bytes")?,
-        }),
-        "store_compaction" => Ok(Event::StoreCompaction {
-            at,
-            segments_in: get_u64(&fields, "segments_in")?,
-            segments_out: get_u64(&fields, "segments_out")?,
-            records: get_u64(&fields, "records")?,
-            bytes_in: get_u64(&fields, "bytes_in")?,
-            bytes_out: get_u64(&fields, "bytes_out")?,
-        }),
-        other => Err(format!("unknown event type {other:?}")),
-    }
+    Event::read_json(&json::parse_object(line)?)
 }
 
 /// Serializes a goodput series (`(interval end, interval length,
@@ -421,7 +60,8 @@ pub fn goodput_to_csv(series: &[(Nanos, Nanos, u64)]) -> String {
 }
 
 /// Serializes a registry snapshot as CSV: one row per metric, with
-/// histograms reduced to count / mean / p50 / p95 / max.
+/// histograms reduced to count / mean / p50 / p95 / max. Floats print
+/// in shortest round-trip form.
 ///
 /// Metric names are `&'static str` identifiers chosen by the
 /// instrumentation (no commas or quotes), so no CSV quoting is needed.
@@ -433,11 +73,11 @@ pub fn registry_to_csv(registry: &Registry) -> String {
     }
     for name in registry.gauge_names() {
         let v = registry.gauge_value(name).unwrap_or(0.0);
-        let _ = writeln!(out, "gauge,{name},,{},,,", json_f64(v));
+        let _ = writeln!(out, "gauge,{name},,{v},,,");
     }
     for name in registry.histogram_names() {
         let h = registry.get_histogram(name).expect("name from iterator");
-        let fmt = |o: Option<f64>| o.map(json_f64).unwrap_or_default();
+        let fmt = |o: Option<f64>| o.map(|v| v.to_string()).unwrap_or_default();
         let _ = writeln!(
             out,
             "histogram,{name},{},{},{},{},{}",
@@ -451,202 +91,12 @@ pub fn registry_to_csv(registry: &Registry) -> String {
     out
 }
 
-/// Formats a finite `f64` so that parsing the text yields the same
-/// bits (Rust's `Display` is shortest-round-trip).
-pub(crate) fn json_f64(v: f64) -> String {
-    debug_assert!(v.is_finite(), "telemetry floats must be finite");
-    format!("{v}")
-}
-
-/// Quotes and escapes a string for JSON.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A value in a flat (non-nested) JSON object.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum Val {
-    Null,
-    Str(String),
-    /// Raw numeric token, converted on demand so `u64` fields never
-    /// lose precision through `f64`.
-    Num(String),
-}
-
-pub(crate) fn get_u64(fields: &BTreeMap<String, Val>, key: &str) -> Result<u64, String> {
-    match fields.get(key) {
-        Some(Val::Num(n)) => n
-            .parse::<u64>()
-            .map_err(|_| format!("field {key:?}: {n:?} is not a u64")),
-        _ => Err(format!("missing numeric field {key:?}")),
-    }
-}
-
-pub(crate) fn get_f64(fields: &BTreeMap<String, Val>, key: &str) -> Result<f64, String> {
-    match fields.get(key) {
-        Some(Val::Num(n)) => n
-            .parse::<f64>()
-            .map_err(|_| format!("field {key:?}: {n:?} is not an f64")),
-        _ => Err(format!("missing numeric field {key:?}")),
-    }
-}
-
-pub(crate) fn get_string(fields: &BTreeMap<String, Val>, key: &str) -> Result<String, String> {
-    match fields.get(key) {
-        Some(Val::Str(s)) => Ok(s.clone()),
-        _ => Err(format!("missing string field {key:?}")),
-    }
-}
-
-/// Parses one flat JSON object (`{"k":v,...}` with string, number and
-/// null values — no nesting, which is all the event and snapshot
-/// encodings use).
-pub(crate) fn parse_flat_object(line: &str) -> Result<BTreeMap<String, Val>, String> {
-    let mut p = Parser {
-        chars: line.trim().chars().collect(),
-        pos: 0,
-    };
-    let map = p.object()?;
-    p.skip_ws();
-    if p.pos != p.chars.len() {
-        return Err(format!("trailing garbage at column {}", p.pos + 1));
-    }
-    Ok(map)
-}
-
-struct Parser {
-    chars: Vec<char>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        match self.bump() {
-            Some(got) if got == c => Ok(()),
-            got => Err(format!("expected {c:?}, found {got:?}")),
-        }
-    }
-
-    fn object(&mut self) -> Result<BTreeMap<String, Val>, String> {
-        self.expect('{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some('}') {
-            self.bump();
-            return Ok(map);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some('}') => return Ok(map),
-                got => return Err(format!("expected ',' or '}}', found {got:?}")),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Val, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some('"') => Ok(Val::Str(self.string()?)),
-            Some('n') => {
-                for want in "null".chars() {
-                    if self.bump() != Some(want) {
-                        return Err("invalid literal (expected null)".into());
-                    }
-                }
-                Ok(Val::Null)
-            }
-            Some(c) if c == '-' || c.is_ascii_digit() => {
-                let start = self.pos;
-                while matches!(
-                    self.peek(),
-                    Some(c) if c.is_ascii_digit() || "+-.eE".contains(c)
-                ) {
-                    self.pos += 1;
-                }
-                Ok(Val::Num(self.chars[start..self.pos].iter().collect()))
-            }
-            got => Err(format!("unexpected value start {got:?}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err("unterminated string".into()),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .and_then(|c| c.to_digit(16))
-                                .ok_or("bad \\u escape")?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    got => return Err(format!("bad escape {got:?}")),
-                },
-                Some(c) => out.push(c),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::event::KINDS;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -782,10 +232,37 @@ mod tests {
     #[test]
     fn jsonl_round_trips_every_variant() {
         let events = sample_events();
+        let kinds: BTreeSet<&str> = events.iter().map(Event::kind).collect();
+        let table: BTreeSet<&str> = KINDS.iter().copied().collect();
+        assert_eq!(kinds, table, "the samples cover every variant in the table");
         let text = events_to_jsonl(events.iter());
         assert_eq!(text.lines().count(), events.len());
+        assert!(text.starts_with(
+            "{\"type\":\"decision\",\"at\":100,\"mode\":\"macro\",\"direction\":\"towards\"}\n\
+             {\"type\":\"decision\",\"at\":150,\"mode\":\"static\",\"direction\":null}\n\
+             {\"type\":\"tof_median\",\"at\":200,\"cycles\":13.75}\n"
+        ));
         let back = parse_jsonl(&text).expect("well-formed dump");
         assert_eq!(back, events);
+    }
+
+    #[test]
+    fn out_of_range_integers_are_rejected_not_narrowed() {
+        let err = parse_event("{\"type\":\"rate_change\",\"at\":1,\"from_mcs\":300,\"to_mcs\":4}")
+            .expect_err("300 is not a u8");
+        assert!(err.contains("\"from_mcs\""), "{err}");
+        let err = parse_event(
+            "{\"type\":\"session_restore\",\"at\":1,\"client_id\":4294967296,\"shard\":0,\"wait_ns\":5}",
+        )
+        .expect_err("2^32 is not a u32");
+        assert!(err.contains("\"client_id\""), "{err}");
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected() {
+        let err = parse_event("{\"type\":\"goodput\",\"at\":1,\"at\":2,\"elapsed\":3,\"bits\":4}")
+            .expect_err("two \"at\" fields");
+        assert!(err.contains("duplicate key \"at\""), "{err}");
     }
 
     #[test]

@@ -5,18 +5,18 @@
 //! * [`metrics`] — an explicitly-passed registry of monotonic counters,
 //!   gauges and fixed-bucket histograms (with streaming quantile
 //!   estimation), plus a standalone P² quantile estimator;
-//! * [`event`] — a typed event trace ([`Event::Decision`],
-//!   [`Event::TofMedian`], [`Event::RateChange`], [`Event::Handoff`],
-//!   [`Event::Beamsound`], [`Event::AmpduTx`], [`Event::Goodput`]) with
-//!   nanosecond sim-clock timestamps and an optional ring-buffer mode
-//!   for bounded memory;
+//! * [`event`] — a typed event trace with nanosecond sim-clock
+//!   timestamps and an optional ring-buffer mode for bounded memory.
+//!   [`Event`] is declared once, as a table of variants with their
+//!   JSONL tags and fields, from which its JSONL codec is generated;
 //! * [`sink`] — the [`Sink`] trait the simulation crates are
 //!   instrumented against, with a zero-cost [`NoopSink`] so that
 //!   telemetry-off runs pay (almost) nothing;
 //! * span-style wall-clock timing of hot paths via [`timed`], recorded
 //!   into registry histograms;
-//! * [`export`] — hand-rolled JSON-lines and CSV writers/parsers (no
-//!   serde) so benches and integration tests can dump and diff runs;
+//! * [`export`] — JSON-lines and CSV writers and the JSONL parser (on
+//!   `mobisense_util::json`, no serde) so benches and integration
+//!   tests can dump and diff runs;
 //! * [`stage`] — sampled per-frame stage tracing for the serving path
 //!   ([`StageTrace`] stamps, [`StageHistograms`] per-stage quantiles);
 //! * [`snapshot`] — versioned JSONL snapshots of a full registry for

@@ -16,7 +16,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::export::{get_f64, get_string, get_u64, json_f64, json_string, parse_flat_object};
+use mobisense_util::json::{self, Num, Str};
+
 use crate::metrics::Registry;
 
 /// Schema version stamped into every snapshot header.
@@ -114,15 +115,15 @@ impl Snapshot {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"counter\",\"name\":{},\"value\":{v}}}",
-                json_string(name)
+                Str(name)
             );
         }
         for (name, v) in &self.gauges {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"gauge\",\"name\":{},\"value\":{}}}",
-                json_string(name),
-                json_f64(*v)
+                Str(name),
+                Num(*v)
             );
         }
         for (name, h) in &self.histograms {
@@ -130,14 +131,14 @@ impl Snapshot {
                 out,
                 "{{\"type\":\"histogram\",\"name\":{},\"count\":{},\"mean\":{},\"min\":{},\
                  \"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                json_string(name),
+                Str(name),
                 h.count,
-                json_f64(h.mean),
-                json_f64(h.min),
-                json_f64(h.max),
-                json_f64(h.p50),
-                json_f64(h.p90),
-                json_f64(h.p99),
+                Num(h.mean),
+                Num(h.min),
+                Num(h.max),
+                Num(h.p50),
+                Num(h.p90),
+                Num(h.p99),
             );
         }
         out
@@ -166,63 +167,60 @@ pub fn parse_snapshots(text: &str) -> Result<Vec<Snapshot>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let fields = parse_flat_object(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let kind = get_string(&fields, "type").map_err(|e| format!("line {}: {e}", i + 1))?;
         let ctx = |e: String| format!("line {}: {e}", i + 1);
+        let fields = json::parse_object(line).map_err(ctx)?;
+        let kind: String = fields.get("type").map_err(ctx)?;
         match kind.as_str() {
             "ops_snapshot" => {
                 if let Some(last) = out.last() {
                     close(last, declared)?;
                 }
-                let version = get_u64(&fields, "version").map_err(ctx)?;
+                let version: u64 = fields.get("version").map_err(ctx)?;
                 if version != SNAPSHOT_VERSION {
-                    return Err(format!(
-                        "line {}: unsupported snapshot version {version}",
-                        i + 1
-                    ));
+                    return Err(ctx(format!("unsupported snapshot version {version}")));
                 }
-                declared = Some(get_u64(&fields, "metrics").map_err(ctx)?);
+                declared = Some(fields.get("metrics").map_err(ctx)?);
                 out.push(Snapshot {
-                    seq: get_u64(&fields, "seq").map_err(ctx)?,
-                    wall_ns: get_u64(&fields, "wall_ns").map_err(ctx)?,
+                    seq: fields.get("seq").map_err(ctx)?,
+                    wall_ns: fields.get("wall_ns").map_err(ctx)?,
                     ..Snapshot::default()
                 });
             }
             "counter" | "gauge" | "histogram" => {
                 let snap = out
                     .last_mut()
-                    .ok_or_else(|| format!("line {}: metric before any header", i + 1))?;
-                let name = get_string(&fields, "name").map_err(ctx)?;
+                    .ok_or_else(|| ctx("metric before any header".into()))?;
+                let name: String = fields.get("name").map_err(ctx)?;
                 let dup = match kind.as_str() {
                     "counter" => snap
                         .counters
-                        .insert(name.clone(), get_u64(&fields, "value").map_err(ctx)?)
+                        .insert(name.clone(), fields.get("value").map_err(ctx)?)
                         .is_some(),
                     "gauge" => snap
                         .gauges
-                        .insert(name.clone(), get_f64(&fields, "value").map_err(ctx)?)
+                        .insert(name.clone(), fields.get("value").map_err(ctx)?)
                         .is_some(),
                     _ => snap
                         .histograms
                         .insert(
                             name.clone(),
                             HistogramSummary {
-                                count: get_u64(&fields, "count").map_err(ctx)?,
-                                mean: get_f64(&fields, "mean").map_err(ctx)?,
-                                min: get_f64(&fields, "min").map_err(ctx)?,
-                                max: get_f64(&fields, "max").map_err(ctx)?,
-                                p50: get_f64(&fields, "p50").map_err(ctx)?,
-                                p90: get_f64(&fields, "p90").map_err(ctx)?,
-                                p99: get_f64(&fields, "p99").map_err(ctx)?,
+                                count: fields.get("count").map_err(ctx)?,
+                                mean: fields.get("mean").map_err(ctx)?,
+                                min: fields.get("min").map_err(ctx)?,
+                                max: fields.get("max").map_err(ctx)?,
+                                p50: fields.get("p50").map_err(ctx)?,
+                                p90: fields.get("p90").map_err(ctx)?,
+                                p99: fields.get("p99").map_err(ctx)?,
                             },
                         )
                         .is_some(),
                 };
                 if dup {
-                    return Err(format!("line {}: duplicate {kind} {name:?}", i + 1));
+                    return Err(ctx(format!("duplicate {kind} {name:?}")));
                 }
             }
-            other => return Err(format!("line {}: unknown line type {other:?}", i + 1)),
+            other => return Err(ctx(format!("unknown line type {other:?}"))),
         }
     }
     if let Some(last) = out.last() {
@@ -304,6 +302,19 @@ mod tests {
         .is_err());
         // Unknown line type.
         assert!(parse_snapshots("{\"type\":\"mystery\"}").is_err());
+    }
+
+    #[test]
+    fn duplicate_keys_in_a_line_are_rejected() {
+        let header = "{\"type\":\"ops_snapshot\",\"version\":1,\"seq\":1,\"seq\":2,\
+                      \"wall_ns\":0,\"metrics\":0}";
+        let err = parse_snapshots(header).expect_err("two seq fields");
+        assert!(err.contains("duplicate key \"seq\""), "{err}");
+        let counter =
+            "{\"type\":\"ops_snapshot\",\"version\":1,\"seq\":1,\"wall_ns\":0,\"metrics\":1}\n\
+                       {\"type\":\"counter\",\"name\":\"x\",\"value\":1,\"value\":2}";
+        let err = parse_snapshots(counter).expect_err("two values");
+        assert!(err.contains("line 2: duplicate key \"value\""), "{err}");
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Cross-crate analyzer tests: the lint suite holds on the shipped
-//! workspace, every lint self-describes, and the telemetry round-trip
-//! test is *generated* from the same `Event` inventory the analyzer's
-//! exhaustiveness lint checks — so adding a variant without extending
-//! the exporter fails here and under `mobisense-analyze` alike.
+//! workspace, each committed fixture trips its lint, and every lint
+//! self-describes. The telemetry round-trip test walks the tag list
+//! generated from the `Event` variant table, so a variant added without
+//! a sample here fails the suite.
 
 use std::path::{Path, PathBuf};
 
-use mobisense_analyze::lints::telemetry::event_variants;
 use mobisense_analyze::{all_lints, load_workspace, run, run_full, Lint};
+use mobisense_telemetry::event::KINDS;
 use mobisense_telemetry::export::{event_to_json, parse_event};
 use mobisense_telemetry::Event;
 
@@ -77,7 +77,7 @@ fn committed_fixtures_trip_their_lints() {
     }
 }
 
-/// The suite carries the nine contract lints, each with a distinct
+/// The suite carries the eight contract lints, each with a distinct
 /// name and a non-empty invariant statement (what `--list` prints).
 #[test]
 fn lint_suite_covers_the_nine_contracts() {
@@ -90,7 +90,6 @@ fn lint_suite_covers_the_nine_contracts() {
         "hold-and-call",
         "hot-path",
         "error-swallow",
-        "telemetry-exhaustive",
         "format-const",
         "unsafe-ban",
     ] {
@@ -112,44 +111,44 @@ fn lint_suite_covers_the_nine_contracts() {
     }
 }
 
-/// A sample value for each known `Event` variant. Failing on an
-/// unknown name is the point: a variant added to `event.rs` shows up
-/// in the lexical inventory below before anyone writes a sample here.
-fn sample_for(variant: &str) -> Event {
-    match variant {
-        "Decision" => Event::Decision {
+/// A sample value for each `Event` tag. Failing on an unknown tag is
+/// the point: a variant added to the table shows up in [`KINDS`]
+/// before anyone writes a sample here.
+fn sample_for(kind: &str) -> Event {
+    match kind {
+        "decision" => Event::Decision {
             at: 1_000,
             mode: "micro".to_string(),
             direction: Some("approaching".to_string()),
         },
-        "TofMedian" => Event::TofMedian {
+        "tof_median" => Event::TofMedian {
             at: 2_000,
             cycles: 3.25,
         },
-        "RateChange" => Event::RateChange {
+        "rate_change" => Event::RateChange {
             at: 3_000,
             from_mcs: 4,
             to_mcs: 7,
         },
-        "Handoff" => Event::Handoff {
+        "handoff" => Event::Handoff {
             at: 4_000,
             from_ap: 1,
             to_ap: 2,
         },
-        "Beamsound" => Event::Beamsound { at: 5_000, ap: 3 },
-        "AmpduTx" => Event::AmpduTx {
+        "beamsound" => Event::Beamsound { at: 5_000, ap: 3 },
+        "ampdu_tx" => Event::AmpduTx {
             at: 6_000,
             mcs: 5,
             n_mpdus: 16,
             n_delivered: 14,
             airtime: 250_000,
         },
-        "Goodput" => Event::Goodput {
+        "goodput" => Event::Goodput {
             at: 7_000,
             elapsed: 1_000_000,
             bits: 123_456,
         },
-        "ServeShard" => Event::ServeShard {
+        "serve_shard" => Event::ServeShard {
             at: 8_000,
             shard: 2,
             frames: 1_000,
@@ -157,44 +156,44 @@ fn sample_for(variant: &str) -> Event {
             shed: 3,
             max_depth: 9,
         },
-        "StoreSegment" => Event::StoreSegment {
+        "store_segment" => Event::StoreSegment {
             at: 9_000,
             segment: 7,
             frames: 512,
             bytes: 65_536,
         },
-        "StoreRecovery" => Event::StoreRecovery {
+        "store_recovery" => Event::StoreRecovery {
             at: 10_000,
             segment: 8,
             frames: 100,
             lost: 4,
         },
-        "ServeRecorder" => Event::ServeRecorder {
+        "serve_recorder" => Event::ServeRecorder {
             at: 11_000,
             frames: 2_048,
             rows: 16,
             dropped: 5,
             max_depth: 33,
         },
-        "StoreRetention" => Event::StoreRetention {
+        "store_retention" => Event::StoreRetention {
             at: 12_000,
             segment: 9,
             frames: 256,
             bytes: 32_768,
         },
-        "Stall" => Event::Stall {
+        "stall" => Event::Stall {
             at: 0,
             source: "shard-2".to_string(),
             intervals: 3,
             backlog: 512,
         },
-        "Snapshot" => Event::Snapshot {
+        "snapshot" => Event::Snapshot {
             at: 0,
             seq: 4,
             metrics: 23,
             bytes: 2_048,
         },
-        "StoreCompaction" => Event::StoreCompaction {
+        "store_compaction" => Event::StoreCompaction {
             at: 13_000,
             segments_in: 6,
             segments_out: 2,
@@ -202,7 +201,7 @@ fn sample_for(variant: &str) -> Event {
             bytes_in: 1_048_576,
             bytes_out: 524_288,
         },
-        "EdgeConn" => Event::EdgeConn {
+        "edge_conn" => Event::EdgeConn {
             at: 14_000,
             conn: 17,
             frames: 120,
@@ -210,26 +209,26 @@ fn sample_for(variant: &str) -> Event {
             resyncs: 1,
             outcome: "eof".to_string(),
         },
-        "SessionHibernate" => Event::SessionHibernate {
+        "session_hibernate" => Event::SessionHibernate {
             at: 16_000,
             client_id: 42,
             shard: 1,
             bytes: 1_280,
         },
-        "SessionRestore" => Event::SessionRestore {
+        "session_restore" => Event::SessionRestore {
             at: 17_000,
             client_id: 42,
             shard: 1,
             wait_ns: 35_000,
         },
-        "SessionMigrate" => Event::SessionMigrate {
+        "session_migrate" => Event::SessionMigrate {
             at: 18_000,
             client_id: 42,
             from_shard: 1,
             to_shard: 3,
             bytes: 1_280,
         },
-        "EdgeServe" => Event::EdgeServe {
+        "edge_serve" => Event::EdgeServe {
             at: 15_000,
             conns: 10_240,
             rejected_conns: 3,
@@ -239,37 +238,35 @@ fn sample_for(variant: &str) -> Event {
             datagrams: 64,
         },
         other => panic!(
-            "Event::{other} has no JSONL round-trip sample — a new \
-             variant was added to telemetry::Event; extend sample_for \
-             (and the exporter, which mobisense-analyze also checks)"
+            "event type {other:?} has no JSONL round-trip sample: a new \
+             variant was added to telemetry::Event; extend sample_for"
         ),
     }
 }
 
-/// Every `Event` variant — enumerated from `event.rs`'s *source* with
-/// the analyzer's own inventory — survives a JSONL round-trip intact.
+/// Every `Event` variant, enumerated from the table-generated tag
+/// list, survives a JSONL round-trip intact and keeps its tag.
 /// Exhaustive by construction: the variant list is not hand-kept.
 #[test]
 fn every_event_variant_round_trips_through_jsonl() {
-    let event_rs = repo_root().join("crates/telemetry/src/event.rs");
-    let source = std::fs::read_to_string(&event_rs).expect("read event.rs");
-    let variants = event_variants(&source);
     assert!(
-        variants.len() >= 15,
-        "Event inventory shrank unexpectedly: {variants:?}"
+        KINDS.len() >= 15,
+        "Event tag list shrank unexpectedly: {KINDS:?}"
     );
-    for variant in &variants {
-        let event = sample_for(variant);
+    for &kind in KINDS {
+        let event = sample_for(kind);
+        assert_eq!(
+            event.kind(),
+            kind,
+            "sample for {kind:?} has the wrong variant"
+        );
         let json = event_to_json(&event);
         assert!(
             json.starts_with('{') && json.ends_with('}'),
-            "Event::{variant} encodes as one flat JSON object: {json}"
+            "{kind:?} encodes as one flat JSON object: {json}"
         );
         let parsed = parse_event(&json)
-            .unwrap_or_else(|e| panic!("Event::{variant} failed to parse back: {e}\n{json}"));
-        assert_eq!(
-            parsed, event,
-            "Event::{variant} round-trip changed the value"
-        );
+            .unwrap_or_else(|e| panic!("{kind:?} failed to parse back: {e}\n{json}"));
+        assert_eq!(parsed, event, "{kind:?} round-trip changed the value");
     }
 }
