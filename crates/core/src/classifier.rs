@@ -85,7 +85,7 @@ impl std::fmt::Display for Classification {
 /// Serializable dynamic state of a [`MobilityClassifier`], produced by
 /// [`MobilityClassifier::export_state`]. Plain data: the session
 /// snapshot codec owns the byte-level encoding.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClassifierState {
     /// Similarity tracker state.
     pub similarity: SimilarityState,
@@ -267,14 +267,20 @@ impl MobilityClassifier {
     /// a restored classifier makes bit-identical decisions from the saved
     /// point on.
     pub fn export_state(&self) -> ClassifierState {
-        ClassifierState {
-            similarity: self.similarity.export_state(),
-            trend_samples: self.trend.samples(),
-            tof_active: self.tof_active,
-            current: self.current,
-            decisions: self.decisions,
-            last_trend: self.last_trend,
-        }
+        let mut state = ClassifierState::default();
+        self.snapshot_into(&mut state);
+        state
+    }
+
+    /// [`export_state`](Self::export_state) into a reused state: every
+    /// field is overwritten and the vectors keep their allocations.
+    pub fn snapshot_into(&self, out: &mut ClassifierState) {
+        self.similarity.snapshot_into(&mut out.similarity);
+        self.trend.snapshot_into(&mut out.trend_samples);
+        out.tof_active = self.tof_active;
+        out.current = self.current;
+        out.decisions = self.decisions;
+        out.last_trend = self.last_trend;
     }
 
     /// Reconstructs a classifier from [`export_state`](Self::export_state)
@@ -282,17 +288,20 @@ impl MobilityClassifier {
     /// configuration invariant as [`new`](Self::new).
     pub fn from_state(cfg: ClassifierConfig, state: ClassifierState) -> Self {
         let mut cl = MobilityClassifier::new(cfg);
-        cl.similarity = SimilarityTracker::from_state(
-            cl.cfg.csi_sampling_period,
-            cl.cfg.similarity_window,
-            state.similarity,
-        );
-        cl.trend = TrendDetector::from_state(cl.cfg.trend, &state.trend_samples);
-        cl.tof_active = state.tof_active;
-        cl.current = state.current;
-        cl.decisions = state.decisions;
-        cl.last_trend = state.last_trend;
+        cl.restore_from(&state);
         cl
+    }
+
+    /// [`from_state`](Self::from_state) into this classifier, keeping its
+    /// configuration and reusing its buffers: afterwards it is
+    /// indistinguishable from `MobilityClassifier::from_state(cfg, state)`.
+    pub fn restore_from(&mut self, state: &ClassifierState) {
+        self.similarity.restore_from(&state.similarity);
+        self.trend.restore_from(&state.trend_samples);
+        self.tof_active = state.tof_active;
+        self.current = state.current;
+        self.decisions = state.decisions;
+        self.last_trend = state.last_trend;
     }
 
     /// Approximate resident heap bytes of the classifier's buffers, for

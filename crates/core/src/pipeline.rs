@@ -161,20 +161,35 @@ impl PipelineSession {
     /// s.snapshot())` continues the decision stream bit-identically to
     /// `s` itself — hibernate→restore ≡ never-hibernated.
     pub fn snapshot(&self) -> SessionState {
-        SessionState {
-            classifier: self.classifier.export_state(),
-            tof: self.tof.export_state(),
-        }
+        let mut state = SessionState::default();
+        self.snapshot_into(&mut state);
+        state
+    }
+
+    /// [`snapshot`](Self::snapshot) into a reused state: every field is
+    /// overwritten, and the state's vectors keep their allocations, so a
+    /// worker that pages sessions out repeatedly copies without
+    /// allocating.
+    pub fn snapshot_into(&self, out: &mut SessionState) {
+        self.classifier.snapshot_into(&mut out.classifier);
+        self.tof.snapshot_into(&mut out.tof);
     }
 
     /// Reconstructs a session from [`snapshot`](Self::snapshot) output
     /// under the given configuration.
     pub fn restore(cfg: PipelineConfig, state: SessionState) -> Self {
-        PipelineSession {
-            classifier: MobilityClassifier::from_state(cfg.classifier.clone(), state.classifier),
-            tof: TofSampler::from_state(cfg.tof.clone(), state.tof),
-            cfg,
-        }
+        let mut session = PipelineSession::new(cfg, 0);
+        session.restore_from(&state);
+        session
+    }
+
+    /// [`restore`](Self::restore) into this session, keeping its
+    /// configuration and reusing its buffers. The session may have
+    /// served any other client before: afterwards it continues exactly
+    /// as `PipelineSession::restore(cfg, state.clone())` would.
+    pub fn restore_from(&mut self, state: &SessionState) {
+        self.classifier.restore_from(&state.classifier);
+        self.tof.restore_from(&state.tof);
     }
 
     /// Approximate resident heap bytes of the session's buffers, for the
@@ -199,7 +214,7 @@ impl PipelineSession {
 /// Serializable dynamic state of a [`PipelineSession`], produced by
 /// [`PipelineSession::snapshot`]. Plain data — the `mobisense-session`
 /// crate owns the versioned byte-level encoding.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SessionState {
     /// Classifier state (similarity window, trend window, Figure-5
     /// machine registers, decision counter).
@@ -651,6 +666,28 @@ mod tests {
             let tail_b = continue_session(&mut restored, &mut sc_b, next, 25 * SECOND);
             assert!(!tail_a.is_empty());
             assert_eq!(tail_a, tail_b, "{kind:?}: restored session diverged");
+        }
+    }
+
+    #[test]
+    fn snapshot_into_a_dirty_state_equals_snapshot() {
+        // Three sessions with very different state: a walk (full trend
+        // window, ToF history, last trend), a short static run and a
+        // fresh one. Snapshotting each into a state taken from each of
+        // the others must leave no stale field behind.
+        let cfg = PipelineConfig::default();
+        let mut walk = PipelineSession::new(cfg.clone(), 41);
+        drive_session(&mut walk, ScenarioKind::MacroAway, 41, 11 * SECOND);
+        let mut still = PipelineSession::new(cfg.clone(), 42);
+        drive_session(&mut still, ScenarioKind::Static, 42, 3 * SECOND);
+        let fresh = PipelineSession::new(cfg, 43);
+        let sessions = [&walk, &still, &fresh];
+        for src in sessions {
+            for dirty in sessions {
+                let mut state = dirty.snapshot();
+                src.snapshot_into(&mut state);
+                assert_eq!(state, src.snapshot());
+            }
         }
     }
 

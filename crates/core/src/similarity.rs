@@ -22,7 +22,7 @@ const PROFILE_SMOOTHING_MAX: usize = 4;
 /// Serializable dynamic state of a [`SimilarityTracker`], produced by
 /// [`SimilarityTracker::export_state`]. Plain data: the session snapshot
 /// codec owns the byte-level encoding.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimilarityState {
     /// Timestamped profiles of the noise-averaging window, oldest-first.
     pub recent: Vec<(Nanos, Vec<f64>)>,
@@ -151,13 +151,25 @@ impl SimilarityTracker {
     /// a restored tracker produces bit-identical similarity samples from
     /// the saved point on.
     pub fn export_state(&self) -> SimilarityState {
-        SimilarityState {
-            recent: self.recent.iter().cloned().collect(),
-            last_profile: self.last_profile.clone(),
-            next_sample_at: self.next_sample_at,
-            last_similarity: self.last_similarity,
-            avg: self.avg.values(),
+        let mut state = SimilarityState::default();
+        self.snapshot_into(&mut state);
+        state
+    }
+
+    /// [`export_state`](Self::export_state) into a reused state: every
+    /// field is overwritten, and profile vectors keep their allocations.
+    pub fn snapshot_into(&self, out: &mut SimilarityState) {
+        out.recent.truncate(self.recent.len());
+        for (i, (at, profile)) in self.recent.iter().enumerate() {
+            match out.recent.get_mut(i) {
+                Some(slot) => copy_profile(slot, *at, profile),
+                None => out.recent.push((*at, profile.clone())),
+            }
         }
+        copy_opt_profile(&mut out.last_profile, self.last_profile.as_deref());
+        out.next_sample_at = self.next_sample_at;
+        out.last_similarity = self.last_similarity;
+        self.avg.snapshot_into(&mut out.avg);
     }
 
     /// Reconstructs a tracker from [`export_state`](Self::export_state)
@@ -167,18 +179,26 @@ impl SimilarityTracker {
     /// oldest-first.
     pub fn from_state(period: Nanos, window: usize, state: SimilarityState) -> Self {
         let mut tracker = SimilarityTracker::new(period, window);
-        let mut recent: VecDeque<(Nanos, Vec<f64>)> = state.recent.into_iter().collect();
-        while recent.len() > PROFILE_SMOOTHING_MAX {
-            recent.pop_front();
-        }
-        tracker.recent = recent;
-        for v in state.avg {
-            tracker.avg.push(v);
-        }
-        tracker.last_profile = state.last_profile;
-        tracker.next_sample_at = state.next_sample_at;
-        tracker.last_similarity = state.last_similarity;
+        tracker.restore_from(&state);
         tracker
+    }
+
+    /// [`from_state`](Self::from_state) into this tracker, keeping its
+    /// period and window and reusing its profile buffers.
+    pub fn restore_from(&mut self, state: &SimilarityState) {
+        let kept = state.recent.len().min(PROFILE_SMOOTHING_MAX);
+        let newest = state.recent.iter().skip(state.recent.len() - kept);
+        self.recent.truncate(kept);
+        for (i, (at, profile)) in newest.enumerate() {
+            match self.recent.get_mut(i) {
+                Some(slot) => copy_profile(slot, *at, profile),
+                None => self.recent.push_back((*at, profile.clone())),
+            }
+        }
+        copy_opt_profile(&mut self.last_profile, state.last_profile.as_deref());
+        self.next_sample_at = state.next_sample_at;
+        self.last_similarity = state.last_similarity;
+        self.avg.restore_from(&state.avg);
     }
 
     /// Approximate resident heap bytes of the tracker's buffers, for the
@@ -198,6 +218,26 @@ impl SimilarityTracker {
         self.last_profile = None;
         self.next_sample_at = None;
         self.last_similarity = None;
+    }
+}
+
+/// Overwrites `slot` with `(at, profile)`, reusing its vector.
+fn copy_profile(slot: &mut (Nanos, Vec<f64>), at: Nanos, profile: &[f64]) {
+    slot.0 = at;
+    slot.1.clear();
+    slot.1.extend_from_slice(profile);
+}
+
+/// Overwrites `dst` with `src`, reusing `dst`'s vector when both hold
+/// one.
+fn copy_opt_profile(dst: &mut Option<Vec<f64>>, src: Option<&[f64]>) {
+    match src {
+        Some(src) => {
+            let dst = dst.get_or_insert_with(Vec::new);
+            dst.clear();
+            dst.extend_from_slice(src);
+        }
+        None => *dst = None,
     }
 }
 

@@ -125,9 +125,10 @@ impl TrendDetector {
         self.window.clear();
     }
 
-    /// The window's contents oldest-first, for session snapshots.
-    pub fn samples(&self) -> Vec<f64> {
-        self.window.as_vec()
+    /// Copies the window's contents oldest-first into `out`, reusing
+    /// its allocation, for session snapshots.
+    pub fn snapshot_into(&self, out: &mut Vec<f64>) {
+        self.window.snapshot_into(out);
     }
 
     /// Reconstructs a detector holding `samples` (oldest-first). Excess
@@ -135,10 +136,14 @@ impl TrendDetector {
     /// a state saved under a larger window restores safely.
     pub fn from_state(cfg: TrendConfig, samples: &[f64]) -> Self {
         let mut d = TrendDetector::new(cfg);
-        for &x in samples {
-            d.window.push(x);
-        }
+        d.restore_from(samples);
         d
+    }
+
+    /// [`from_state`](Self::from_state) into this detector, keeping its
+    /// configuration and reusing its window.
+    pub fn restore_from(&mut self, samples: &[f64]) {
+        self.window.restore_from(samples);
     }
 }
 

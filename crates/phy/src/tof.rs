@@ -199,43 +199,54 @@ impl TofSampler {
     /// [`from_state`](Self::from_state): the restored sampler produces a
     /// bit-identical measurement stream from the saved point on.
     pub fn export_state(&self) -> TofSamplerState {
-        TofSamplerState {
-            rng: self.rng.export_state(),
-            next_sample_at: self.next_sample_at,
-            period_end: self.period_end,
-            batch: self.batch.samples().to_vec(),
-            history: self.history.clone(),
-        }
+        let mut state = TofSamplerState::default();
+        self.snapshot_into(&mut state);
+        state
+    }
+
+    /// [`export_state`](Self::export_state) into a reused state: every
+    /// field is overwritten and the vectors keep their allocations.
+    pub fn snapshot_into(&self, out: &mut TofSamplerState) {
+        out.rng = self.rng.export_state();
+        out.next_sample_at = self.next_sample_at;
+        out.period_end = self.period_end;
+        out.batch.clear();
+        out.batch.extend_from_slice(self.batch.samples());
+        out.history.clear();
+        out.history.extend_from_slice(&self.history);
     }
 
     /// Reconstructs a sampler from [`export_state`](Self::export_state)
     /// output. History beyond `cfg.history_cap` is trimmed oldest-first,
     /// so a state saved under a larger cap restores safely.
     pub fn from_state(cfg: TofConfig, state: TofSamplerState) -> Self {
-        let mut batch = BatchMedian::new();
-        for &x in &state.batch {
-            batch.push(x);
-        }
-        let mut history = state.history;
-        let cap = cfg.history_cap.max(1);
-        if history.len() > cap {
-            history.drain(..history.len() - cap);
-        }
-        TofSampler {
-            cfg,
-            rng: DetRng::from_state(&state.rng),
-            next_sample_at: state.next_sample_at,
-            batch,
-            period_end: state.period_end,
-            history,
-        }
+        let mut sampler = TofSampler::new(cfg, 0, DetRng::seed_from_u64(0));
+        sampler.restore_from(&state);
+        sampler
+    }
+
+    /// [`from_state`](Self::from_state) into this sampler, keeping its
+    /// configuration and reusing its buffers: afterwards it is
+    /// indistinguishable from `TofSampler::from_state(cfg, state)`.
+    pub fn restore_from(&mut self, state: &TofSamplerState) {
+        self.rng = DetRng::from_state(&state.rng);
+        self.next_sample_at = state.next_sample_at;
+        self.period_end = state.period_end;
+        self.batch.restore_from(&state.batch);
+        let skip = state
+            .history
+            .len()
+            .saturating_sub(self.cfg.history_cap.max(1));
+        self.history.clear();
+        self.history
+            .extend(state.history.iter().skip(skip).copied());
     }
 }
 
 /// Serializable dynamic state of a [`TofSampler`], produced by
 /// [`TofSampler::export_state`]. Plain data: the session snapshot codec
 /// owns the byte-level encoding.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TofSamplerState {
     /// Position of the measurement-noise stream.
     pub rng: DetRngState,

@@ -197,8 +197,9 @@ pub struct ServeReport {
     /// Session lifecycle totals (hibernate / restore / evict / migrate)
     /// summed across shards.
     pub sessions: SessionsSummary,
-    /// Wall-clock latency (ns) of every session fault-in: the price a
-    /// hibernated client pays on its first frame back.
+    /// Wall-clock latency (ns) of every session fault-in — page-in,
+    /// decode and restore: the price a hibernated client pays on its
+    /// first frame back.
     pub fault_in_ns: Histogram,
     /// Per-occurrence session lifecycle events, in shard order then
     /// migrations (empty unless [`ServeConfig::session_events`] is set;
@@ -329,42 +330,76 @@ struct WorkerResult {
 /// One shard worker's session-residency bookkeeping, split from the
 /// frame loop so the lifecycle arms ([`WorkItem::Migrate`] /
 /// [`WorkItem::Adopt`] / victim retirement) share one implementation.
+///
+/// A hibernate → fault-in cycle reuses everything but the pager's page:
+/// the victim is snapshotted into `scratch`, encoded into the manager's
+/// buffer and its box kept as `spare`; a fault-in decodes into
+/// `scratch` and restores into `spare`. Client states are boxed, so
+/// retiring or faulting one in moves a pointer inside the map, not the
+/// whole session.
 struct WorkerSessions<'a> {
     cfg: &'a ServeConfig,
     shard: u32,
-    map: BTreeMap<u32, ClientState>,
+    map: BTreeMap<u32, Box<ClientState>>,
     manager: HibernationManager,
     pager: BoxedPager,
     gauges: Arc<SessionGauges>,
     resident_bytes: u64,
+    /// The one snapshot every page-out and fault-in goes through.
+    scratch: SessionSnapshot,
+    /// The last retired client's state, recycled by the next fault-in.
+    spare: Option<Box<ClientState>>,
+    /// Reused victim list.
+    victims: Vec<u32>,
 }
 
 impl WorkerSessions<'_> {
     /// Faults the client's session back in if it is hibernated,
-    /// recording the fault-in latency; no-op for hot or unknown
-    /// clients. A failed fault-in (missing or corrupt page) panics the
+    /// recording the fault-in latency, and returns the instant the
+    /// session became resident again; `None` (no-op) for hot or unknown
+    /// clients. The page is decoded into the worker's scratch snapshot
+    /// and restored into the spare state the last victim left — or,
+    /// with no spare, a new one (what [`PipelineSession::restore`]
+    /// does). A failed fault-in (missing or corrupt page) panics the
     /// worker: serving a fresh session where a hibernated one exists
     /// would silently diverge the decision log, and the workspace's
     /// poison philosophy is that corrupt state fails the run loudly.
-    fn fault_in_if_hibernated(&mut self, client: u32, at: Nanos, out: &mut WorkerResult) {
+    fn fault_in_if_hibernated(
+        &mut self,
+        client: u32,
+        at: Nanos,
+        out: &mut WorkerResult,
+    ) -> Option<Instant> {
         if !self.manager.is_hibernated(client) {
-            return;
+            return None;
         }
         // lint: determinism -- fault-in wall latency is telemetry only, never decisions
         let t0 = Instant::now();
-        let snap = self
+        let faulted = self
             .manager
-            .fault_in(client, self.pager.as_mut())
-            .expect("session fault-in failed: paged state unusable, refusing to diverge")
-            .expect("hibernated client has a snapshot by manager invariant");
-        let wait_ns = t0.elapsed().as_nanos() as u64;
-        let state = ClientState {
-            session: PipelineSession::restore(self.cfg.pipeline.clone(), snap.state),
-            last_emitted: snap.last_emitted,
-            last_at: at,
-            bytes: 0,
+            .fault_in(client, self.pager.as_mut(), &mut self.scratch)
+            .expect("session fault-in failed: paged state unusable, refusing to diverge");
+        assert!(
+            faulted,
+            "hibernated client has a snapshot by manager invariant"
+        );
+        let mut state = match self.spare.take() {
+            Some(spare) => spare,
+            None => Box::new(ClientState {
+                session: PipelineSession::new(self.cfg.pipeline.clone(), 0),
+                last_emitted: None,
+                last_at: 0,
+                bytes: 0,
+            }),
         };
+        state.session.restore_from(&self.scratch.state);
+        state.last_emitted = self.scratch.last_emitted;
+        state.last_at = at;
+        state.bytes = 0;
         self.map.insert(client, state);
+        // One read ends the span; the same instant stamps `FaultIn`.
+        let wait = t0.elapsed();
+        let wait_ns = wait.as_nanos() as u64;
         out.fault_in_ns.observe(wait_ns as f64);
         self.gauges
             .fault_in_ns
@@ -377,17 +412,22 @@ impl WorkerSessions<'_> {
                 wait_ns,
             });
         }
+        Some(t0 + wait)
     }
 
     /// Retires every victim the manager selects at sim time `now`:
     /// snapshot-and-page-out under [`RetirePolicy::Hibernate`], drop
     /// under [`RetirePolicy::Evict`]. Runs after every processed frame;
-    /// cheap when nobody is due (one ordered-set probe).
-    fn retire_victims(&mut self, now: Nanos, out: &mut WorkerResult) {
+    /// cheap when nobody is due (one ordered-set probe). Returns whether
+    /// any session was paged out.
+    fn retire_victims(&mut self, now: Nanos, out: &mut WorkerResult) -> bool {
         if !self.cfg.hibernation.enabled() {
-            return;
+            return false;
         }
-        for victim in self.manager.victims(now) {
+        let mut victims = std::mem::take(&mut self.victims);
+        self.manager.victims_into(now, &mut victims);
+        let mut paged = false;
+        for &victim in &victims {
             let state = self
                 .map
                 .remove(&victim)
@@ -395,16 +435,15 @@ impl WorkerSessions<'_> {
             self.resident_bytes -= state.bytes as u64;
             match self.cfg.hibernation.policy {
                 RetirePolicy::Hibernate => {
-                    let snap = SessionSnapshot {
-                        client_id: victim,
-                        last_emitted: state.last_emitted,
-                        state: state.session.snapshot(),
-                    };
+                    self.scratch.client_id = victim;
+                    self.scratch.last_emitted = state.last_emitted;
+                    state.session.snapshot_into(&mut self.scratch.state);
                     let bytes = self
                         .manager
-                        .hibernate(&snap, self.pager.as_mut())
+                        .hibernate(&self.scratch, self.pager.as_mut())
                         .expect("session page-out failed: cannot retire without losing state")
                         as u64;
+                    paged = true;
                     if self.cfg.session_events {
                         out.session_events.push(Event::SessionHibernate {
                             at: now,
@@ -416,7 +455,10 @@ impl WorkerSessions<'_> {
                 }
                 RetirePolicy::Evict => self.manager.evict(victim),
             }
+            self.spare = Some(state);
         }
+        self.victims = victims;
+        paged
     }
 
     /// Extracts the client's full session as a [`MigrateParcel`] —
@@ -479,12 +521,12 @@ impl WorkerSessions<'_> {
         self.resident_bytes += bytes_resident as u64;
         let prev = self.map.insert(
             client_id,
-            ClientState {
+            Box::new(ClientState {
                 session,
                 last_emitted: snap.last_emitted,
                 last_at,
                 bytes: bytes_resident,
-            },
+            }),
         );
         assert!(
             prev.is_none(),
@@ -496,7 +538,9 @@ impl WorkerSessions<'_> {
     /// Classifies one frame: faults its session in if hibernated,
     /// observes it, records a decision on a post-warm-up transition,
     /// and retires whatever the frame's sim time makes due. `depth` is
-    /// the queue depth the frame was popped at.
+    /// the queue depth the frame was popped at. A traced frame is marked
+    /// `FaultIn` only when it faulted a session in and `Retire` only
+    /// when its retirement paged one out, and folded after retirement.
     fn serve_frame(
         &mut self,
         mut ticket: Ticket,
@@ -511,11 +555,13 @@ impl WorkerSessions<'_> {
         out.depth.observe(depth as f64);
         out.frames += 1;
         out.last_at = out.last_at.max(frame.at);
-        self.fault_in_if_hibernated(frame.client_id, frame.at, out);
-        let state = self
-            .map
-            .entry(frame.client_id)
-            .or_insert_with(|| ClientState {
+        if let Some(resident) = self.fault_in_if_hibernated(frame.client_id, frame.at, out) {
+            if let Some(trace) = ticket.trace.as_mut() {
+                trace.mark_at(Stage::FaultIn, resident);
+            }
+        }
+        let state = self.map.entry(frame.client_id).or_insert_with(|| {
+            Box::new(ClientState {
                 session: PipelineSession::new(
                     cfg.pipeline.clone(),
                     cfg.session_seed_for(frame.client_id),
@@ -523,7 +569,8 @@ impl WorkerSessions<'_> {
                 last_emitted: None,
                 last_at: 0,
                 bytes: 0,
-            });
+            })
+        });
         let decided = state.session.observe_profile_with(
             frame.at,
             frame.profile(),
@@ -559,7 +606,6 @@ impl WorkerSessions<'_> {
             // lint: determinism -- wall-clock latency telemetry only, never decisions
             let now = Instant::now();
             trace.mark_at(Stage::Decide, now);
-            out.stages.observe_trace(trace);
             if decided.is_some() {
                 out.latency_ns
                     .observe(now.saturating_duration_since(ticket.ingested).as_nanos() as f64);
@@ -570,7 +616,13 @@ impl WorkerSessions<'_> {
         }
         // Retirement runs on the sim clock of the frame just served, so
         // victim choice replays identically run over run.
-        self.retire_victims(frame.at, out);
+        let paged = self.retire_victims(frame.at, out);
+        if let Some(trace) = ticket.trace.as_mut() {
+            if paged {
+                trace.mark(Stage::Retire);
+            }
+            out.stages.observe_trace(trace);
+        }
     }
 
     /// Publishes the current residency picture to the shared gauges
@@ -616,6 +668,9 @@ fn run_worker(
         pager,
         gauges,
         resident_bytes: 0,
+        scratch: SessionSnapshot::default(),
+        spare: None,
+        victims: Vec::new(),
     };
     let mut out = WorkerResult {
         decisions: Vec::new(),
@@ -1356,8 +1411,50 @@ mod tests {
         ] {
             assert_eq!(r_traced.stages.get(stage).count(), traces, "{stage:?}");
         }
-        // No recorder attached, so the record stage never fired.
-        assert_eq!(r_traced.stages.get(Stage::Record).count(), 0);
+        // No recorder attached, so the record stage never fired, and a
+        // resident run pages nothing in or out.
+        for stage in [Stage::Record, Stage::FaultIn, Stage::Retire] {
+            assert_eq!(r_traced.stages.get(stage).count(), 0, "{stage:?}");
+        }
+    }
+
+    #[test]
+    fn traced_thrashing_run_attributes_fault_in_and_retire() {
+        let fleet = small_fleet();
+        let thrash = ServeConfig {
+            hibernation: HibernationConfig {
+                idle_after: Some(25 * MILLISECOND),
+                max_hot: Some(2),
+                policy: RetirePolicy::Hibernate,
+            },
+            ..ServeConfig::default()
+        };
+        let traced = ServeConfig {
+            stage_sampling: 1,
+            ..thrash.clone()
+        };
+        let (d_plain, r_plain) = serve_streams(&thrash, &fleet.streams, None, &mut NoopSink);
+        let (d_traced, r_traced) = serve_streams(&traced, &fleet.streams, None, &mut NoopSink);
+        assert_eq!(
+            decision_log_csv(&d_plain),
+            decision_log_csv(&d_traced),
+            "tracing the residency cycle must not perturb decisions"
+        );
+        assert_eq!(r_plain.stages.traces(), 0);
+        assert_eq!(r_traced.sessions, r_plain.sessions);
+        // Every frame is traced: each fault-in is one `FaultIn` mark,
+        // and each frame whose retirement paged out is one `Retire`.
+        let stages = &r_traced.stages;
+        assert_eq!(stages.traces(), fleet.total_frames());
+        assert_eq!(
+            stages.get(Stage::FaultIn).count(),
+            r_traced.sessions.restored
+        );
+        let retires = stages.get(Stage::Retire).count();
+        assert!(retires > 0 && retires <= r_traced.sessions.hibernated);
+        for stage in [Stage::Dequeue, Stage::Classify, Stage::Decide] {
+            assert_eq!(stages.get(stage).count(), fleet.total_frames(), "{stage:?}");
+        }
     }
 
     #[test]

@@ -26,14 +26,24 @@
 //! the corruption proptests pin exactly that. Decoding is total:
 //! truncated, oversized, or corrupt input yields a [`SnapshotError`],
 //! never a panic and never a silently-divergent restore.
+//!
+//! Each direction has one implementation that reuses buffers, because
+//! the shard worker runs it on nearly every frame when far more clients
+//! are associated than active:
+//! [`encode_into`](SessionSnapshot::encode_into) writes the header with
+//! a zero length, then the body, then patches the length and appends
+//! the CRC, all in the caller's buffer; and
+//! [`decode_into`](SessionSnapshot::decode_into) overwrites a caller's
+//! snapshot in place, vectors included, after the same checks.
+//! [`encode`](SessionSnapshot::encode) and
+//! [`decode`](SessionSnapshot::decode) are owned-value wrappers over
+//! them, producing the same bytes and values.
 
-use mobisense_core::classifier::{Classification, ClassifierState};
+use mobisense_core::classifier::Classification;
 use mobisense_core::pipeline::SessionState;
-use mobisense_core::similarity::SimilarityState;
 use mobisense_mobility::{Direction, MobilityMode};
-use mobisense_phy::tof::{TofMeasurement, TofSamplerState};
-use mobisense_util::crc::{crc32, Crc32};
-use mobisense_util::rng::DetRngState;
+use mobisense_phy::tof::TofMeasurement;
+use mobisense_util::crc::crc32;
 use mobisense_util::units::Nanos;
 
 /// Snapshot magic: `"MSSP"` little-endian (MobiSense Session Page),
@@ -54,7 +64,7 @@ const MAX_ELEMS: usize = 1 << 20;
 
 /// A full per-client session snapshot: the pipeline state plus the
 /// serving layer's decision-suppression register.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SessionSnapshot {
     /// The client this snapshot belongs to.
     pub client_id: u32,
@@ -162,27 +172,50 @@ impl SessionSnapshot {
     /// configuration) is reported as [`SnapshotError::FieldTooLong`],
     /// never a panic.
     pub fn encode(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut body = Vec::with_capacity(256);
-        encode_body(self, &mut body)?;
-        if body.len() > MAX_BODY_LEN {
-            return Err(SnapshotError::BodyTooLong { len: body.len() });
-        }
-        let mut out = Vec::with_capacity(OVERHEAD + body.len());
-        out.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
+        let mut out = Vec::new();
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`encode`](Self::encode) into a reused buffer, replacing its
+    /// contents: the header goes out with a zero length, the body
+    /// follows, then the length is patched and the CRC appended. One
+    /// buffer, no intermediate body copy. On error `out` holds a partial
+    /// encoding and must not be used.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        out.clear();
+        put_u32(out, SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_CODEC_VERSION.to_le_bytes());
         out.extend_from_slice(&0u16.to_le_bytes());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        let mut crc = Crc32::new();
-        crc.update(&out);
-        out.extend_from_slice(&crc.finish().to_le_bytes());
-        Ok(out)
+        put_u32(out, 0); // body length, patched below
+        encode_body(self, out)?;
+        let body_len = out.len() - SNAPSHOT_HEADER_LEN;
+        if body_len > MAX_BODY_LEN {
+            return Err(SnapshotError::BodyTooLong { len: body_len });
+        }
+        if let Some(len_field) = out.get_mut(8..SNAPSHOT_HEADER_LEN) {
+            len_field.copy_from_slice(&(body_len as u32).to_le_bytes());
+        }
+        let crc = crc32(out);
+        put_u32(out, crc);
+        Ok(())
     }
 
     /// Decodes a buffer holding exactly one snapshot. Total: every
     /// malformation — truncation, surplus bytes, any single bit flip —
     /// yields a typed error.
     pub fn decode(buf: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
+        let mut snap = SessionSnapshot::default();
+        SessionSnapshot::decode_into(buf, &mut snap)?;
+        Ok(snap)
+    }
+
+    /// [`decode`](Self::decode) into a reused snapshot: every field of
+    /// `into` is overwritten and its vectors keep their allocations, so
+    /// whatever `into` held before cannot survive a successful decode.
+    /// Runs every check `decode` runs. On error `into` holds a partial
+    /// decode and must not be used.
+    pub fn decode_into(buf: &[u8], into: &mut SessionSnapshot) -> Result<(), SnapshotError> {
         if buf.len() < OVERHEAD {
             return Err(SnapshotError::Truncated {
                 needed: OVERHEAD,
@@ -228,20 +261,20 @@ impl SessionSnapshot {
         if expected != got {
             return Err(SnapshotError::BadCrc { expected, got });
         }
-        let body = buf
-            .get(SNAPSHOT_HEADER_LEN..SNAPSHOT_HEADER_LEN + body_len)
+        let body = sealed
+            .get(SNAPSHOT_HEADER_LEN..)
             .ok_or(SnapshotError::Truncated {
                 needed: total,
                 got: buf.len(),
             })?;
         let mut r = Reader { buf: body, pos: 0 };
-        let snap = decode_body(&mut r)?;
+        decode_body_into(&mut r, into)?;
         if r.pos != body.len() {
             return Err(SnapshotError::TrailingBytes {
                 extra: body.len() - r.pos,
             });
         }
-        Ok(snap)
+        Ok(())
     }
 
     /// Reads the client id out of an encoded snapshot without decoding
@@ -442,13 +475,17 @@ impl Reader<'_> {
         Ok(len)
     }
 
-    fn f64s(&mut self, field: &'static str) -> Result<Vec<f64>, SnapshotError> {
+    /// Reads a length-prefixed `f64` vector into `out`, replacing its
+    /// contents. The reservation is capped so a corrupt length cannot
+    /// drive a giant allocation before truncation is noticed.
+    fn f64s_into(&mut self, field: &'static str, out: &mut Vec<f64>) -> Result<(), SnapshotError> {
         let len = self.len(field)?;
-        let mut out = Vec::with_capacity(len.min(1024));
+        out.clear();
+        out.reserve(len.min(1024));
         for _ in 0..len {
             out.push(self.f64()?);
         }
-        Ok(out)
+        Ok(())
     }
 
     fn tag(&mut self, field: &'static str) -> Result<bool, SnapshotError> {
@@ -509,31 +546,45 @@ impl Reader<'_> {
     }
 }
 
-fn decode_body(r: &mut Reader<'_>) -> Result<SessionSnapshot, SnapshotError> {
-    let client_id = r.u32()?;
-    let last_emitted = r.opt_classification("last_emitted")?;
+fn decode_body_into(r: &mut Reader<'_>, snap: &mut SessionSnapshot) -> Result<(), SnapshotError> {
+    snap.client_id = r.u32()?;
+    snap.last_emitted = r.opt_classification("last_emitted")?;
 
+    // Classifier: similarity tracker.
+    let cl = &mut snap.state.classifier;
+    let sim = &mut cl.similarity;
     let recent_len = r.len("similarity.recent")?;
-    let mut recent = Vec::with_capacity(recent_len.min(16));
-    for _ in 0..recent_len {
-        let at = r.u64()?;
-        let profile = r.f64s("similarity.recent.profile")?;
-        recent.push((at, profile));
+    sim.recent.truncate(recent_len);
+    for i in 0..recent_len {
+        let at: Nanos = r.u64()?;
+        match sim.recent.get_mut(i) {
+            Some((slot_at, profile)) => {
+                *slot_at = at;
+                r.f64s_into("similarity.recent.profile", profile)?;
+            }
+            None => {
+                let mut profile = Vec::new();
+                r.f64s_into("similarity.recent.profile", &mut profile)?;
+                sim.recent.push((at, profile));
+            }
+        }
     }
-    let last_profile = if r.tag("similarity.last_profile")? {
-        Some(r.f64s("similarity.last_profile")?)
+    if r.tag("similarity.last_profile")? {
+        let profile = sim.last_profile.get_or_insert_with(Vec::new);
+        r.f64s_into("similarity.last_profile", profile)?;
     } else {
-        None
-    };
-    let next_sample_at = r.opt_u64("similarity.next_sample_at")?;
-    let last_similarity = r.opt_f64("similarity.last_similarity")?;
-    let avg = r.f64s("similarity.avg")?;
+        sim.last_profile = None;
+    }
+    sim.next_sample_at = r.opt_u64("similarity.next_sample_at")?;
+    sim.last_similarity = r.opt_f64("similarity.last_similarity")?;
+    r.f64s_into("similarity.avg", &mut sim.avg)?;
 
-    let trend_samples = r.f64s("trend_samples")?;
-    let tof_active = r.tag("tof_active")?;
-    let current = r.opt_classification("current")?;
-    let decisions = r.u64()?;
-    let last_trend = if r.tag("last_trend")? {
+    // Classifier: trend window and Figure-5 registers.
+    r.f64s_into("trend_samples", &mut cl.trend_samples)?;
+    cl.tof_active = r.tag("tof_active")?;
+    cl.current = r.opt_classification("current")?;
+    cl.decisions = r.u64()?;
+    cl.last_trend = if r.tag("last_trend")? {
         let at: Nanos = r.u64()?;
         match r.opt_direction("last_trend.direction")? {
             Some(d) => Some((at, d)),
@@ -548,60 +599,30 @@ fn decode_body(r: &mut Reader<'_>) -> Result<SessionSnapshot, SnapshotError> {
         None
     };
 
-    let mut key = [0u32; 8];
-    for k in &mut key {
+    // ToF sampler.
+    let tof = &mut snap.state.tof;
+    for k in &mut tof.rng.key {
         *k = r.u32()?;
     }
-    let counter = r.u64()?;
-    let index = r.u8()?;
-    let gauss_spare = r.opt_f64("rng.gauss_spare")?;
-    let tof_next_sample_at = r.u64()?;
-    let period_end = r.u64()?;
-    let batch = r.f64s("tof.batch")?;
+    tof.rng.counter = r.u64()?;
+    tof.rng.index = r.u8()?;
+    tof.rng.gauss_spare = r.opt_f64("rng.gauss_spare")?;
+    tof.next_sample_at = r.u64()?;
+    tof.period_end = r.u64()?;
+    r.f64s_into("tof.batch", &mut tof.batch)?;
     let history_len = r.len("tof.history")?;
-    let mut history = Vec::with_capacity(history_len.min(1024));
+    tof.history.clear();
+    tof.history.reserve(history_len.min(1024));
     for _ in 0..history_len {
         let at = r.u64()?;
         let cycles = r.f64()?;
-        history.push(TofMeasurement { at, cycles });
+        tof.history.push(TofMeasurement { at, cycles });
     }
-
-    Ok(SessionSnapshot {
-        client_id,
-        last_emitted,
-        state: SessionState {
-            classifier: ClassifierState {
-                similarity: SimilarityState {
-                    recent,
-                    last_profile,
-                    next_sample_at,
-                    last_similarity,
-                    avg,
-                },
-                trend_samples,
-                tof_active,
-                current,
-                decisions,
-                last_trend,
-            },
-            tof: TofSamplerState {
-                rng: DetRngState {
-                    key,
-                    counter,
-                    index,
-                    gauss_spare,
-                },
-                next_sample_at: tof_next_sample_at,
-                period_end,
-                batch,
-                history,
-            },
-        },
-    })
+    Ok(())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mobisense_core::pipeline::{PipelineConfig, PipelineSession};
     use mobisense_core::Scenario;
@@ -682,11 +703,13 @@ mod tests {
         let mut original = PipelineSession::new(cfg.clone(), 5);
         let mut sc_a = Scenario::new(ScenarioKind::Micro, 5);
         let mut sc_b = Scenario::new(ScenarioKind::Micro, 5);
+        let mut sc_c = Scenario::new(ScenarioKind::Micro, 5);
         let mut t = 0;
         while t <= 8 * SECOND {
             let o = sc_a.observe(t);
             original.observe(t, &o.csi, o.distance_m);
             sc_b.observe(t);
+            sc_c.observe(t);
             t += cfg.step;
         }
         let snap = SessionSnapshot {
@@ -696,16 +719,62 @@ mod tests {
         };
         let bytes = snap.encode().expect("encodes");
         let back = SessionSnapshot::decode(&bytes).expect("decodes");
+        // The worker's recycled path: a session that served another
+        // client (a walk, so every window is full of foreign state)
+        // restored in place from the decoded snapshot.
+        let mut recycled = PipelineSession::new(cfg.clone(), 77);
+        let mut sc_other = Scenario::new(ScenarioKind::MacroAway, 77);
+        let mut u = 0;
+        while u <= 12 * SECOND {
+            let o = sc_other.observe(u);
+            recycled.observe(u, &o.csi, o.distance_m);
+            u += cfg.step;
+        }
+        assert_ne!(recycled.snapshot(), back.state);
+        recycled.restore_from(&back.state);
+        assert_eq!(recycled.snapshot(), back.state);
         let mut restored = PipelineSession::restore(cfg, back.state);
+        let mut decisions = 0;
         while t <= 20 * SECOND {
             let oa = sc_a.observe(t);
             let ob = sc_b.observe(t);
-            assert_eq!(
-                original.observe(t, &oa.csi, oa.distance_m),
-                restored.observe(t, &ob.csi, ob.distance_m),
-            );
+            let oc = sc_c.observe(t);
+            let want = original.observe(t, &oa.csi, oa.distance_m);
+            assert_eq!(want, restored.observe(t, &ob.csi, ob.distance_m));
+            assert_eq!(want, recycled.observe(t, &oc.csi, oc.distance_m), "at {t}");
+            decisions += usize::from(want.is_some());
             t += original.config().step;
         }
+        assert!(decisions > 0);
+    }
+
+    /// FNV-1a 64 of a byte string: a compact fingerprint for pinning an
+    /// encoding.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn encode_into_a_dirty_buffer_matches_encode_and_the_pinned_bytes() {
+        let busy = busy_snapshot();
+        let owned = busy.encode().expect("encodes");
+        // Longer and shorter than the encoding, full of stale bytes.
+        for dirty_len in [3 * owned.len(), 7] {
+            let mut buf = vec![0xA5; dirty_len];
+            busy.encode_into(&mut buf).expect("encodes");
+            assert_eq!(buf, owned, "dirty buffer of {dirty_len} bytes");
+        }
+        // Codec version 1 bytes, as encoded before buffers were reused
+        // (the snapshot comes from a simulated walk, so a change to the
+        // PHY simulator's numerics moves this pin too).
+        assert_eq!(owned.len(), 2094);
+        assert_eq!(fnv1a64(&owned), 0x9991_ceaa_b76c_88cc);
+        assert_eq!(
+            owned.get(owned.len() - 4..),
+            Some(&0x4116_9900u32.to_le_bytes()[..])
+        );
     }
 
     #[test]
@@ -825,6 +894,60 @@ mod tests {
         ) {
             let data: Vec<u8> = seeds.iter().map(|&s| (s % 256) as u8).collect();
             let _ = SessionSnapshot::decode(&data);
+        }
+
+        /// Decoding into a snapshot that held *more* than the source —
+        /// more smoothing profiles, a longer ToF history and batch, and
+        /// `Some` where the source has `None` — equals a fresh decode:
+        /// no stale field survives the recycled fault-in path.
+        #[test]
+        fn decode_into_a_dirty_snapshot_equals_decode(
+            sizes in (0usize..3, 0usize..4),
+            extra in (1usize..4, 0u8..7),
+            seed in 0u64..1_000,
+            values in proptest::collection::vec(-100.0..100.0f64, 0..6),
+        ) {
+            let ((n_recent, n_tof), (more, some_mask)) = (sizes, extra);
+            let value = |i: usize| values.get(i % values.len().max(1)).copied().unwrap_or(1.5);
+            let mut source = SessionSnapshot {
+                client_id: seed as u32,
+                last_emitted: None,
+                state: PipelineSession::new(PipelineConfig::default(), seed).snapshot(),
+            };
+            let sim = &mut source.state.classifier.similarity;
+            sim.recent = (0..n_recent).map(|i| (i as u64, vec![value(i); 1 + i])).collect();
+            source.state.tof.batch = (0..n_tof).map(value).collect();
+            source.state.tof.history = (0..n_tof)
+                .map(|i| TofMeasurement { at: i as u64, cycles: value(i + 1) })
+                .collect();
+
+            let mut dirty = SessionSnapshot::decode(busy_bytes()).expect("decodes");
+            let target = &mut dirty.state;
+            target.classifier.similarity.recent = (0..n_recent + more)
+                .map(|i| (100 + i as u64, vec![-value(i); 52]))
+                .collect();
+            target.tof.batch = vec![-7.0; n_tof + more];
+            target.tof.history.truncate(n_tof);
+            while target.tof.history.len() < n_tof + more {
+                target.tof.history.push(TofMeasurement { at: 9, cycles: -9.0 });
+            }
+            // Always `Some` in at least one of the three optionals the
+            // source leaves `None`; `some_mask` picks which others too.
+            target.classifier.similarity.last_profile =
+                (some_mask & 1 == 0).then(|| vec![3.0; 52]);
+            target.tof.rng.gauss_spare = (some_mask & 2 == 0).then_some(0.25);
+            target.classifier.last_trend = (some_mask & 4 == 0)
+                .then_some((5, Direction::Away));
+            proptest::prop_assert!(
+                source.state.classifier.similarity.last_profile.is_none()
+                    && source.state.tof.rng.gauss_spare.is_none()
+                    && source.state.classifier.last_trend.is_none()
+            );
+
+            let bytes = source.encode().expect("encodes");
+            SessionSnapshot::decode_into(&bytes, &mut dirty).expect("decodes");
+            proptest::prop_assert_eq!(&dirty, &SessionSnapshot::decode(&bytes).expect("decodes"));
+            proptest::prop_assert_eq!(dirty, source);
         }
 
         /// Round-trip over randomly parameterised (but structurally

@@ -9,14 +9,24 @@
 //! replicas replaying the same frame stream retire the same clients at
 //! the same instants (a prerequisite for the golden-replay tests).
 //!
-//! The manager does not own session state; the worker does. The flow is:
+//! The manager does not own session state; the worker does. The flow,
+//! with the buffer each step writes into, is:
 //!
 //! ```text
-//!   worker tick ──► victims(now) ──► for each: session.snapshot()
-//!                                       └─► manager.hibernate(snap, pager)
-//!   frame for hibernated client ──► manager.fault_in(id, pager)
-//!                                       └─► PipelineSession::restore(...)
+//!   worker tick ──► victims_into(now, &mut victims)          worker's Vec<u32>
+//!     for each ──► session.snapshot_into(&mut scratch.state) worker's SessionSnapshot
+//!             └──► manager.hibernate(&scratch, pager)        manager's encode buffer
+//!                    └─► pager.page_out(id, &buf)            pager's exact-size page
+//!   frame for hibernated client
+//!          ──► manager.fault_in(id, pager, &mut scratch)     page decoded in place
+//!             └──► spare.session.restore_from(&scratch.state) last victim's session
 //! ```
+//!
+//! One hibernate → fault-in cycle therefore copies the session state
+//! once in each direction and allocates only the pager's page: the
+//! encode buffer, the scratch snapshot and the victim list are reused,
+//! and [`SessionSnapshot::encode`] / [`SessionSnapshot::decode`] stay
+//! as owned-value wrappers for migration parcels and the store.
 //!
 //! Storage is abstracted behind [`SnapshotPager`]: [`MemoryPager`] here
 //! for tests and memory-only deployments, and the trace store's
@@ -80,7 +90,9 @@ impl From<SnapshotError> for PageError {
 }
 
 /// In-memory snapshot storage: the reference [`SnapshotPager`] used by
-/// tests and memory-only deployments.
+/// tests and memory-only deployments. Every page is copied into a `Vec`
+/// of exactly its length, so tens of thousands of hibernated sessions
+/// carry no slack capacity.
 #[derive(Debug, Default)]
 pub struct MemoryPager {
     pages: BTreeMap<u32, Vec<u8>>,
@@ -190,6 +202,9 @@ pub struct HibernationManager {
     /// Clients whose snapshot currently lives in the pager.
     hibernated: BTreeSet<u32>,
     stats: HibernationStats,
+    /// Reused encode buffer: every page-out encodes here and the pager
+    /// copies the bytes out.
+    page: Vec<u8>,
 }
 
 impl HibernationManager {
@@ -201,6 +216,7 @@ impl HibernationManager {
             lru: BTreeSet::new(),
             hibernated: BTreeSet::new(),
             stats: HibernationStats::default(),
+            page: Vec::new(),
         }
     }
 
@@ -211,7 +227,12 @@ impl HibernationManager {
 
     /// Records activity for a hot client at `now`. Call once per
     /// processed frame, after any needed [`fault_in`](Self::fault_in).
+    /// A no-op when no retirement trigger is configured: nothing would
+    /// ever read the recency order.
     pub fn touch(&mut self, client: u32, now: Nanos) {
+        if !self.cfg.enabled() {
+            return;
+        }
         if let Some(prev) = self.last_touch.insert(client, now) {
             self.lru.remove(&(prev, client));
         }
@@ -223,7 +244,8 @@ impl HibernationManager {
         self.hibernated.contains(&client)
     }
 
-    /// Number of clients currently tracked as hot.
+    /// Number of clients currently tracked as hot (always 0 when
+    /// retirement is disabled, since nothing is tracked then).
     pub fn hot_count(&self) -> usize {
         self.last_touch.len()
     }
@@ -245,6 +267,15 @@ impl HibernationManager {
     /// [`hibernate`](Self::hibernate) or [`evict`](Self::evict).
     pub fn victims(&self, now: Nanos) -> Vec<u32> {
         let mut out = Vec::new();
+        self.victims_into(now, &mut out);
+        out
+    }
+
+    /// [`victims`](Self::victims) into a reused buffer, replacing its
+    /// contents — the worker asks after every frame, so the usual empty
+    /// answer costs one ordered-set probe and no allocation.
+    pub fn victims_into(&self, now: Nanos, out: &mut Vec<u32>) {
+        out.clear();
         let mut remaining = self.last_touch.len();
         for &(at, client) in &self.lru {
             let idle = self
@@ -260,57 +291,62 @@ impl HibernationManager {
             out.push(client);
             remaining -= 1;
         }
-        out
     }
 
     /// Pages the session's snapshot out and moves the client from the
-    /// hot set to the hibernated set. Returns the encoded size. On
-    /// error nothing changes: the client stays hot and the worker keeps
-    /// its session.
+    /// hot set to the hibernated set. Returns the encoded size. The
+    /// snapshot is encoded into the manager's own reused buffer, which
+    /// the pager copies from. On error nothing changes: the client
+    /// stays hot and the worker keeps its session.
     pub fn hibernate(
         &mut self,
         snap: &SessionSnapshot,
         pager: &mut dyn SnapshotPager,
     ) -> Result<usize, PageError> {
-        let bytes = snap.encode()?;
-        pager.page_out(snap.client_id, &bytes)?;
+        snap.encode_into(&mut self.page)?;
+        pager.page_out(snap.client_id, &self.page)?;
         self.drop_hot(snap.client_id);
         self.hibernated.insert(snap.client_id);
         self.stats.hibernated += 1;
-        Ok(bytes.len())
+        Ok(self.page.len())
     }
 
     /// Drops a client from the hot set without a snapshot (the
-    /// [`RetirePolicy::Evict`] arm, and the explicit idle-eviction hook
-    /// the serving layer exposes even with hibernation disabled).
+    /// [`RetirePolicy::Evict`] arm). Counts nothing for a client that
+    /// is not tracked as hot — which, with no retirement trigger
+    /// configured, is every client.
     pub fn evict(&mut self, client: u32) {
         if self.drop_hot(client) {
             self.stats.evicted += 1;
         }
     }
 
-    /// Brings a hibernated client's snapshot back: pages it in, decodes
-    /// it, and returns it for the worker to
-    /// [`PipelineSession::restore`]. Returns `Ok(None)` when the client
-    /// is not hibernated (the common case — a hot client's frame).
+    /// Brings a hibernated client's snapshot back: pages it in and
+    /// decodes it into `into` (overwriting every field, reusing its
+    /// vectors) for the worker to
+    /// [`PipelineSession::restore_from`]. Returns `Ok(false)`, leaving
+    /// `into` untouched, when the client is not hibernated (the common
+    /// case — a hot client's frame). On error the client stays
+    /// hibernated and `into` must not be used.
     ///
     /// The caller must [`touch`](Self::touch) the client afterwards to
     /// re-enter it into the hot set.
     ///
-    /// [`PipelineSession::restore`]: mobisense_core::pipeline::PipelineSession::restore
+    /// [`PipelineSession::restore_from`]: mobisense_core::pipeline::PipelineSession::restore_from
     pub fn fault_in(
         &mut self,
         client: u32,
         pager: &mut dyn SnapshotPager,
-    ) -> Result<Option<SessionSnapshot>, PageError> {
+        into: &mut SessionSnapshot,
+    ) -> Result<bool, PageError> {
         if !self.hibernated.contains(&client) {
-            return Ok(None);
+            return Ok(false);
         }
-        let bytes = pager.page_in(client)?.ok_or(PageError::Missing(client))?;
-        let snap = SessionSnapshot::decode(&bytes)?;
+        let page = pager.page_in(client)?.ok_or(PageError::Missing(client))?;
+        SessionSnapshot::decode_into(&page, into)?;
         self.hibernated.remove(&client);
         self.stats.restored += 1;
-        Ok(Some(snap))
+        Ok(true)
     }
 
     /// Forgets a client entirely (disconnect): removed from the hot and
@@ -362,6 +398,50 @@ mod tests {
             mgr.touch(c, 0);
         }
         assert!(mgr.victims(u64::MAX).is_empty());
+    }
+
+    #[test]
+    fn disabled_manager_tracks_nothing_and_selects_no_victims() {
+        let mut mgr = HibernationManager::new(HibernationConfig::default());
+        for c in 0..10 {
+            mgr.touch(c, c as Nanos);
+        }
+        assert_eq!(mgr.hot_count(), 0, "touch is a no-op without a trigger");
+        assert!(mgr.last_touch.is_empty() && mgr.lru.is_empty());
+        let mut victims = vec![99];
+        mgr.victims_into(u64::MAX, &mut victims);
+        assert!(victims.is_empty());
+    }
+
+    #[test]
+    fn victims_into_replaces_a_dirty_buffer() {
+        let mut mgr = HibernationManager::new(idle_cfg(5 * SECOND));
+        mgr.touch(3, SECOND);
+        mgr.touch(1, 2 * SECOND);
+        let mut victims = vec![7, 8, 9];
+        mgr.victims_into(7 * SECOND, &mut victims);
+        assert_eq!(victims, mgr.victims(7 * SECOND));
+        assert_eq!(victims, vec![3, 1]);
+    }
+
+    #[test]
+    fn memory_pager_stores_pages_at_exact_length() {
+        // The manager encodes into a reused buffer with slack capacity;
+        // the pager must not keep that slack per hibernated session.
+        let mut mgr = HibernationManager::new(idle_cfg(SECOND));
+        let mut pager = MemoryPager::new();
+        let busy = crate::codec::tests::busy_snapshot();
+        mgr.touch(busy.client_id, 0);
+        mgr.hibernate(&busy, &mut pager).expect("pages out");
+        for c in 0..4 {
+            mgr.touch(c, 0);
+            mgr.hibernate(&snap_for(c), &mut pager).expect("pages out");
+        }
+        assert!(mgr.page.capacity() > snap_for(0).encode().expect("encodes").len());
+        assert_eq!(pager.len(), 5);
+        for page in pager.pages.values() {
+            assert_eq!(page.capacity(), page.len());
+        }
     }
 
     #[test]
@@ -421,8 +501,10 @@ mod tests {
         assert_eq!(pager.len(), 1);
         assert_eq!(pager.stored_bytes(), n);
 
-        let back = mgr.fault_in(42, &mut pager).expect("pages in");
-        assert_eq!(back, Some(snap));
+        let mut back = SessionSnapshot::default();
+        let faulted = mgr.fault_in(42, &mut pager, &mut back).expect("pages in");
+        assert!(faulted);
+        assert_eq!(back, snap);
         assert_eq!(mgr.hibernated_count(), 0);
         assert!(pager.is_empty());
         assert_eq!(
@@ -440,7 +522,13 @@ mod tests {
         let mut mgr = HibernationManager::new(idle_cfg(SECOND));
         let mut pager = MemoryPager::new();
         mgr.touch(7, 0);
-        assert_eq!(mgr.fault_in(7, &mut pager), Ok(None));
+        let mut into = snap_for(3);
+        assert_eq!(mgr.fault_in(7, &mut pager, &mut into), Ok(false));
+        assert_eq!(
+            into,
+            snap_for(3),
+            "a hot client's fault-in leaves the target alone"
+        );
         assert_eq!(mgr.stats().restored, 0);
     }
 
@@ -452,7 +540,10 @@ mod tests {
         mgr.hibernate(&snap_for(5), &mut pager).expect("pages out");
         // Simulate a lost page.
         pager.page_in(5).expect("drains");
-        assert_eq!(mgr.fault_in(5, &mut pager), Err(PageError::Missing(5)));
+        assert_eq!(
+            mgr.fault_in(5, &mut pager, &mut SessionSnapshot::default()),
+            Err(PageError::Missing(5))
+        );
         // The split-brain is visible, not papered over.
         assert!(mgr.is_hibernated(5));
     }
@@ -468,7 +559,7 @@ mod tests {
         bytes[20] ^= 0x10;
         pager.page_out(6, &bytes).expect("re-pages");
         assert!(matches!(
-            mgr.fault_in(6, &mut pager),
+            mgr.fault_in(6, &mut pager, &mut SessionSnapshot::default()),
             Err(PageError::Codec(SnapshotError::BadCrc { .. }))
         ));
     }

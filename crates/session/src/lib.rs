@@ -28,7 +28,8 @@
 //! * [`codec`] — the `"MSSP"` byte format: magic, version, length
 //!   prefix, CRC-32 seal over header + body, total parser with typed
 //!   [`codec::SnapshotError`]s. Any single bit flip or truncation is
-//!   detected; there is no silently divergent restore.
+//!   detected; there is no silently divergent restore. Encoding and
+//!   decoding work in place on reused buffers.
 //! * [`hibernate`] — [`hibernate::HibernationManager`]: deterministic
 //!   idle/LRU victim selection over a [`hibernate::SnapshotPager`]
 //!   backend (in-memory here; the trace store implements the trait in

@@ -289,10 +289,15 @@ mod tests {
                 .expect("disk hibernate");
         }
         assert_eq!(mem_mgr.hibernated_count(), disk_mgr.hibernated_count());
+        let (mut a, mut b) = (SessionSnapshot::default(), SessionSnapshot::default());
         for client in [3u32, 4, 5] {
-            let a = mem_mgr.fault_in(client, &mut mem).expect("mem fault");
-            let b = disk_mgr.fault_in(client, &mut disk).expect("disk fault");
-            assert_eq!(a, b, "client {client} restored differently");
+            let fa = mem_mgr
+                .fault_in(client, &mut mem, &mut a)
+                .expect("mem fault");
+            let fb = disk_mgr
+                .fault_in(client, &mut disk, &mut b)
+                .expect("disk fault");
+            assert_eq!((fa, &a), (fb, &b), "client {client} restored differently");
         }
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! A [`StageTrace`] is a fixed-size array of wall-clock timestamps, one
 //! per pipeline stage, stamped as a frame moves ingest → record →
-//! enqueue → dequeue → classify → decide. Traces are sampled 1-in-N by
+//! enqueue → dequeue → fault-in → classify → decide → retire. Fault-in
+//! and retire are marked only on frames that paged a session in or out,
+//! so resident frames leave both slots empty. Traces are sampled 1-in-N by
 //! a [`Sampler`] so the hot path pays only a counter increment for the
 //! other N−1 frames, and folded into [`StageHistograms`] (per-stage
 //! fixed-bucket histograms over [`SPAN_NS_BUCKETS`]) by each shard
@@ -19,7 +21,7 @@ use std::time::Instant;
 use crate::metrics::{Histogram, Registry, SPAN_NS_BUCKETS};
 
 /// Number of traced pipeline stages.
-pub const N_STAGES: usize = 6;
+pub const N_STAGES: usize = 8;
 
 /// One stage of the serving pipeline, in chronological order.
 ///
@@ -37,10 +39,16 @@ pub enum Stage {
     Enqueue = 2,
     /// A shard worker popped the frame off the queue.
     Dequeue = 3,
+    /// The client's hibernated session was paged in, decoded and
+    /// restored (marked only on frames that faulted a session in).
+    FaultIn = 4,
     /// The mobility classifier consumed the frame's profile.
-    Classify = 4,
+    Classify = 5,
     /// A mode-transition decision was published for the frame.
-    Decide = 5,
+    Decide = 6,
+    /// Retirement after the frame paged at least one session out
+    /// (marked only then).
+    Retire = 7,
 }
 
 impl Stage {
@@ -50,8 +58,10 @@ impl Stage {
         Stage::Record,
         Stage::Enqueue,
         Stage::Dequeue,
+        Stage::FaultIn,
         Stage::Classify,
         Stage::Decide,
+        Stage::Retire,
     ];
 
     /// Position in the fixed timestamp array.
@@ -67,8 +77,10 @@ impl Stage {
             Stage::Record => "record",
             Stage::Enqueue => "enqueue",
             Stage::Dequeue => "dequeue",
+            Stage::FaultIn => "fault_in",
             Stage::Classify => "classify",
             Stage::Decide => "decide",
+            Stage::Retire => "retire",
         }
     }
 }
@@ -82,8 +94,10 @@ pub const STAGE_HIST_NAMES: [&str; N_STAGES] = [
     "stage.record",
     "stage.enqueue",
     "stage.queue_wait",
+    "stage.fault_in",
     "stage.classify",
     "stage.decide",
+    "stage.retire",
 ];
 
 /// Per-frame stage timestamps: one wall-clock origin plus elapsed
@@ -287,6 +301,45 @@ mod tests {
             h.get(Stage::Ingest).sum(),
             t.mark_ns(Stage::Classify).expect("marked") as f64
         );
+    }
+
+    #[test]
+    fn fault_in_and_retire_sit_between_the_worker_stages() {
+        let mut t = StageTrace::start();
+        for s in [
+            Stage::Dequeue,
+            Stage::FaultIn,
+            Stage::Classify,
+            Stage::Decide,
+            Stage::Retire,
+        ] {
+            t.mark(s);
+        }
+        let mut h = StageHistograms::new();
+        h.observe_trace(&t);
+        for s in Stage::ALL {
+            assert_eq!(
+                h.get(s).count(),
+                u64::from(s != Stage::Record && s != Stage::Enqueue)
+            );
+        }
+        // Classify measures from fault-in, and the total ends at retire.
+        let ns = |s| t.mark_ns(s).expect("marked") as f64;
+        assert_eq!(
+            h.get(Stage::Classify).sum(),
+            ns(Stage::Classify) - ns(Stage::FaultIn)
+        );
+        assert_eq!(h.get(Stage::Ingest).sum(), ns(Stage::Retire));
+        let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "ingest", "record", "enqueue", "dequeue", "fault_in", "classify", "decide",
+                "retire"
+            ]
+        );
+        assert_eq!(STAGE_HIST_NAMES[Stage::FaultIn.index()], "stage.fault_in");
+        assert_eq!(STAGE_HIST_NAMES[Stage::Retire.index()], "stage.retire");
     }
 
     #[test]

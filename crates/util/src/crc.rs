@@ -4,20 +4,24 @@
 //! This lives in the foundation crate so that every on-disk and
 //! on-the-wire format in the workspace (store segments, session
 //! snapshots) shares a single audited checksum. The update uses
-//! **slicing-by-8**: eight 256-entry tables built in a `const fn`,
-//! consuming one 8-byte chunk per iteration instead of one byte, which
-//! keeps the record path from being checksum-bound now that the flight
-//! recorder checksums every served frame inline. A byte-at-a-time loop
-//! (table 0 only) handles the unaligned tail.
+//! **slicing-by-16**: sixteen 256-entry tables (16 KiB) built in a
+//! `const fn`, consuming one 16-byte chunk per iteration instead of one
+//! byte. The flight recorder checksums every served frame inline, and a
+//! session hibernate → fault-in cycle checksums a ~1.2 KB snapshot
+//! twice, so the checksum sits on the per-frame path. A byte-at-a-time
+//! loop (table 0 only) handles the unaligned tail.
 
 const POLY: u32 = 0xEDB8_8320;
 
+/// Number of slicing tables, and bytes consumed per sliced step.
+const SLICES: usize = 16;
+
 /// `TABLES[0]` is the classic byte-at-a-time table;
 /// `TABLES[k][b] = crc_of(b followed by k zero bytes)`, which is what
-/// lets eight table lookups advance the state over eight input bytes
-/// at once.
-const fn make_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// lets sixteen table lookups advance the state over sixteen input
+/// bytes at once.
+const fn make_tables() -> [[u32; 256]; SLICES] {
+    let mut tables = [[0u32; 256]; SLICES];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -30,10 +34,10 @@ const fn make_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut t = 1usize;
-    while t < 8 {
+    while t < SLICES {
         let mut i = 0usize;
         while i < 256 {
-            let prev = tables[t - 1][i]; // lint: checked-index -- 1 <= t < 8, i < 256
+            let prev = tables[t - 1][i]; // lint: checked-index -- 1 <= t < SLICES, i < 256
                                          // lint: checked-index -- index masked to u8
             tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
@@ -43,13 +47,13 @@ const fn make_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static TABLES: [[u32; 256]; 8] = make_tables();
+static TABLES: [[u32; 256]; SLICES] = make_tables();
 
-/// One table lookup: `t` is a literal 0..8 at every call site and the
+/// One table lookup: `t` is a literal 0..16 at every call site and the
 /// byte index is masked, so the access is always in bounds.
 #[inline(always)]
 fn tbl(t: usize, b: u32) -> u32 {
-    // lint: checked-index -- t < 8 const at call sites, index masked to u8
+    // lint: checked-index -- t < SLICES const at call sites, index masked to u8
     TABLES[t][(b & 0xFF) as usize]
 }
 
@@ -68,22 +72,34 @@ impl Crc32 {
     /// Folds `bytes` into the running checksum.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut c = self.state;
-        let mut chunks = bytes.chunks_exact(8);
+        let mut chunks = bytes.chunks_exact(SLICES);
         for ch in &mut chunks {
-            // Slice pattern, not indexing: `chunks_exact(8)` guarantees
-            // the shape, and the pattern lets the compiler see it too.
-            let &[b0, b1, b2, b3, b4, b5, b6, b7] = ch else {
+            // Slice pattern, not indexing: `chunks_exact(SLICES)`
+            // guarantees the shape, and the pattern lets the compiler
+            // see it too.
+            let &[b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] = ch else {
                 continue;
             };
-            let lo = u32::from_le_bytes([b0, b1, b2, b3]) ^ c;
-            c = tbl(7, lo)
-                ^ tbl(6, lo >> 8)
-                ^ tbl(5, lo >> 16)
-                ^ tbl(4, lo >> 24)
-                ^ tbl(3, b4 as u32)
-                ^ tbl(2, b5 as u32)
-                ^ tbl(1, b6 as u32)
-                ^ tbl(0, b7 as u32);
+            let w0 = u32::from_le_bytes([b0, b1, b2, b3]) ^ c;
+            let w1 = u32::from_le_bytes([b4, b5, b6, b7]);
+            let w2 = u32::from_le_bytes([b8, b9, b10, b11]);
+            let w3 = u32::from_le_bytes([b12, b13, b14, b15]);
+            c = tbl(15, w0)
+                ^ tbl(14, w0 >> 8)
+                ^ tbl(13, w0 >> 16)
+                ^ tbl(12, w0 >> 24)
+                ^ tbl(11, w1)
+                ^ tbl(10, w1 >> 8)
+                ^ tbl(9, w1 >> 16)
+                ^ tbl(8, w1 >> 24)
+                ^ tbl(7, w2)
+                ^ tbl(6, w2 >> 8)
+                ^ tbl(5, w2 >> 16)
+                ^ tbl(4, w2 >> 24)
+                ^ tbl(3, w3)
+                ^ tbl(2, w3 >> 8)
+                ^ tbl(1, w3 >> 16)
+                ^ tbl(0, w3 >> 24);
         }
         for &b in chunks.remainder() {
             c = tbl(0, c ^ b as u32) ^ (c >> 8);
@@ -138,26 +154,32 @@ mod tests {
 
     #[test]
     fn sliced_matches_bytewise_reference() {
-        // Every length 0..=64 plus a large buffer, so chunk boundaries
-        // and all remainder sizes are exercised.
+        // Every start offset 0..16 (so chunks begin at every alignment)
+        // times every length 0..=64 plus the rest of a large buffer, so
+        // chunk boundaries and all remainder sizes are exercised.
         let data: Vec<u8> = (0u32..4096)
             .map(|i| (i.wrapping_mul(37) % 256) as u8)
             .collect();
-        for len in 0..=64usize {
-            assert_eq!(
-                crc32(&data[..len]),
-                crc32_bytewise(&data[..len]),
-                "len {len}"
-            );
+        for start in 0..16usize {
+            let data = &data[start..];
+            for len in 0..=64usize {
+                assert_eq!(
+                    crc32(&data[..len]),
+                    crc32_bytewise(&data[..len]),
+                    "start {start} len {len}"
+                );
+            }
+            assert_eq!(crc32(data), crc32_bytewise(data), "start {start}");
         }
-        assert_eq!(crc32(&data), crc32_bytewise(&data));
     }
 
     #[test]
     fn streaming_matches_one_shot() {
         let data: Vec<u8> = (0u16..2048).map(|i| (i % 251) as u8).collect();
         let whole = crc32(&data);
-        for split in [0usize, 1, 3, 7, 8, 9, 1024, 2041, 2047, 2048] {
+        for split in [
+            0usize, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 1024, 2041, 2047, 2048,
+        ] {
             let mut c = Crc32::new();
             c.update(&data[..split]);
             c.update(&data[split..]);

@@ -54,6 +54,22 @@ impl SlidingWindow {
         self.buf.iter().copied().collect()
     }
 
+    /// Copies the contents oldest-first into `out`, reusing its
+    /// allocation.
+    pub fn snapshot_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.buf.iter().copied());
+    }
+
+    /// Replaces the contents with `samples` (oldest-first), keeping only
+    /// the newest `cap` of them — what pushing each in turn would leave —
+    /// without reallocating.
+    pub fn restore_from(&mut self, samples: &[f64]) {
+        self.buf.clear();
+        let skip = samples.len().saturating_sub(self.cap);
+        self.buf.extend(samples.iter().skip(skip).copied());
+    }
+
     /// Iterates oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
         self.buf.iter().copied()
@@ -141,10 +157,18 @@ impl BatchMedian {
     }
 
     /// The raw samples of the current batch, oldest-first. Used to
-    /// snapshot an in-flight aggregation period: replaying these
-    /// through [`push`](Self::push) reconstructs the batch exactly.
+    /// snapshot an in-flight aggregation period:
+    /// [`restore_from`](Self::restore_from) reconstructs the batch
+    /// exactly.
     pub fn samples(&self) -> &[f64] {
         &self.samples
+    }
+
+    /// Replaces the current batch with `samples` (oldest-first), reusing
+    /// the batch's allocation.
+    pub fn restore_from(&mut self, samples: &[f64]) {
+        self.samples.clear();
+        self.samples.extend_from_slice(samples);
     }
 
     /// Ends the batch: returns its median (if non-empty) and clears it.
@@ -233,11 +257,19 @@ impl MovingAverage {
         self.window.mean()
     }
 
-    /// The window's contents oldest-first. Used to snapshot the
-    /// average: replaying these through [`push`](Self::push) into a
-    /// fresh instance of the same capacity reconstructs it exactly.
-    pub fn values(&self) -> Vec<f64> {
-        self.window.as_vec()
+    /// Copies the window's contents oldest-first into `out`, reusing
+    /// its allocation. Used to snapshot the average:
+    /// [`restore_from`](Self::restore_from) on an instance of the same
+    /// capacity reconstructs it exactly.
+    pub fn snapshot_into(&self, out: &mut Vec<f64>) {
+        self.window.snapshot_into(out);
+    }
+
+    /// Replaces the window with `values` (oldest-first); more values
+    /// than the window holds keep the newest, exactly as pushing each
+    /// in turn would.
+    pub fn restore_from(&mut self, values: &[f64]) {
+        self.window.restore_from(values);
     }
 
     /// Number of samples currently held.
@@ -328,6 +360,25 @@ mod tests {
     #[should_panic(expected = "alpha must be in (0, 1]")]
     fn ewma_rejects_zero_alpha() {
         Ewma::new(0.0);
+    }
+
+    #[test]
+    fn restore_from_matches_pushing_each_sample() {
+        let samples = [1.0, 2.0, 3.0, 4.0, 5.0];
+        for n in 0..=samples.len() {
+            let mut pushed = SlidingWindow::new(3);
+            for &x in &samples[..n] {
+                pushed.push(x);
+            }
+            // A dirty window: stale contents must not survive.
+            let mut restored = SlidingWindow::new(3);
+            restored.push(9.0);
+            restored.restore_from(&samples[..n]);
+            assert_eq!(restored.as_vec(), pushed.as_vec(), "{n} samples");
+            let mut out = vec![7.0; 8];
+            restored.snapshot_into(&mut out);
+            assert_eq!(out, pushed.as_vec());
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub struct DetRng {
 /// Gaussian transform. Restoring via [`DetRng::from_state`] resumes the
 /// stream at exactly the saved position, so a snapshotted component and its
 /// never-snapshotted twin draw identical values forever after.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DetRngState {
     /// ChaCha key words (state words 4..12).
     pub key: [u32; 8],
