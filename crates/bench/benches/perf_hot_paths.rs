@@ -2,9 +2,7 @@
 //!
 //! These are the operations an AP would run per received frame / per
 //! decision, so their cost bounds how many clients one AP can classify.
-//! Median per-iteration timings are persisted to
-//! `BENCH_perf_hot_paths.json`; `MOBISENSE_BENCH_SMOKE=1` shrinks the
-//! sample count to a CI-sized smoke run.
+//! Criterion prints the per-iteration timings; nothing is gated.
 
 use criterion::{BatchSize, Criterion};
 use mobisense_core::classifier::{ClassifierConfig, MobilityClassifier};
@@ -103,36 +101,10 @@ fn bench_zf_precoder(c: &mut Criterion) {
 }
 
 fn main() {
-    use mobisense_bench::report::{self, BenchReport};
-
-    let smoke = report::smoke_mode();
-    let mut criterion = if smoke {
-        Criterion::default()
-            .sample_size(2)
-            .warm_up_time(std::time::Duration::from_millis(5))
-    } else {
-        Criterion::default().sample_size(20)
-    };
+    let mut criterion = Criterion::default().sample_size(20);
     bench_similarity(&mut criterion);
     bench_classifier_step(&mut criterion);
     bench_classifier_step_traced(&mut criterion);
     bench_channel_sample(&mut criterion);
     bench_zf_precoder(&mut criterion);
-
-    // Persist median ns/iter per benchmark. Microbench medians swing
-    // hard across hosts, so the gate tolerance is very loose; the
-    // trajectory is the point, not a tight bound.
-    let mut out = BenchReport::new("perf_hot_paths");
-    for summary in criterion.summaries() {
-        out.push(
-            &format!("{}_median_ns", summary.id),
-            summary.median_ns,
-            false,
-            900.0,
-        );
-    }
-    let path = out
-        .write_to(&report::default_dir())
-        .expect("write bench report");
-    println!("# report: {}", path.display());
 }

@@ -12,14 +12,12 @@
 //! rejected`) must hold — both are asserted here, not just reported.
 //!
 //! A fourth pass pushes the same frames as UDP datagrams to price the
-//! standalone-datagram decode path. Headline numbers land in
-//! `BENCH_socket_ingest.json` for the CI regression gate. Set
-//! `MOBISENSE_BENCH_SMOKE=1` for a tiny CI-sized workload.
+//! standalone-datagram decode path. The throughputs are printed, not
+//! gated: the repository benchmark (`benchmark/`) owns timing.
 
 use std::time::Instant;
 
 use mobisense_bench::header;
-use mobisense_bench::report::{self, BenchReport};
 use mobisense_edge::{serve_sockets, Edge, EdgeConfig};
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::service::{decision_log_csv, serve_streams, ServeConfig};
@@ -32,11 +30,9 @@ fn main() {
         "socket edge: reactor frames/sec over loopback TCP/UDP vs the in-process path",
         "decision log is transport-invariant; conservation holds; fragmentation costs decode work, not correctness",
     );
-    let smoke = report::smoke_mode();
-
     let fleet_cfg = FleetConfig {
-        n_clients: if smoke { 24 } else { 128 },
-        duration: if smoke { 2 * SECOND } else { 10 * SECOND },
+        n_clients: 128,
+        duration: 10 * SECOND,
         step: 20 * MILLISECOND,
         base_seed: 2014,
         ..FleetConfig::default()
@@ -61,7 +57,6 @@ fn main() {
     assert_eq!(golden_report.frames_processed, fleet.total_frames());
     let in_process_fps = fleet.total_frames() as f64 / in_process_secs;
 
-    let mut out = BenchReport::new("socket_ingest");
     println!("transport, frames_per_sec, vs_in_process, conserved, log_identical");
     println!("in-process, {in_process_fps:.0}, 1.00, -, -");
 
@@ -74,8 +69,7 @@ fn main() {
         ("tcp-whole", 0usize, &mut tcp_fps),
         ("tcp-7byte", 7usize, &mut frag_fps),
     ] {
-        let rounds = if smoke { 1 } else { 2 };
-        for _ in 0..rounds {
+        for _ in 0..2 {
             let t0 = Instant::now();
             let (decisions, report) = serve_sockets(
                 &serve_cfg,
@@ -138,16 +132,4 @@ fn main() {
 
     let frag_cost_pct = ((1.0 - frag_fps / tcp_fps.max(f64::MIN_POSITIVE)) * 100.0).max(0.0);
     println!("# 7-byte fragmentation throughput cost: {frag_cost_pct:.1}%");
-
-    // Persist the trajectory. Throughput tolerances are loose (CI
-    // hosts differ wildly); the contract ratios tolerate nothing.
-    out.push("socket_frames_per_sec", tcp_fps, true, 90.0);
-    out.push("fragmented_frames_per_sec", frag_fps, true, 90.0);
-    out.push("udp_frames_per_sec", udp_fps, true, 90.0);
-    out.push("in_process_frames_per_sec", in_process_fps, true, 90.0);
-    out.push("golden_match", 1.0, true, 0.0);
-    out.push("conservation", 1.0, true, 0.0);
-    let dir = report::default_dir();
-    let path = out.write_to(&dir).expect("write bench report");
-    println!("# report: {}", path.display());
 }

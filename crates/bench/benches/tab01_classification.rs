@@ -114,11 +114,14 @@ fn main() {
     println!("# macro direction accuracy (when macro detected): {dir_acc:.1}%");
     for m in MobilityMode::ALL {
         if let Some(acc) = conf.accuracy(m) {
+            // The tested threshold and the paper's target are separate
+            // verdicts, so a pass here never reads as meeting the paper.
             println!(
-                "# check: {} accuracy {:.1}% (paper: >=92%): {}",
+                "# check: {} accuracy {:.1}% >= 80%: {}; paper target >=92%: {}",
                 m.label(),
                 acc * 100.0,
-                acc >= 0.80
+                acc >= 0.80,
+                if acc >= 0.92 { "met" } else { "miss" }
             );
         }
     }

@@ -13,8 +13,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod report;
-
 use mobisense_core::classifier::{Classification, ClassifierConfig, MobilityClassifier};
 use mobisense_core::scenario::{Observation, Scenario};
 use mobisense_mobility::MobilityMode;
@@ -143,22 +141,6 @@ impl TraceBundle {
     pub fn duration(&self) -> Nanos {
         self.trace.duration()
     }
-}
-
-/// The standard per-mode scenario set used by several figures, in the
-/// paper's presentation order.
-pub fn standard_modes() -> Vec<(&'static str, mobisense_core::scenario::ScenarioKind)> {
-    use mobisense_core::scenario::ScenarioKind;
-    use mobisense_mobility::movers::EnvIntensity;
-    vec![
-        ("static", ScenarioKind::Static),
-        (
-            "environmental",
-            ScenarioKind::Environmental(EnvIntensity::Strong),
-        ),
-        ("micro", ScenarioKind::Micro),
-        ("macro", ScenarioKind::MacroRandom),
-    ]
 }
 
 /// Default trace step used by trace-based emulations (20 ms — the

@@ -154,11 +154,6 @@ impl MobilityClassifier {
         self.current
     }
 
-    /// Number of classification decisions made so far.
-    pub fn decision_count(&self) -> u64 {
-        self.decisions
-    }
-
     /// Offers the CSI of a frame received at `now`. When a sampling
     /// period completes, runs the Figure-5 decision logic and returns the
     /// (possibly unchanged) classification.

@@ -58,17 +58,6 @@ impl DecisionRecord {
     pub fn mode_correct(&self) -> bool {
         self.decision.mode == self.truth.mode
     }
-
-    /// Direction-level correctness for macro-mobility: mode must match
-    /// and, when the ground truth has a radial direction, the classifier
-    /// direction must agree.
-    pub fn direction_correct(&self) -> bool {
-        self.mode_correct()
-            && match self.truth.direction {
-                Some(d) => self.decision.direction == Some(d),
-                None => true,
-            }
-    }
 }
 
 /// One client's classification state: the classifier plus its ToF
@@ -265,14 +254,6 @@ pub fn run_classification_with<S: Sink + ?Sized>(
         }
         records
     })
-}
-
-/// Mode-level accuracy of a record set — the diagonal mass of the
-/// record set's [`Confusion`] matrix. Returns `None` when empty.
-pub fn mode_accuracy(records: &[DecisionRecord]) -> Option<f64> {
-    let mut conf = Confusion::new();
-    conf.add_all(records);
-    conf.overall_accuracy()
 }
 
 /// A confusion matrix over the four modes: `counts[truth][decision]`.
@@ -511,20 +492,6 @@ mod tests {
         c.add(&record(MobilityMode::Macro, MobilityMode::Macro));
         assert_eq!(c.total(), 4);
         assert_eq!(c.overall_accuracy(), Some(0.75));
-    }
-
-    #[test]
-    fn mode_accuracy_matches_confusion_diagonal() {
-        let recs = vec![
-            record(MobilityMode::Static, MobilityMode::Static),
-            record(MobilityMode::Environmental, MobilityMode::Static),
-            record(MobilityMode::Micro, MobilityMode::Micro),
-        ];
-        assert_eq!(mode_accuracy(&recs), Some(2.0 / 3.0));
-        assert_eq!(mode_accuracy(&[]), None);
-        let mut conf = Confusion::new();
-        conf.add_all(&recs);
-        assert_eq!(mode_accuracy(&recs), conf.overall_accuracy());
     }
 
     #[test]

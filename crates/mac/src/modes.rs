@@ -14,8 +14,6 @@
 //! reproduce the negative result: the gains exist only in a narrow SNR
 //! band that a walking client crosses too quickly to matter.
 
-use mobisense_core::classifier::Classification;
-use mobisense_mobility::Direction;
 use mobisense_phy::mcs::Mcs;
 use mobisense_phy::per::{mpdu_error_prob, REF_MPDU_BITS};
 
@@ -101,28 +99,9 @@ pub fn best_goodput_at_mode(esnr_db: f64, mode: MimoMode) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Mobility-aware width policy: narrow the channel when the client is
-/// walking away from the AP (robustness over peak rate), stay wide
-/// otherwise.
-pub fn width_for(hint: Option<Classification>) -> ChannelWidth {
-    match hint.and_then(|c| c.direction) {
-        Some(Direction::Away) => ChannelWidth::Mhz20,
-        _ => ChannelWidth::Mhz40,
-    }
-}
-
-/// Mobility-aware MIMO-mode policy: prefer diversity when moving away.
-pub fn mimo_mode_for(hint: Option<Classification>) -> MimoMode {
-    match hint.and_then(|c| c.direction) {
-        Some(Direction::Away) => MimoMode::Diversity,
-        _ => MimoMode::Multiplexing,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobisense_mobility::MobilityMode;
 
     #[test]
     fn narrow_channel_wins_only_at_the_cliff() {
@@ -149,19 +128,6 @@ mod tests {
             best_goodput_at_mode(6.0, MimoMode::Diversity)
                 > best_goodput_at_mode(6.0, MimoMode::Multiplexing)
         );
-    }
-
-    #[test]
-    fn policies_key_on_direction() {
-        let away = Some(Classification::macro_with(Direction::Away));
-        let towards = Some(Classification::macro_with(Direction::Towards));
-        let stat = Some(Classification::of(MobilityMode::Static));
-        assert_eq!(width_for(away), ChannelWidth::Mhz20);
-        assert_eq!(width_for(towards), ChannelWidth::Mhz40);
-        assert_eq!(width_for(stat), ChannelWidth::Mhz40);
-        assert_eq!(width_for(None), ChannelWidth::Mhz40);
-        assert_eq!(mimo_mode_for(away), MimoMode::Diversity);
-        assert_eq!(mimo_mode_for(None), MimoMode::Multiplexing);
     }
 
     #[test]

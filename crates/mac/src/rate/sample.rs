@@ -184,11 +184,6 @@ impl SensorHintRa {
         }
     }
 
-    /// Sets the binary accelerometer hint directly.
-    pub fn set_moving(&mut self, moving: bool) {
-        self.moving = moving;
-    }
-
     /// Whether the device currently believes it is moving.
     pub fn is_moving(&self) -> bool {
         self.moving

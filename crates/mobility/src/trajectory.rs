@@ -73,7 +73,6 @@ impl Trajectory for StaticPose {
 pub struct MicroWander {
     anchor: Vec2,
     radius: f64,
-    speed_mean: f64,
     rng: DetRng,
     pos: Vec2,
     heading: f64,
@@ -83,13 +82,15 @@ pub struct MicroWander {
     last_t: Nanos,
 }
 
+/// Mean gesture speed (m/s).
+const GESTURE_SPEED_MEAN: f64 = 0.5;
+
 impl MicroWander {
     /// Gesture motion around `anchor` within `radius` metres.
     pub fn new(anchor: Vec2, radius: f64, rng: DetRng) -> Self {
         MicroWander {
             anchor,
             radius,
-            speed_mean: 0.5,
             rng,
             pos: anchor,
             heading: 0.0,
@@ -100,19 +101,13 @@ impl MicroWander {
         }
     }
 
-    /// Overrides the mean gesture speed (m/s). Default 0.5.
-    pub fn with_speed(mut self, speed_mean: f64) -> Self {
-        self.speed_mean = speed_mean;
-        self
-    }
-
     fn pick_target(&mut self) {
         let r = self.radius * self.rng.uniform().sqrt();
         self.target = self.anchor + self.rng.unit_vector() * r;
         self.speed = self
             .rng
-            .normal(self.speed_mean, self.speed_mean * 0.3)
-            .clamp(0.05, 2.0 * self.speed_mean);
+            .normal(GESTURE_SPEED_MEAN, GESTURE_SPEED_MEAN * 0.3)
+            .clamp(0.05, 2.0 * GESTURE_SPEED_MEAN);
     }
 
     fn step(&mut self, now: Nanos, dt: f64) {
@@ -185,14 +180,15 @@ pub struct WaypointWalk {
     next_wp: usize,
     loop_walk: bool,
     last_t: Nanos,
-    /// Lateral gait-sway amplitude (m).
-    sway_amp: f64,
     /// Gait phase (radians), advanced at stride frequency.
     sway_phase: f64,
 }
 
 /// Stride (sway) frequency in Hz.
 const SWAY_HZ: f64 = 1.8;
+
+/// Lateral gait-sway amplitude (m).
+const SWAY_AMP: f64 = 0.04;
 
 impl WaypointWalk {
     /// Walks through `waypoints` (at least 2) at `speed_mean` m/s.
@@ -210,28 +206,13 @@ impl WaypointWalk {
             next_wp: 1,
             loop_walk: false,
             last_t: 0,
-            sway_amp: 0.04,
             sway_phase: 0.0,
         }
-    }
-
-    /// Overrides the lateral gait-sway amplitude (m); zero disables it.
-    pub fn with_sway(mut self, amp: f64) -> Self {
-        self.sway_amp = amp;
-        self
     }
 
     /// A straight walk from `a` to `b`.
     pub fn between(a: Vec2, b: Vec2, speed: f64, rng: DetRng) -> Self {
         WaypointWalk::new(vec![a, b], speed, rng)
-    }
-
-    /// Random waypoints inside a box — the "walked naturally with the
-    /// phone" experiments.
-    pub fn random_in_box(lo: Vec2, hi: Vec2, n: usize, speed: f64, mut rng: DetRng) -> Self {
-        assert!(n >= 2);
-        let pts = (0..n).map(|_| rng.point_in_box(lo, hi)).collect();
-        WaypointWalk::new(pts, speed, rng)
     }
 
     /// Keeps walking the waypoint cycle forever instead of stopping at the
@@ -275,7 +256,7 @@ impl WaypointWalk {
     /// Device position including the gait sway.
     fn swayed_pos(&self) -> Vec2 {
         let lateral = Vec2::from_angle(self.heading).perp();
-        self.pos + lateral * (self.sway_amp * self.sway_phase.sin())
+        self.pos + lateral * (SWAY_AMP * self.sway_phase.sin())
     }
 }
 

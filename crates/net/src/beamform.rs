@@ -44,11 +44,6 @@ impl SuBeamformer {
         Self::default()
     }
 
-    /// True once at least one feedback has been received.
-    pub fn has_feedback(&self) -> bool {
-        self.weights.is_some()
-    }
-
     /// Ingests a CSI feedback snapshot (uses receive chain 0, as the
     /// paper's single-stream beamforming does) and recomputes MRT
     /// weights.
@@ -338,7 +333,6 @@ mod tests {
         let obs = sc.observe(0);
         let bf = SuBeamformer::new();
         assert_eq!(bf.gain_db(&obs.csi), 0.0);
-        assert!(!bf.has_feedback());
     }
 
     #[test]

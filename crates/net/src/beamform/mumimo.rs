@@ -14,7 +14,7 @@ use mobisense_core::scenario::{Scenario, ScenarioConfig, ScenarioKind};
 use mobisense_mobility::movers::EnvIntensity;
 use mobisense_phy::csi::Csi;
 use mobisense_util::linalg::CMat;
-use mobisense_util::units::{Nanos, MILLISECOND};
+use mobisense_util::units::Nanos;
 use mobisense_util::{DetRng, C64};
 
 use crate::beamform::CSI_FEEDBACK_AIRTIME;
@@ -276,17 +276,10 @@ impl MuMimoEmulator {
     }
 }
 
-/// Convenience: run the paper's 3-client mix with a uniform feedback
-/// period (the mobility-oblivious default).
-pub fn run_uniform(seed: u64, period: Nanos, duration: Nanos) -> MuMimoStats {
-    let mut e = MuMimoEmulator::paper_mix(seed);
-    e.run([period; N_CLIENTS], 2 * MILLISECOND, duration)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobisense_util::units::SECOND;
+    use mobisense_util::units::{MILLISECOND, SECOND};
 
     #[test]
     fn produces_throughput_for_all_clients() {
@@ -352,8 +345,13 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run_uniform(9, 100 * MILLISECOND, 2 * SECOND);
-        let b = run_uniform(9, 100 * MILLISECOND, 2 * SECOND);
-        assert_eq!(a.per_client_mbps, b.per_client_mbps);
+        let run = || {
+            MuMimoEmulator::paper_mix(9).run(
+                [100 * MILLISECOND; N_CLIENTS],
+                2 * MILLISECOND,
+                2 * SECOND,
+            )
+        };
+        assert_eq!(run().per_client_mbps, run().per_client_mbps);
     }
 }

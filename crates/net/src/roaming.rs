@@ -161,11 +161,6 @@ impl Roamer {
         self.last_classification
     }
 
-    /// The currently associated AP.
-    pub fn current_ap(&self) -> usize {
-        self.current
-    }
-
     fn start_roam<S: Sink + ?Sized>(&mut self, now: Nanos, target: usize, sink: &mut S) {
         if target == self.current {
             return;

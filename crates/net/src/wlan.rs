@@ -190,11 +190,6 @@ impl MultiApWorld {
         &self.channels[i]
     }
 
-    /// True once the walk has completed.
-    pub fn walk_finished(&mut self, t: Nanos) -> bool {
-        self.trajectory.pose_at(t).speed == 0.0
-    }
-
     /// Advances the world to `t` and returns the client state plus every
     /// AP's measurements.
     pub fn observe(&mut self, t: Nanos) -> WorldObservation {
@@ -281,12 +276,5 @@ mod tests {
         let ob = b.observe(5 * SECOND);
         assert_eq!(oa.pos, ob.pos);
         assert_eq!(oa.aps[0].rssi_dbm, ob.aps[0].rssi_dbm);
-    }
-
-    #[test]
-    fn walk_finishes() {
-        let mut w = corridor_world(8);
-        assert!(!w.walk_finished(SECOND));
-        assert!(w.walk_finished(120 * SECOND));
     }
 }

@@ -164,14 +164,6 @@ impl RayChannel {
         csi
     }
 
-    /// The CSI an AP would *measure* from a received frame: the noiseless
-    /// channel plus estimation noise whose level follows the link SNR
-    /// (capped by [`ChannelConfig::csi_est_snr_cap_db`]).
-    pub fn measured_csi_at(&self, pos: Vec2, heading: f64, rng: &mut DetRng) -> Csi {
-        let csi = self.csi_at(pos, heading);
-        self.with_estimation_noise(&csi, rng)
-    }
-
     /// Adds channel-estimation noise to a noiseless CSI snapshot,
     /// producing what the chipset would report. Noise power follows the
     /// link SNR, capped by [`ChannelConfig::csi_est_snr_cap_db`].
@@ -195,15 +187,6 @@ impl RayChannel {
     /// the thermal noise floor).
     pub fn snr_db(&self, csi: &Csi) -> f64 {
         csi.rx_power_dbm(self.cfg.tx_power_dbm) - self.cfg.noise_floor_dbm()
-    }
-
-    /// The RSSI the AP reports for a frame received from a client at
-    /// `pos`: true received power plus reporting noise, quantised to the
-    /// 1 dB granularity of the RSSI register.
-    pub fn rssi_dbm_at(&self, pos: Vec2, heading: f64, rng: &mut DetRng) -> f64 {
-        let csi = self.csi_at(pos, heading);
-        let p = csi.rx_power_dbm(self.cfg.tx_power_dbm);
-        (p + rng.normal(0.0, self.cfg.rssi_noise_db)).round()
     }
 
     /// True line-of-sight distance from the AP to a client position.
@@ -262,8 +245,9 @@ mod tests {
         let ch = test_channel(2);
         let mut rng = DetRng::seed_from_u64(99);
         let pos = Vec2::new(6.0, 2.0);
-        let a = ch.measured_csi_at(pos, 0.0, &mut rng);
-        let b = ch.measured_csi_at(pos, 0.0, &mut rng);
+        let csi = ch.csi_at(pos, 0.0);
+        let a = ch.with_estimation_noise(&csi, &mut rng);
+        let b = ch.with_estimation_noise(&csi, &mut rng);
         let s = csi_similarity(&a, &b);
         assert!(s > 0.97, "static similarity {s}");
     }
@@ -331,14 +315,6 @@ mod tests {
         let csi = ch.csi_at(Vec2::new(10.0, 5.0), 0.0);
         let snr = ch.snr_db(&csi);
         assert!(snr > 10.0 && snr < 70.0, "snr={snr}");
-    }
-
-    #[test]
-    fn rssi_is_quantised() {
-        let ch = test_channel(8);
-        let mut rng = DetRng::seed_from_u64(1);
-        let r = ch.rssi_dbm_at(Vec2::new(8.0, 1.0), 0.0, &mut rng);
-        assert_eq!(r, r.round());
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl ChannelConfig {
     pub fn noise_floor_dbm(&self) -> f64 {
         mobisense_util::units::noise_floor_dbm(self.bandwidth_hz, self.noise_figure_db)
     }
-
-    /// Number of transmit-receive antenna pairs.
-    pub fn n_pairs(&self) -> usize {
-        self.n_tx * self.n_rx
-    }
 }
 
 #[cfg(test)]

@@ -17,18 +17,6 @@ pub enum Modulation {
     Qam64,
 }
 
-impl Modulation {
-    /// Coded bits carried per subcarrier per symbol.
-    pub fn bits_per_symbol(self) -> u32 {
-        match self {
-            Modulation::Bpsk => 1,
-            Modulation::Qpsk => 2,
-            Modulation::Qam16 => 4,
-            Modulation::Qam64 => 6,
-        }
-    }
-}
-
 /// An 802.11n MCS index (0-15: one or two spatial streams).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Mcs(pub u8);
@@ -177,16 +165,6 @@ impl Mcs {
         }
     }
 
-    /// Next lower MCS under the same monotone ladder. Returns `None` at
-    /// the bottom.
-    pub fn next_down(self) -> Option<Mcs> {
-        match self.0 {
-            0 => None,
-            11 => Some(Mcs(4)), // mirror of the upward skip
-            n => Some(Mcs(n - 1)),
-        }
-    }
-
     /// The Atheros monotone probing ladder from lowest to highest rate.
     pub fn ladder() -> Vec<Mcs> {
         let mut v = vec![Mcs(0)];
@@ -252,19 +230,11 @@ mod tests {
 
     #[test]
     fn up_down_are_inverses_on_ladder() {
-        for &m in &Mcs::ladder() {
-            if let Some(up) = m.next_up() {
-                assert_eq!(up.next_down(), Some(m));
-            }
-        }
-        assert_eq!(Mcs(0).next_down(), None);
         assert_eq!(Mcs(15).next_up(), None);
     }
 
     #[test]
     fn modulation_bits() {
-        assert_eq!(Modulation::Bpsk.bits_per_symbol(), 1);
-        assert_eq!(Modulation::Qam64.bits_per_symbol(), 6);
         assert_eq!(Mcs(7).modulation(), Modulation::Qam64);
         assert_eq!(Mcs(7).code_rate(), (5, 6));
     }

@@ -175,11 +175,6 @@ impl ClientStream {
             .0
     }
 
-    /// The encoded frames, in sequence order, zero-copy.
-    pub fn encoded_frames(&self) -> impl Iterator<Item = &[u8]> {
-        self.bytes.chunks_exact(self.frame_len)
-    }
-
     /// The decoded frames, in sequence order.
     pub fn frames(&self) -> impl Iterator<Item = ObsFrame> + '_ {
         (0..self.n_frames).map(|i| self.obs(i))
@@ -328,11 +323,8 @@ mod tests {
         let fleet = EncodedFleet::generate(&tiny());
         let s = &fleet.streams[2];
         assert!(s.kind.is_some(), "generated streams carry ground truth");
-        let encoded: Vec<&[u8]> = s.encoded_frames().collect();
-        assert_eq!(encoded.len(), s.n_frames);
-        for (i, bytes) in encoded.iter().enumerate() {
-            assert_eq!(*bytes, s.frame(i));
-        }
+        let tiled: Vec<u8> = (0..s.n_frames).flat_map(|i| s.frame(i).to_vec()).collect();
+        assert_eq!(tiled, s.bytes, "indexed frames tile the stream");
         let decoded: Vec<ObsFrame> = s.frames().collect();
         assert_eq!(decoded, decode_stream(&s.bytes).expect("stream decodes"));
         assert_eq!(decoded[3], s.obs(3));

@@ -20,8 +20,9 @@
 //! fsync), then drops the input buffer before reading the next. Peak
 //! resident record bytes are therefore O(max input segment), not
 //! O(store) — asserted by a byte-accounting probe whose high-water
-//! mark is reported as [`CompactReport::peak_resident_bytes`] and
-//! gated in the `store_compact` bench.
+//! mark is reported as [`CompactReport::peak_resident_bytes`]; the
+//! `store_compact` xtest pins it to exactly the largest input segment
+//! on a 16 MiB store.
 //!
 //! # Crash-safe promotion
 //!

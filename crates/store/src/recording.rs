@@ -32,11 +32,6 @@ impl FlightRecorder {
             writer: TraceWriter::create(cfg)?,
         })
     }
-
-    /// The wrapped writer (e.g. to force a seal boundary mid-run).
-    pub fn writer_mut(&mut self) -> &mut TraceWriter {
-        &mut self.writer
-    }
 }
 
 impl RecordBackend for FlightRecorder {

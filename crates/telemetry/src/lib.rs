@@ -4,7 +4,7 @@
 //!
 //! * [`metrics`] — an explicitly-passed registry of monotonic counters,
 //!   gauges and fixed-bucket histograms (with streaming quantile
-//!   estimation), plus a standalone P² quantile estimator;
+//!   estimation);
 //! * [`event`] — a typed event trace with nanosecond sim-clock
 //!   timestamps and an optional ring-buffer mode for bounded memory.
 //!   [`Event`] is declared once, as a table of variants with their
@@ -43,7 +43,7 @@ pub mod snapshot;
 pub mod stage;
 
 pub use event::{Event, EventTrace};
-pub use metrics::{Counter, Gauge, Histogram, P2Quantile, Registry};
+pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use sink::{timed, NoopSink, Sink};
 pub use snapshot::{parse_snapshots, HistogramSummary, Snapshot, SNAPSHOT_VERSION};
 pub use stage::{Sampler, Stage, StageHistograms, StageTrace, N_STAGES, STAGE_HIST_NAMES};

@@ -209,134 +209,6 @@ impl Histogram {
     }
 }
 
-/// Streaming estimation of a single quantile without storing samples —
-/// the P² algorithm of Jain & Chlamtac (CACM 1985), five markers.
-#[derive(Clone, Debug)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights (estimates of the 0, q/2, q, (1+q)/2, 1 quantiles).
-    heights: [f64; 5],
-    /// Marker positions (1-based sample ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired-position increments per observation.
-    increments: [f64; 5],
-    /// Observations seen so far (first five are buffered in `heights`).
-    count: usize,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for the `q`-quantile, `0 < q < 1`.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile must be inside (0, 1)");
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// Observations fed so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights
-                    .sort_by(|a, b| a.partial_cmp(b).expect("finite observations"));
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Find the cell containing x and update extreme markers.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            // Cell index: k such that heights[k] <= x < heights[k+1].
-            let mut cell = 3;
-            for i in 1..5 {
-                if x < self.heights[i] {
-                    cell = i - 1;
-                    break;
-                }
-            }
-            cell
-        };
-
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.increments) {
-            *d += inc;
-        }
-
-        // Adjust interior markers towards their desired positions.
-        for i in 1..4 {
-            let delta = self.desired[i] - self.positions[i];
-            let ahead = self.positions[i + 1] - self.positions[i];
-            let behind = self.positions[i - 1] - self.positions[i];
-            if (delta >= 1.0 && ahead > 1.0) || (delta <= -1.0 && behind < -1.0) {
-                let d = delta.signum();
-                let parabolic = self.parabolic(i, d);
-                let new_h = if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                    parabolic
-                } else {
-                    self.linear(i, d)
-                };
-                self.heights[i] = new_h;
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (hm, h, hp) = (self.heights[i - 1], self.heights[i], self.heights[i + 1]);
-        let (nm, n, np) = (
-            self.positions[i - 1],
-            self.positions[i],
-            self.positions[i + 1],
-        );
-        h + d / (np - nm)
-            * ((n - nm + d) * (hp - h) / (np - n) + (np - n - d) * (h - hm) / (n - nm))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current quantile estimate, or `None` before any observation.
-    pub fn estimate(&self) -> Option<f64> {
-        match self.count {
-            0 => None,
-            n if n < 5 => {
-                // Too few samples for the marker machinery: exact order
-                // statistic over the buffer.
-                let mut buf: Vec<f64> = self.heights[..n].to_vec();
-                buf.sort_by(|a, b| a.partial_cmp(b).expect("finite observations"));
-                let rank = ((self.q * n as f64).ceil() as usize).clamp(1, n);
-                Some(buf[rank - 1])
-            }
-            _ => Some(self.heights[2]),
-        }
-    }
-}
-
 /// A named collection of metrics, explicitly passed through an
 /// experiment.
 ///
@@ -462,41 +334,6 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_buckets_panic() {
         Histogram::with_buckets(&[2.0, 1.0]);
-    }
-
-    #[test]
-    fn p2_estimates_uniform_median() {
-        let mut p = P2Quantile::new(0.5);
-        // Deterministic low-discrepancy stream in [0, 1).
-        let mut x = 0.5f64;
-        for _ in 0..5000 {
-            x = (x + 0.618_033_988_749_895) % 1.0;
-            p.observe(x);
-        }
-        let est = p.estimate().expect("fed");
-        assert!((est - 0.5).abs() < 0.05, "median estimate {est}");
-    }
-
-    #[test]
-    fn p2_small_sample_is_exact_order_statistic() {
-        let mut p = P2Quantile::new(0.5);
-        for v in [3.0, 1.0, 2.0] {
-            p.observe(v);
-        }
-        assert_eq!(p.estimate(), Some(2.0));
-        assert_eq!(P2Quantile::new(0.9).estimate(), None);
-    }
-
-    #[test]
-    fn p2_tail_quantile_reasonable() {
-        let mut p = P2Quantile::new(0.95);
-        let mut x = 0.0f64;
-        for _ in 0..10_000 {
-            x = (x + 0.618_033_988_749_895) % 1.0;
-            p.observe(x);
-        }
-        let est = p.estimate().expect("fed");
-        assert!((est - 0.95).abs() < 0.03, "p95 estimate {est}");
     }
 
     #[test]

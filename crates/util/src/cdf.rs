@@ -28,15 +28,6 @@ impl Cdf {
         self.sorted.is_empty()
     }
 
-    /// `P(X <= x)`.
-    pub fn eval(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return f64::NAN;
-        }
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
     /// Inverse CDF (quantile) with linear interpolation; `q` in `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         crate::stats::percentile(&self.sorted, q * 100.0)
@@ -71,11 +62,6 @@ impl Cdf {
             })
             .collect()
     }
-
-    /// Access to the sorted sample vector.
-    pub fn sorted_samples(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 #[cfg(test)]
@@ -83,20 +69,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn eval_basic() {
-        let cdf = Cdf::from_samples(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(cdf.eval(0.5), 0.0);
-        assert_eq!(cdf.eval(1.0), 0.25);
-        assert_eq!(cdf.eval(2.5), 0.5);
-        assert_eq!(cdf.eval(4.0), 1.0);
-        assert_eq!(cdf.eval(100.0), 1.0);
-    }
-
-    #[test]
     fn nan_samples_dropped() {
         let cdf = Cdf::from_samples(&[1.0, f64::NAN, 3.0]);
         assert_eq!(cdf.len(), 2);
-        assert_eq!(cdf.eval(2.0), 0.5);
     }
 
     #[test]
@@ -111,7 +86,6 @@ mod tests {
     fn empty_cdf() {
         let cdf = Cdf::from_samples(&[]);
         assert!(cdf.is_empty());
-        assert!(cdf.eval(1.0).is_nan());
         assert_eq!(cdf.quantile(0.5), None);
         assert!(cdf.series(10).is_empty());
     }

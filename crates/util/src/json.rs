@@ -2,9 +2,9 @@
 //! field reads and writes.
 //!
 //! Every JSON format the workspace writes or reads goes through this
-//! module: telemetry's event and ops-snapshot JSONL, the bench gate's
-//! `BENCH_*.json` reports and the analyzer's findings report. Each
-//! format keeps its own layout; this module owns the text of a value.
+//! module: telemetry's event and ops-snapshot JSONL and the analyzer's
+//! findings report. Each format keeps its own layout; this module owns
+//! the text of a value.
 //!
 //! * **Writer.** [`Str`] quotes and escapes a string. [`Num`] prints an
 //!   `f64` in Rust's shortest round-trip form, so reading the text back

@@ -152,13 +152,6 @@ impl DetRng {
         crate::C64::new(self.normal(0.0, sigma), self.normal(0.0, sigma))
     }
 
-    /// Exponential sample with the given mean. Used for traffic arrivals.
-    #[inline]
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        // Inverse CDF; `1 - uniform()` avoids ln(0).
-        -mean * (1.0 - self.uniform()).ln()
-    }
-
     /// Random point in the axis-aligned box `[lo, hi]`.
     pub fn point_in_box(&mut self, lo: crate::Vec2, hi: crate::Vec2) -> crate::Vec2 {
         crate::Vec2::new(self.uniform_in(lo.x, hi.x), self.uniform_in(lo.y, hi.y))
@@ -248,14 +241,6 @@ mod tests {
         let var = sum_sq / n as f64 - mean * mean;
         assert!(mean.abs() < 0.01, "mean={mean}");
         assert!((var - 1.0).abs() < 0.02, "var={var}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut r = DetRng::seed_from_u64(2);
-        let n = 100_000;
-        let mean: f64 = (0..n).map(|_| r.exponential(3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean={mean}");
     }
 
     #[test]

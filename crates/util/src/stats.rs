@@ -147,16 +147,6 @@ impl Running {
     }
 }
 
-/// Strictly increasing test, used by the ToF trend detector.
-pub fn is_strictly_increasing(xs: &[f64]) -> bool {
-    xs.windows(2).all(|w| w[1] > w[0])
-}
-
-/// Strictly decreasing test, used by the ToF trend detector.
-pub fn is_strictly_decreasing(xs: &[f64]) -> bool {
-    xs.windows(2).all(|w| w[1] < w[0])
-}
-
 /// Ordinary least-squares slope of `ys` against their indices.
 /// Returns `None` when fewer than two points are given.
 pub fn slope(ys: &[f64]) -> Option<f64> {
@@ -253,17 +243,6 @@ mod tests {
         assert_eq!(r.min(), Some(-2.0));
         assert_eq!(r.max(), Some(8.5));
         assert_eq!(r.count(), 6);
-    }
-
-    #[test]
-    fn monotone_tests() {
-        assert!(is_strictly_increasing(&[1.0, 2.0, 3.0]));
-        assert!(!is_strictly_increasing(&[1.0, 2.0, 2.0]));
-        assert!(is_strictly_decreasing(&[3.0, 1.0, 0.0]));
-        assert!(!is_strictly_decreasing(&[3.0, 3.0]));
-        // Trivial windows are vacuously monotone.
-        assert!(is_strictly_increasing(&[1.0]));
-        assert!(is_strictly_increasing(&[]));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! * Simulation time is an integer nanosecond count ([`Nanos`]) — no
 //!   floating-point drift in event ordering, cheap comparisons.
-//! * RF power is handled in both mW and dBm with explicit conversions.
+//! * RF power is handled in dBm, with explicit dB ↔ linear-ratio
+//!   conversions.
 
 /// Simulation timestamp / duration in nanoseconds.
 pub type Nanos = u64;
@@ -33,18 +34,6 @@ pub fn nanos_to_secs(n: Nanos) -> f64 {
 #[inline]
 pub fn millis_to_nanos(ms: f64) -> Nanos {
     (ms * 1e6).round() as Nanos
-}
-
-/// Converts power in milliwatts to dBm.
-#[inline]
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    10.0 * mw.log10()
-}
-
-/// Converts power in dBm to milliwatts.
-#[inline]
-pub fn dbm_to_mw(dbm: f64) -> f64 {
-    10f64.powf(dbm / 10.0)
 }
 
 /// Converts a linear power ratio to decibels.
@@ -82,9 +71,6 @@ mod tests {
 
     #[test]
     fn power_conversions() {
-        assert!((mw_to_dbm(1.0) - 0.0).abs() < 1e-12);
-        assert!((mw_to_dbm(100.0) - 20.0).abs() < 1e-12);
-        assert!((dbm_to_mw(30.0) - 1000.0).abs() < 1e-9);
         assert!((db_to_ratio(ratio_to_db(42.0)) - 42.0).abs() < 1e-9);
     }
 

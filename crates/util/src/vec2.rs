@@ -92,12 +92,6 @@ impl Vec2 {
         Vec2::new(-self.y, self.x)
     }
 
-    /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
-    #[inline]
-    pub fn lerp(self, other: Vec2, t: f64) -> Vec2 {
-        self + (other - self) * t
-    }
-
     /// Clamps both components into the axis-aligned box `[lo, hi]`.
     #[inline]
     pub fn clamp_box(self, lo: Vec2, hi: Vec2) -> Vec2 {
@@ -207,16 +201,6 @@ mod tests {
         let r = v.rotated(FRAC_PI_2);
         assert!((r - v.perp()).norm() < 1e-12);
         assert!(v.dot(r).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec2::new(1.0, 2.0);
-        let b = Vec2::new(-3.0, 5.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        let m = a.lerp(b, 0.5);
-        assert!((m - Vec2::new(-1.0, 3.5)).norm() < 1e-12);
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Cross-crate ops-observability tests: live snapshot JSONL from a
 //! real serving run round-trips losslessly with sane invariants, the
 //! stall watchdog is deterministic and fires on a genuinely gated
-//! shard, stage tracing never perturbs the decision log, and the bench
-//! regression gate catches what it exists to catch.
+//! shard, and stage tracing never perturbs the decision log.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use mobisense_bench::report::{compare, BenchReport};
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::service::{decision_log_csv, serve_streams, ServeConfig};
 use mobisense_serve::{
@@ -201,45 +199,4 @@ fn monitor_flags_a_deterministically_gated_shard() {
         7.0
     );
     q.close();
-}
-
-/// The perf gate's contract, exercised through the report API exactly
-/// as `bench_gate` uses it: a 20% drop on a 10%-tolerance metric is
-/// flagged, an in-tolerance wobble is not, and schema drift or a
-/// vanished metric fails loudly rather than passing silently.
-#[test]
-fn bench_gate_flags_synthetic_regression() {
-    let mut base = BenchReport::new("xtest_gate");
-    base.push("frames_per_sec", 100_000.0, true, 10.0);
-    base.push("p99_ns", 800.0, false, 25.0);
-    base.push("golden_match", 1.0, true, 0.0);
-
-    let mut regressed = base.clone();
-    regressed.push("frames_per_sec", 80_000.0, true, 10.0);
-    let flagged = compare(&base, &regressed).expect("comparable");
-    assert_eq!(flagged.len(), 1);
-    assert_eq!(flagged[0].metric, "frames_per_sec");
-    assert!((flagged[0].change_pct - 20.0).abs() < 1e-9);
-
-    let mut wobble = base.clone();
-    wobble.push("frames_per_sec", 95_000.0, true, 10.0);
-    wobble.push("p99_ns", 950.0, false, 25.0);
-    assert!(compare(&base, &wobble).expect("comparable").is_empty());
-
-    // Exact-ratio metrics tolerate nothing.
-    let mut broken = base.clone();
-    broken.push("golden_match", 0.0, true, 0.0);
-    assert_eq!(compare(&base, &broken).expect("comparable").len(), 1);
-
-    let mut shrunk = base.clone();
-    shrunk.metrics.remove("p99_ns");
-    assert!(compare(&base, &shrunk).is_err(), "vanished metric is loud");
-
-    let mut drifted = base.clone();
-    drifted.schema_version += 1;
-    assert!(compare(&base, &drifted).is_err(), "schema drift is loud");
-
-    // And the on-disk form agrees with the in-memory one.
-    let back = BenchReport::from_json(&base.to_json()).expect("parses");
-    assert_eq!(back, base);
 }

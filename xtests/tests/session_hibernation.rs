@@ -1,8 +1,8 @@
 //! Cross-crate session-hibernation tests: the hibernate → restore ≡
 //! never-hibernated invariant through the trace store (golden replay
-//! with hibernation toggled, at several shard counts), live shard
-//! rebalancing over disk-backed pagers, and crash recovery of
-//! paged-out sessions.
+//! with hibernation toggled, at several shard counts), the resident
+//! footprint bounded by the hot-set cap, live shard rebalancing over
+//! disk-backed pagers, and crash recovery of paged-out sessions.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::queue::Ticket;
 use mobisense_serve::service::{
-    decision_log_csv, serve_streams, BoxedPager, ServeConfig, ShardEngine,
+    decision_log_csv, serve_streams, BoxedPager, ServeConfig, ServeReport, ShardEngine,
 };
 use mobisense_session::{HibernationConfig, RetirePolicy, SessionSnapshot, SnapshotPager};
 use mobisense_store::{record_fleet, replay_fleet, StoreConfig, StorePager, TraceReader};
@@ -99,6 +99,71 @@ fn hibernation_golden_replay_across_shard_counts() {
         rec_hib.golden, rec.golden,
         "live hibernation changed the recorded golden log"
     );
+}
+
+/// Serves `fleet` time-major through `cfg`, sampling the cross-shard
+/// `resident_bytes` gauge every 256 submits and once after the workers
+/// drain. Returns the decision log, the report and the peak sample.
+fn serve_sampling_residency(cfg: &ServeConfig, fleet: &EncodedFleet) -> (String, ServeReport, u64) {
+    let engine = ShardEngine::spawn(cfg).expect("engine");
+    let gauges = engine.session_gauges().to_vec();
+    let resident = || -> u64 {
+        gauges
+            .iter()
+            .map(|g| g.resident_bytes.load(Ordering::Relaxed))
+            .sum()
+    };
+    let max_frames = fleet.streams.iter().map(|s| s.n_frames).max().unwrap_or(0);
+    let mut submitted = 0u64;
+    let mut peak = 0u64;
+    for i in 0..max_frames {
+        for s in &fleet.streams {
+            if i < s.n_frames {
+                engine.submit(Ticket::untraced(), s.obs(i));
+                submitted += 1;
+                if submitted.is_multiple_of(256) {
+                    peak = peak.max(resident());
+                }
+            }
+        }
+    }
+    let (decisions, report) = engine.finish(submitted);
+    (decision_log_csv(&decisions), report, peak.max(resident()))
+}
+
+/// The footprint hibernation exists for: with the hot set capped at a
+/// tenth of the clients and every client touched every tick, resident
+/// session bytes track the cap, not the client count. The peak stays
+/// under 60 % of the fully resident footprint (it reads ~10 %), and
+/// the decision log does not move.
+#[test]
+fn hibernation_bounds_resident_bytes_to_the_hot_set() {
+    let fleet = EncodedFleet::generate(&FleetConfig {
+        n_clients: 1_000,
+        duration: SECOND,
+        step: 100 * MILLISECOND,
+        base_seed: 5_113,
+        ..FleetConfig::default()
+    });
+    let base = ServeConfig::default();
+    let hibernating = ServeConfig {
+        hibernation: HibernationConfig {
+            idle_after: Some(300 * MILLISECOND),
+            max_hot: Some(fleet.streams.len() / (base.n_shards * 10)),
+            policy: RetirePolicy::Hibernate,
+        },
+        ..base.clone()
+    };
+
+    let (full_log, _, full) = serve_sampling_residency(&base, &fleet);
+    let (log, report, peak) = serve_sampling_residency(&hibernating, &fleet);
+    assert!(
+        (peak as f64) < 0.6 * full as f64,
+        "peak resident bytes {peak} are not under 60% of the fully resident {full}"
+    );
+    assert_eq!(log, full_log, "hibernation changed the decision log");
+    assert!(report.sessions.hibernated > 0, "{:?}", report.sessions);
+    assert!(report.sessions.restored > 0, "{:?}", report.sessions);
 }
 
 /// Hibernation over disk-backed pagers: every page-out lands in a

@@ -2,7 +2,8 @@
 //! process killed (aborted, not unwound) at every promotion-protocol
 //! step must leave a fully recoverable store; randomly generated
 //! mixed-kind stores must compact order-preservingly, idempotently and
-//! within the O(segment) resident-byte budget; and the golden
+//! within the O(segment) resident-byte budget; a 16 MiB store must
+//! compact with exactly one input segment resident; and the golden
 //! 256-client fleet must replay byte-identically after compaction.
 
 use std::path::{Path, PathBuf};
@@ -252,6 +253,57 @@ proptest! {
         prop_assert_eq!(segment_bytes(&dir), first_files);
         prop_assert_eq!(record_stream(&dir), expected);
     }
+}
+
+/// The streaming contract at a size where buffering cannot hide: a
+/// 16 MiB store of 256 KiB segments compacted toward 1 MiB holds
+/// exactly one input segment resident at its peak (~0.25 × target;
+/// buffering the store would read 16 ×), and the record stream
+/// survives byte for byte.
+#[test]
+fn compacting_16_mib_keeps_one_input_segment_resident() {
+    let dir = fresh_dir("resident");
+    let mut w = TraceWriter::create(StoreConfig::new(&dir).with_target_segment_bytes(256 << 10))
+        .expect("create");
+    let mut written = 0u64;
+    let mut seq = 0u32;
+    while written < 16 << 20 {
+        let frame = ObsFrame {
+            client_id: seq % 64,
+            seq: seq / 64,
+            at: 500 * u64::from(seq) + 500,
+            distance_m: 2.0 + f64::from(seq % 11),
+            digest: vec![0.125; 16],
+        };
+        w.append_frame(&frame).expect("append");
+        written += frame.encode().len() as u64;
+        if seq % 512 == 511 {
+            w.append_decision_row(&format!("{},{seq},steer", seq % 64))
+                .expect("row");
+        }
+        seq += 1;
+    }
+    w.finish().expect("finish");
+    let expected = record_stream(&dir);
+    let inputs = TraceReader::open(&dir).expect("open");
+    let largest_input = inputs.segments().iter().map(|m| m.bytes).max();
+    assert_eq!((inputs.segments().len(), expected.len()), (71, 182_718));
+
+    let target = 1usize << 20;
+    let cfg = StoreConfig::new(&dir).with_target_segment_bytes(target);
+    let report = compact(&cfg, &mut NoopSink).expect("compact");
+    assert_eq!(
+        Some(report.peak_resident_bytes as u64),
+        largest_input,
+        "peak resident bytes must be exactly the largest input segment"
+    );
+    assert_eq!(
+        record_stream(&dir),
+        expected,
+        "compaction changed the stream"
+    );
+    // Unlike the other tests' stores, 16 MiB is worth reclaiming.
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The golden-regression contract survives compaction: a recorded
