@@ -256,6 +256,20 @@ mod tests {
     use mobisense_telemetry::Telemetry;
     use mobisense_util::units::{MILLISECOND, SECOND};
 
+    /// The defaults with a 1 s classifier warm-up: the fleets run 2 s,
+    /// so the default 6 s warm-up would leave every golden log a bare
+    /// CSV header.
+    fn serve_cfg() -> ServeConfig {
+        let mut cfg = ServeConfig::default();
+        cfg.pipeline.warmup = SECOND;
+        cfg
+    }
+
+    /// Decision rows below the golden log's CSV header.
+    fn rows(golden: &str) -> usize {
+        golden.lines().count().saturating_sub(1)
+    }
+
     fn small_fleet() -> EncodedFleet {
         EncodedFleet::generate(&FleetConfig {
             n_clients: 8,
@@ -272,11 +286,11 @@ mod tests {
         let dir = testdir::fresh("replay-roundtrip");
         let fleet = small_fleet();
         let store = StoreConfig::new(&dir).with_target_segment_bytes(16 << 10);
-        let serve_cfg = ServeConfig::default();
+        let serve_cfg = serve_cfg();
         let mut sink = Telemetry::new();
         let rec = record_fleet(&store, &serve_cfg, &fleet, &mut sink).expect("record");
         assert_eq!(rec.frames, 8 * fleet.cfg.frames_per_client() as u64);
-        assert!(!rec.golden.is_empty());
+        assert!(rows(&rec.golden) >= 8, "{} decision rows", rows(&rec.golden));
         assert!(
             sink.events().any(|e| e.kind() == "store_segment"),
             "recording reports its segments"
@@ -294,7 +308,7 @@ mod tests {
         let dir = testdir::fresh("replay-rebuild");
         let fleet = small_fleet();
         let store = StoreConfig::new(&dir);
-        record_fleet(&store, &ServeConfig::default(), &fleet, &mut NoopSink).expect("record");
+        record_fleet(&store, &serve_cfg(), &fleet, &mut NoopSink).expect("record");
         let reader = TraceReader::open(&dir).expect("open");
         let (streams, _) = rebuild_streams(&reader).expect("rebuild");
         assert_eq!(streams.len(), fleet.streams.len());
@@ -312,8 +326,9 @@ mod tests {
         let fleet = small_fleet();
         // Tiny segments so the index actually gets to skip some.
         let store = StoreConfig::new(&dir).with_target_segment_bytes(8 << 10);
-        let serve_cfg = ServeConfig::default();
+        let serve_cfg = serve_cfg();
         let rec = record_fleet(&store, &serve_cfg, &fleet, &mut NoopSink).expect("record");
+        assert!(rows(&rec.golden) >= 8, "{} decision rows", rows(&rec.golden));
         for client in [0u32, 3, 7] {
             let rows = replay_client(&store, &serve_cfg, client, &mut NoopSink).expect("replay");
             let want: Vec<&str> = rec
@@ -334,8 +349,9 @@ mod tests {
         let dir = testdir::fresh("replay-compacted");
         let fleet = small_fleet();
         let store = StoreConfig::new(&dir).with_target_segment_bytes(4 << 10);
-        let serve_cfg = ServeConfig::default();
+        let serve_cfg = serve_cfg();
         let rec = record_fleet(&store, &serve_cfg, &fleet, &mut NoopSink).expect("record");
+        assert!(rows(&rec.golden) >= 8, "{} decision rows", rows(&rec.golden));
         let before = TraceReader::open(&dir).expect("open").segments().len();
         let merged = StoreConfig::new(&dir).with_target_segment_bytes(4 << 20);
         let report = crate::compact(&merged, &mut NoopSink).expect("compact");

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::recording::{RecordBackend, RecordPolicy, Recorder, RecordingConfig};
-use mobisense_serve::service::{decision_log_csv, serve_streams, ServeConfig};
+use mobisense_serve::service::{decision_log_csv, serve_streams};
 use mobisense_serve::wire::ObsFrame;
 use mobisense_store::{
     enforce_retention, replay_fleet, spawn_flight_recorder, RetentionPolicy, StoreConfig,
@@ -19,6 +19,7 @@ use mobisense_store::{
 };
 use mobisense_telemetry::{NoopSink, Telemetry};
 use mobisense_util::units::{Nanos, MILLISECOND, SECOND};
+use mobisense_xtests::{assert_decision_rows, golden_serve_config};
 
 fn fresh_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -58,7 +59,7 @@ fn recorded_serve_replays_byte_identically_with_concurrent_tail() {
         ..FleetConfig::default()
     });
     let store = StoreConfig::new(&dir).with_target_segment_bytes(256 << 10);
-    let serve_cfg = ServeConfig::default();
+    let serve_cfg = golden_serve_config();
 
     let stop = AtomicBool::new(false);
     let (golden, stats, tail_rows, tail_frames) = std::thread::scope(|scope| {
@@ -107,6 +108,7 @@ fn recorded_serve_replays_byte_identically_with_concurrent_tail() {
         (decision_log_csv(&decisions), stats, tail_rows, tail_frames)
     });
 
+    assert_decision_rows(&golden, 48);
     // Block policy: lossless, every frame and row recorded.
     assert_eq!(stats.frames, fleet.total_frames());
     assert_eq!(stats.dropped, 0);

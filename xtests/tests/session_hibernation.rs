@@ -16,6 +16,7 @@ use mobisense_session::{HibernationConfig, RetirePolicy, SessionSnapshot, Snapsh
 use mobisense_store::{record_fleet, replay_fleet, StoreConfig, StorePager, TraceReader};
 use mobisense_telemetry::NoopSink;
 use mobisense_util::units::{MILLISECOND, SECOND};
+use mobisense_xtests::{assert_decision_rows, golden_serve_config};
 
 fn fresh_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -71,11 +72,12 @@ fn store_pagers(dir: &std::path::Path, n_shards: usize) -> Vec<BoxedPager> {
 #[test]
 fn hibernation_golden_replay_across_shard_counts() {
     let fleet = fleet_64();
-    let base_cfg = ServeConfig::default();
+    let base_cfg = golden_serve_config();
 
     let dir = fresh_dir("golden-base");
     let store = StoreConfig::new(&dir).with_target_segment_bytes(1 << 20);
     let rec = record_fleet(&store, &base_cfg, &fleet, &mut NoopSink).expect("record");
+    assert_decision_rows(&rec.golden, 64);
 
     // Replay the stored frames through hibernating services: 1 shard
     // (pure single-stream) and 4 shards (cross-shard merge), both
@@ -145,7 +147,7 @@ fn hibernation_bounds_resident_bytes_to_the_hot_set() {
         base_seed: 5_113,
         ..FleetConfig::default()
     });
-    let base = ServeConfig::default();
+    let base = golden_serve_config();
     let hibernating = ServeConfig {
         hibernation: HibernationConfig {
             idle_after: Some(300 * MILLISECOND),
@@ -156,6 +158,7 @@ fn hibernation_bounds_resident_bytes_to_the_hot_set() {
     };
 
     let (full_log, _, full) = serve_sampling_residency(&base, &fleet);
+    assert_decision_rows(&full_log, 1_000);
     let (log, report, peak) = serve_sampling_residency(&hibernating, &fleet);
     assert!(
         (peak as f64) < 0.6 * full as f64,
@@ -174,9 +177,10 @@ fn hibernation_bounds_resident_bytes_to_the_hot_set() {
 #[test]
 fn disk_paged_hibernation_is_invisible_and_recoverable() {
     let fleet = fleet_64();
-    let (golden, _) = serve_streams(&ServeConfig::default(), &fleet.streams, None, &mut NoopSink);
+    let (golden, _) = serve_streams(&golden_serve_config(), &fleet.streams, None, &mut NoopSink);
+    assert_decision_rows(&decision_log_csv(&golden), 64);
 
-    let cfg = thrash(ServeConfig::default());
+    let cfg = thrash(golden_serve_config());
     let dir = fresh_dir("disk-paged");
     let engine = ShardEngine::start(
         &cfg,
@@ -245,9 +249,10 @@ fn disk_paged_hibernation_is_invisible_and_recoverable() {
 #[test]
 fn migration_with_disk_pagers_preserves_decisions_and_conserves_frames() {
     let fleet = fleet_64();
-    let (golden, _) = serve_streams(&ServeConfig::default(), &fleet.streams, None, &mut NoopSink);
+    let (golden, _) = serve_streams(&golden_serve_config(), &fleet.streams, None, &mut NoopSink);
+    assert_decision_rows(&decision_log_csv(&golden), 64);
 
-    let cfg = thrash(ServeConfig::default());
+    let cfg = thrash(golden_serve_config());
     let dir = fresh_dir("migrate");
     let engine = ShardEngine::start(
         &cfg,

@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mobisense_core::pipeline::{PipelineConfig, PipelineSession};
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
-use mobisense_serve::service::ServeConfig;
 use mobisense_serve::wire::ObsFrame;
 use mobisense_session::SessionSnapshot;
 use mobisense_store::segment::scan_segment;
@@ -22,6 +21,7 @@ use mobisense_store::{
 };
 use mobisense_telemetry::NoopSink;
 use mobisense_util::units::{MILLISECOND, SECOND};
+use mobisense_xtests::{assert_decision_rows, golden_serve_config};
 use proptest::prelude::*;
 use proptest::strategy::StrategyExt;
 
@@ -321,8 +321,9 @@ fn golden_256_client_replay_is_identical_after_compaction() {
         ..FleetConfig::default()
     });
     let store = StoreConfig::new(&dir).with_target_segment_bytes(256 << 10);
-    let serve_cfg = ServeConfig::default();
+    let serve_cfg = golden_serve_config();
     let rec = record_fleet(&store, &serve_cfg, &fleet, &mut NoopSink).expect("record");
+    assert_decision_rows(&rec.golden, 256);
     let before = TraceReader::open(&dir).expect("open").segments().len();
     assert!(before > 2, "fragmented store expected, got {before}");
 

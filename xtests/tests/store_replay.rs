@@ -7,12 +7,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
-use mobisense_serve::service::ServeConfig;
 use mobisense_store::{
     compact, record_fleet, replay_client, replay_fleet, StoreConfig, TraceReader, TraceWriter,
 };
 use mobisense_telemetry::{NoopSink, Telemetry};
 use mobisense_util::units::{MILLISECOND, SECOND};
+use mobisense_xtests::{assert_decision_rows, golden_serve_config};
 
 fn fresh_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -44,11 +44,12 @@ fn golden_replay_256_clients_across_shard_counts() {
     let dir = fresh_dir("golden");
     let fleet = fleet_256();
     let store = StoreConfig::new(&dir).with_target_segment_bytes(1 << 20);
-    let serve_cfg = ServeConfig::default();
+    let serve_cfg = golden_serve_config();
     let mut sink = Telemetry::new();
 
     let rec = record_fleet(&store, &serve_cfg, &fleet, &mut sink).expect("record");
     assert_eq!(rec.frames, fleet.total_frames());
+    assert_decision_rows(&rec.golden, 256);
     assert!(rec.bytes > 0);
     assert!(rec.segments.len() > 1, "1 MiB target must rotate");
     assert!(
@@ -133,8 +134,9 @@ fn filtered_replay_matches_golden_rows() {
         ..FleetConfig::default()
     });
     let store = StoreConfig::new(&dir).with_target_segment_bytes(128 << 10);
-    let serve_cfg = ServeConfig::default();
+    let serve_cfg = golden_serve_config();
     let rec = record_fleet(&store, &serve_cfg, &fleet, &mut NoopSink).expect("record");
+    assert_decision_rows(&rec.golden, 48);
     for client in [0u32, 17, 47] {
         let rows = replay_client(&store, &serve_cfg, client, &mut NoopSink).expect("replay");
         let want: Vec<&str> = rec
@@ -159,8 +161,9 @@ fn compaction_is_invisible_to_replay() {
         ..FleetConfig::default()
     });
     let store = StoreConfig::new(&dir).with_target_segment_bytes(32 << 10);
-    let serve_cfg = ServeConfig::default();
+    let serve_cfg = golden_serve_config();
     let rec = record_fleet(&store, &serve_cfg, &fleet, &mut NoopSink).expect("record");
+    assert_decision_rows(&rec.golden, 32);
     let before = TraceReader::open(&dir).expect("open").segments().len();
     assert!(before > 2, "fragmented store expected");
 
