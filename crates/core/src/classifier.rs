@@ -4,8 +4,9 @@ use mobisense_mobility::{Direction, MobilityMode};
 use mobisense_phy::csi::Csi;
 use mobisense_telemetry::{Event, NoopSink, Sink};
 use mobisense_util::units::{Nanos, MILLISECOND};
+use mobisense_util::walk::{walk_enum, walk_opt, StateWalk};
 
-use crate::similarity::{SimilarityState, SimilarityTracker};
+use crate::similarity::SimilarityTracker;
 use crate::trend::{Trend, TrendConfig, TrendDetector};
 
 /// Thresholds and periods of the classification pipeline.
@@ -71,6 +72,22 @@ impl Classification {
             direction: Some(direction),
         }
     }
+
+    /// Walks an optional classification (see [`mobisense_util::walk`]):
+    /// a presence tag, then the mode's tag (paper order, static = 0) and
+    /// the direction's (none = 0, towards = 1, away = 2).
+    pub fn walk_opt<W: StateWalk>(
+        w: &mut W,
+        field: &'static str,
+        c: &mut Option<Classification>,
+    ) -> Result<(), W::Error> {
+        let blank = Classification::of(MobilityMode::Static);
+        walk_opt(w, field, c, blank, |w, c| {
+            walk_enum(w, field, &mut c.mode, 0, &MobilityMode::ALL)?;
+            let directions = [None, Some(Direction::Towards), Some(Direction::Away)];
+            walk_enum(w, field, &mut c.direction, 0, &directions)
+        })
+    }
 }
 
 impl std::fmt::Display for Classification {
@@ -80,25 +97,6 @@ impl std::fmt::Display for Classification {
             None => write!(f, "{}", self.mode),
         }
     }
-}
-
-/// Serializable dynamic state of a [`MobilityClassifier`], produced by
-/// [`MobilityClassifier::export_state`]. Plain data: the session
-/// snapshot codec owns the byte-level encoding.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ClassifierState {
-    /// Similarity tracker state.
-    pub similarity: SimilarityState,
-    /// ToF trend window contents, oldest-first.
-    pub trend_samples: Vec<f64>,
-    /// Whether demand-driven ToF measurement is running.
-    pub tof_active: bool,
-    /// Latest classification, if any.
-    pub current: Option<Classification>,
-    /// Number of decisions made so far.
-    pub decisions: u64,
-    /// Last time a ToF trend fired, with its direction.
-    pub last_trend: Option<(Nanos, Direction)>,
 }
 
 /// AP-side mobility classifier: consumes CSI snapshots from ordinary
@@ -257,46 +255,24 @@ impl MobilityClassifier {
         }
     }
 
-    /// Exports the classifier's complete dynamic state for session
-    /// hibernation. Round-trips through [`from_state`](Self::from_state):
-    /// a restored classifier makes bit-identical decisions from the saved
-    /// point on.
-    pub fn export_state(&self) -> ClassifierState {
-        let mut state = ClassifierState::default();
-        self.snapshot_into(&mut state);
-        state
-    }
-
-    /// [`export_state`](Self::export_state) into a reused state: every
-    /// field is overwritten and the vectors keep their allocations.
-    pub fn snapshot_into(&self, out: &mut ClassifierState) {
-        self.similarity.snapshot_into(&mut out.similarity);
-        self.trend.snapshot_into(&mut out.trend_samples);
-        out.tof_active = self.tof_active;
-        out.current = self.current;
-        out.decisions = self.decisions;
-        out.last_trend = self.last_trend;
-    }
-
-    /// Reconstructs a classifier from [`export_state`](Self::export_state)
-    /// output under the given configuration. Panics only on the same
-    /// configuration invariant as [`new`](Self::new).
-    pub fn from_state(cfg: ClassifierConfig, state: ClassifierState) -> Self {
-        let mut cl = MobilityClassifier::new(cfg);
-        cl.restore_from(&state);
-        cl
-    }
-
-    /// [`from_state`](Self::from_state) into this classifier, keeping its
-    /// configuration and reusing its buffers: afterwards it is
-    /// indistinguishable from `MobilityClassifier::from_state(cfg, state)`.
-    pub fn restore_from(&mut self, state: &ClassifierState) {
-        self.similarity.restore_from(&state.similarity);
-        self.trend.restore_from(&state.trend_samples);
-        self.tof_active = state.tof_active;
-        self.current = state.current;
-        self.decisions = state.decisions;
-        self.last_trend = state.last_trend;
+    /// Walks the classifier's complete dynamic state (see
+    /// [`mobisense_util::walk`]): the similarity tracker, the trend
+    /// window and the Figure-5 registers. A read makes bit-identical
+    /// decisions from the walked point on, whatever this classifier
+    /// held before.
+    pub fn walk_state<W: StateWalk>(&mut self, w: &mut W) -> Result<(), W::Error> {
+        self.similarity.walk_state(w)?;
+        self.trend.walk_state(w)?;
+        walk_enum(w, "tof_active", &mut self.tof_active, 0, &[false, true])?;
+        Classification::walk_opt(w, "current", &mut self.current)?;
+        w.u64(&mut self.decisions)?;
+        let (trend, blank) = (&mut self.last_trend, (0, Direction::Towards));
+        walk_opt(w, "last_trend", trend, blank, |w, (at, d)| {
+            w.u64(at)?;
+            // A trend always has a direction: towards = 1, away = 2.
+            let directions = [Direction::Towards, Direction::Away];
+            walk_enum(w, "last_trend.direction", d, 1, &directions)
+        })
     }
 
     /// Approximate resident heap bytes of the classifier's buffers, for

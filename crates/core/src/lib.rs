@@ -43,8 +43,7 @@ pub mod scenario;
 pub mod similarity;
 pub mod trend;
 
-pub use classifier::{Classification, ClassifierConfig, ClassifierState, MobilityClassifier};
-pub use pipeline::{PipelineConfig, PipelineSession, SessionState};
+pub use classifier::{Classification, ClassifierConfig, MobilityClassifier};
+pub use pipeline::{PipelineConfig, PipelineSession};
 pub use policy::MobilityPolicy;
 pub use scenario::{Scenario, ScenarioKind};
-pub use similarity::SimilarityState;

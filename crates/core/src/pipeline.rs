@@ -8,12 +8,13 @@
 
 use mobisense_mobility::{GroundTruth, MobilityMode};
 use mobisense_phy::csi::Csi;
-use mobisense_phy::tof::{TofConfig, TofSampler, TofSamplerState};
+use mobisense_phy::tof::{TofConfig, TofSampler};
 use mobisense_telemetry::{timed, Event, NoopSink, Sink};
 use mobisense_util::units::{Nanos, MILLISECOND, SECOND};
+use mobisense_util::walk::StateWalk;
 use mobisense_util::DetRng;
 
-use crate::classifier::{Classification, ClassifierConfig, ClassifierState, MobilityClassifier};
+use crate::classifier::{Classification, ClassifierConfig, MobilityClassifier};
 use crate::scenario::Scenario;
 
 /// Configuration of a classification run.
@@ -64,6 +65,11 @@ impl DecisionRecord {
 /// sampling pipeline, bundled so callers that serve many clients (the
 /// `mobisense-serve` shard workers) can hold one session per client and
 /// recycle it with [`PipelineSession::reset`] instead of reallocating.
+///
+/// A session is its own snapshot: [`PipelineSession::walk_state`] lists
+/// its dynamic state once, and the `mobisense-session` codec encodes a
+/// live session from that walk and decodes a page straight back into
+/// one, for hibernation and shard migration.
 ///
 /// [`run_classification_with`] is a thin loop over this type, so the
 /// single-scenario harness and the serving layer share one entry point.
@@ -143,42 +149,16 @@ impl PipelineSession {
         self.classifier.on_frame_profile_with(at, profile, sink)
     }
 
-    /// Exports the session's complete dynamic state (classifier +
-    /// ToF sampler, configs excluded — those travel separately) for
-    /// hibernation or shard migration. The invariant the serving layer's
-    /// golden-replay tests pin: `PipelineSession::restore(cfg,
-    /// s.snapshot())` continues the decision stream bit-identically to
-    /// `s` itself — hibernate→restore ≡ never-hibernated.
-    pub fn snapshot(&self) -> SessionState {
-        let mut state = SessionState::default();
-        self.snapshot_into(&mut state);
-        state
-    }
-
-    /// [`snapshot`](Self::snapshot) into a reused state: every field is
-    /// overwritten, and the state's vectors keep their allocations, so a
-    /// worker that pages sessions out repeatedly copies without
-    /// allocating.
-    pub fn snapshot_into(&self, out: &mut SessionState) {
-        self.classifier.snapshot_into(&mut out.classifier);
-        self.tof.snapshot_into(&mut out.tof);
-    }
-
-    /// Reconstructs a session from [`snapshot`](Self::snapshot) output
-    /// under the given configuration.
-    pub fn restore(cfg: PipelineConfig, state: SessionState) -> Self {
-        let mut session = PipelineSession::new(cfg, 0);
-        session.restore_from(&state);
-        session
-    }
-
-    /// [`restore`](Self::restore) into this session, keeping its
-    /// configuration and reusing its buffers. The session may have
-    /// served any other client before: afterwards it continues exactly
-    /// as `PipelineSession::restore(cfg, state.clone())` would.
-    pub fn restore_from(&mut self, state: &SessionState) {
-        self.classifier.restore_from(&state.classifier);
-        self.tof.restore_from(&state.tof);
+    /// Walks the session's complete dynamic state (see
+    /// [`mobisense_util::walk`]): the classifier, then the ToF sampler.
+    /// Configs are not walked; they travel separately. The invariant the
+    /// serving layer's golden-replay tests pin: reading a walk of `s`
+    /// into any session of the same configuration, whatever client it
+    /// served before, continues the decision stream bit-identically to
+    /// `s` itself — hibernate → restore ≡ never hibernated.
+    pub fn walk_state<W: StateWalk>(&mut self, w: &mut W) -> Result<(), W::Error> {
+        self.classifier.walk_state(w)?;
+        self.tof.walk_state(w)
     }
 
     /// Approximate resident heap bytes of the session's buffers, for the
@@ -198,19 +178,6 @@ impl PipelineSession {
             self.classifier.on_tof_median(m.cycles);
         }
     }
-}
-
-/// Serializable dynamic state of a [`PipelineSession`], produced by
-/// [`PipelineSession::snapshot`]. Plain data — the `mobisense-session`
-/// crate owns the versioned byte-level encoding.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SessionState {
-    /// Classifier state (similarity window, trend window, Figure-5
-    /// machine registers, decision counter).
-    pub classifier: ClassifierState,
-    /// ToF sampler state (noise-stream position, schedule anchors,
-    /// in-flight batch, bounded history).
-    pub tof: TofSamplerState,
 }
 
 /// Runs the full pipeline over `duration` and returns every
@@ -578,96 +545,6 @@ mod tests {
         let b = drive_session(&mut fresh, ScenarioKind::Micro, 9, 15 * SECOND);
         assert!(!a.is_empty());
         assert_eq!(a, b, "recycled session must match a fresh one");
-    }
-
-    /// Continues a session mid-scenario from time `from` to `to`.
-    fn continue_session(
-        session: &mut PipelineSession,
-        sc: &mut Scenario,
-        from: Nanos,
-        to: Nanos,
-    ) -> Vec<(Nanos, Classification)> {
-        let step = session.config().step;
-        let mut out = Vec::new();
-        let mut t = from;
-        while t <= to {
-            let obs = sc.observe(t);
-            if let Some(c) = session.observe(t, &obs.csi, obs.distance_m) {
-                out.push((t, c));
-            }
-            t += step;
-        }
-        out
-    }
-
-    #[test]
-    fn snapshot_restore_matches_uninterrupted_session() {
-        // The hibernation invariant at the core layer: snapshot a session
-        // mid-stream (at an awkward instant, between ToF medians and
-        // mid-similarity-period), restore it into a brand-new session,
-        // and both must continue with bit-identical decisions.
-        for kind in [
-            ScenarioKind::Static,
-            ScenarioKind::Micro,
-            ScenarioKind::MacroAway,
-        ] {
-            let cfg = PipelineConfig::default();
-            let mut original = PipelineSession::new(cfg.clone(), 17);
-            let mut sc_a = Scenario::new(kind, 17);
-            let mut sc_b = Scenario::new(kind, 17);
-            // 9.13 s: not a multiple of any pipeline period.
-            let cut = 9 * SECOND + 130 * MILLISECOND;
-            let head = continue_session(&mut original, &mut sc_a, 0, cut);
-            {
-                // Advance the twin scenario identically.
-                let mut twin = PipelineSession::new(cfg.clone(), 17);
-                let twin_head = continue_session(&mut twin, &mut sc_b, 0, cut);
-                assert_eq!(head, twin_head);
-            }
-            let state = original.snapshot();
-            let mut restored = PipelineSession::restore(cfg, state.clone());
-            // The snapshot is lossless: re-snapshotting reproduces it.
-            assert_eq!(restored.snapshot(), state);
-            let next = cut + original.config().step;
-            let tail_a = continue_session(&mut original, &mut sc_a, next, 25 * SECOND);
-            let tail_b = continue_session(&mut restored, &mut sc_b, next, 25 * SECOND);
-            assert!(!tail_a.is_empty());
-            assert_eq!(tail_a, tail_b, "{kind:?}: restored session diverged");
-        }
-    }
-
-    #[test]
-    fn snapshot_into_a_dirty_state_equals_snapshot() {
-        // Three sessions with very different state: a walk (full trend
-        // window, ToF history, last trend), a short static run and a
-        // fresh one. Snapshotting each into a state taken from each of
-        // the others must leave no stale field behind.
-        let cfg = PipelineConfig::default();
-        let mut walk = PipelineSession::new(cfg.clone(), 41);
-        drive_session(&mut walk, ScenarioKind::MacroAway, 41, 11 * SECOND);
-        let mut still = PipelineSession::new(cfg.clone(), 42);
-        drive_session(&mut still, ScenarioKind::Static, 42, 3 * SECOND);
-        let fresh = PipelineSession::new(cfg, 43);
-        let sessions = [&walk, &still, &fresh];
-        for src in sessions {
-            for dirty in sessions {
-                let mut state = dirty.snapshot();
-                src.snapshot_into(&mut state);
-                assert_eq!(state, src.snapshot());
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_of_fresh_session_restores_fresh() {
-        let cfg = PipelineConfig::default();
-        let fresh = PipelineSession::new(cfg.clone(), 23);
-        let mut restored = PipelineSession::restore(cfg.clone(), fresh.snapshot());
-        let mut reference = PipelineSession::new(cfg, 23);
-        let a = drive_session(&mut restored, ScenarioKind::MacroAway, 23, 12 * SECOND);
-        let b = drive_session(&mut reference, ScenarioKind::MacroAway, 23, 12 * SECOND);
-        assert!(!a.is_empty());
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use mobisense_phy::csi::Csi;
 use mobisense_util::filter::MovingAverage;
 use mobisense_util::units::Nanos;
+use mobisense_util::walk::{walk_opt, walk_seq, StateWalk, MAX_ELEMS};
 use std::collections::VecDeque;
 
 /// Frame profiles no older than this are averaged into one sample
@@ -18,23 +19,6 @@ use std::collections::VecDeque;
 const PROFILE_SMOOTHING_WINDOW: Nanos = 50 * mobisense_util::units::MILLISECOND;
 /// Cap on how many profiles the smoothing window may hold.
 const PROFILE_SMOOTHING_MAX: usize = 4;
-
-/// Serializable dynamic state of a [`SimilarityTracker`], produced by
-/// [`SimilarityTracker::export_state`]. Plain data: the session snapshot
-/// codec owns the byte-level encoding.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SimilarityState {
-    /// Timestamped profiles of the noise-averaging window, oldest-first.
-    pub recent: Vec<(Nanos, Vec<f64>)>,
-    /// The previous period's reference profile, if seeded.
-    pub last_profile: Option<Vec<f64>>,
-    /// Next sampling deadline, if seeded.
-    pub next_sample_at: Option<Nanos>,
-    /// Most recent raw similarity value.
-    pub last_similarity: Option<f64>,
-    /// Contents of the smoothing moving average, oldest-first.
-    pub avg: Vec<f64>,
-}
 
 /// Tracks CSI similarity over time at a fixed sampling period.
 #[derive(Clone, Debug)]
@@ -146,59 +130,26 @@ impl SimilarityTracker {
         self.avg.current()
     }
 
-    /// Exports the tracker's complete dynamic state for session
-    /// hibernation. Round-trips through [`from_state`](Self::from_state):
-    /// a restored tracker produces bit-identical similarity samples from
-    /// the saved point on.
-    pub fn export_state(&self) -> SimilarityState {
-        let mut state = SimilarityState::default();
-        self.snapshot_into(&mut state);
-        state
-    }
-
-    /// [`export_state`](Self::export_state) into a reused state: every
-    /// field is overwritten, and profile vectors keep their allocations.
-    pub fn snapshot_into(&self, out: &mut SimilarityState) {
-        out.recent.truncate(self.recent.len());
-        for (i, (at, profile)) in self.recent.iter().enumerate() {
-            match out.recent.get_mut(i) {
-                Some(slot) => copy_profile(slot, *at, profile),
-                None => out.recent.push((*at, profile.clone())),
-            }
-        }
-        copy_opt_profile(&mut out.last_profile, self.last_profile.as_deref());
-        out.next_sample_at = self.next_sample_at;
-        out.last_similarity = self.last_similarity;
-        self.avg.snapshot_into(&mut out.avg);
-    }
-
-    /// Reconstructs a tracker from [`export_state`](Self::export_state)
-    /// output. `period` and `window` come from configuration, exactly as
-    /// in [`new`](Self::new); excess smoothing profiles or average
-    /// samples (from a state saved under larger caps) are trimmed
-    /// oldest-first.
-    pub fn from_state(period: Nanos, window: usize, state: SimilarityState) -> Self {
-        let mut tracker = SimilarityTracker::new(period, window);
-        tracker.restore_from(&state);
-        tracker
-    }
-
-    /// [`from_state`](Self::from_state) into this tracker, keeping its
-    /// period and window and reusing its profile buffers.
-    pub fn restore_from(&mut self, state: &SimilarityState) {
-        let kept = state.recent.len().min(PROFILE_SMOOTHING_MAX);
-        let newest = state.recent.iter().skip(state.recent.len() - kept);
-        self.recent.truncate(kept);
-        for (i, (at, profile)) in newest.enumerate() {
-            match self.recent.get_mut(i) {
-                Some(slot) => copy_profile(slot, *at, profile),
-                None => self.recent.push_back((*at, profile.clone())),
-            }
-        }
-        copy_opt_profile(&mut self.last_profile, state.last_profile.as_deref());
-        self.next_sample_at = state.next_sample_at;
-        self.last_similarity = state.last_similarity;
-        self.avg.restore_from(&state.avg);
+    /// Walks the tracker's complete dynamic state (see
+    /// [`mobisense_util::walk`]): the noise-averaging profiles, the
+    /// reference profile, the sampling deadline, the last raw similarity
+    /// and the moving average. A read reuses the profile buffers, keeps
+    /// the newest profiles and averaged samples of state walked under
+    /// larger caps, and then produces bit-identical similarity samples.
+    pub fn walk_state<W: StateWalk>(&mut self, w: &mut W) -> Result<(), W::Error> {
+        let (recent, last) = (&mut self.recent, &mut self.last_profile);
+        let cap = PROFILE_SMOOTHING_MAX;
+        walk_seq(w, "similarity.recent", recent, cap, |w, (at, p)| {
+            w.u64(at)?;
+            walk_seq(w, "similarity.recent.profile", p, MAX_ELEMS, W::f64)
+        })?;
+        walk_opt(w, "similarity.last_profile", last, Vec::new(), |w, p| {
+            walk_seq(w, "similarity.last_profile", p, MAX_ELEMS, W::f64)
+        })?;
+        let (next, sim) = (&mut self.next_sample_at, &mut self.last_similarity);
+        walk_opt(w, "similarity.next_sample_at", next, 0, W::u64)?;
+        walk_opt(w, "similarity.last_similarity", sim, 0.0, W::f64)?;
+        self.avg.walk_state(w, "similarity.avg")
     }
 
     /// Approximate resident heap bytes of the tracker's buffers, for the
@@ -218,26 +169,6 @@ impl SimilarityTracker {
         self.last_profile = None;
         self.next_sample_at = None;
         self.last_similarity = None;
-    }
-}
-
-/// Overwrites `slot` with `(at, profile)`, reusing its vector.
-fn copy_profile(slot: &mut (Nanos, Vec<f64>), at: Nanos, profile: &[f64]) {
-    slot.0 = at;
-    slot.1.clear();
-    slot.1.extend_from_slice(profile);
-}
-
-/// Overwrites `dst` with `src`, reusing `dst`'s vector when both hold
-/// one.
-fn copy_opt_profile(dst: &mut Option<Vec<f64>>, src: Option<&[f64]>) {
-    match src {
-        Some(src) => {
-            let dst = dst.get_or_insert_with(Vec::new);
-            dst.clear();
-            dst.extend_from_slice(src);
-        }
-        None => *dst = None,
     }
 }
 

@@ -8,6 +8,7 @@
 //! macro-mobility" — with the trend's sign giving the radial direction.
 
 use mobisense_util::filter::SlidingWindow;
+use mobisense_util::walk::StateWalk;
 
 /// Outcome of trend detection over a ToF window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,25 +126,10 @@ impl TrendDetector {
         self.window.clear();
     }
 
-    /// Copies the window's contents oldest-first into `out`, reusing
-    /// its allocation, for session snapshots.
-    pub fn snapshot_into(&self, out: &mut Vec<f64>) {
-        self.window.snapshot_into(out);
-    }
-
-    /// Reconstructs a detector holding `samples` (oldest-first). Excess
-    /// samples beyond the configured window are trimmed oldest-first, so
-    /// a state saved under a larger window restores safely.
-    pub fn from_state(cfg: TrendConfig, samples: &[f64]) -> Self {
-        let mut d = TrendDetector::new(cfg);
-        d.restore_from(samples);
-        d
-    }
-
-    /// [`from_state`](Self::from_state) into this detector, keeping its
-    /// configuration and reusing its window.
-    pub fn restore_from(&mut self, samples: &[f64]) {
-        self.window.restore_from(samples);
+    /// Walks the window's medians oldest-first (see
+    /// [`SlidingWindow::walk_state`]); a read keeps the newest `window`.
+    pub fn walk_state<W: StateWalk>(&mut self, w: &mut W) -> Result<(), W::Error> {
+        self.window.walk_state(w, "trend_samples")
     }
 }
 

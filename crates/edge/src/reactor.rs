@@ -5,7 +5,7 @@
 //! until `WouldBlock` (rejecting past [`EdgeConfig::max_conns`]), give
 //! every live connection one bounded read (fairness: no connection can
 //! monopolize a sweep), drain the UDP socket, then consult the
-//! [`Poller`](crate::poll::Poller) with whether anything moved.
+//! [`Poller`] with whether anything moved.
 //!
 //! Decoded frames travel in batches: everything one connection read
 //! yields, or everything one UDP sweep yields, is one [`IngestBatch`]

@@ -45,4 +45,4 @@ pub use channel::{RayChannel, Reflector};
 pub use config::ChannelConfig;
 pub use csi::Csi;
 pub use mcs::Mcs;
-pub use tof::{TofMeasurement, TofSampler, TofSamplerState};
+pub use tof::{TofMeasurement, TofSampler};

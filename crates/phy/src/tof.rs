@@ -13,8 +13,8 @@
 //! filter before trend detection.
 
 use mobisense_util::filter::BatchMedian;
-use mobisense_util::rng::DetRngState;
 use mobisense_util::units::{Nanos, SPEED_OF_LIGHT};
+use mobisense_util::walk::{walk_seq, StateWalk};
 use mobisense_util::DetRng;
 
 /// Configuration of the ToF measurement model.
@@ -74,7 +74,7 @@ impl TofConfig {
 }
 
 /// One raw ToF measurement.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TofMeasurement {
     /// Measurement timestamp.
     pub at: Nanos,
@@ -193,71 +193,23 @@ impl TofSampler {
         8 * self.batch.len() + std::mem::size_of::<TofMeasurement>() * self.history.len()
     }
 
-    /// Exports the sampler's complete dynamic state (noise-stream
-    /// position, schedule anchors, the in-flight batch, and the bounded
-    /// filtered history) for session hibernation. Round-trips through
-    /// [`from_state`](Self::from_state): the restored sampler produces a
-    /// bit-identical measurement stream from the saved point on.
-    pub fn export_state(&self) -> TofSamplerState {
-        let mut state = TofSamplerState::default();
-        self.snapshot_into(&mut state);
-        state
+    /// Walks the sampler's complete dynamic state (see
+    /// [`mobisense_util::walk`]): noise-stream position, schedule
+    /// anchors, the in-flight batch and the bounded filtered history.
+    /// A read continues the measurement stream bit-identically from the
+    /// walked point and keeps the newest `history_cap` medians of a
+    /// history walked under a larger cap.
+    pub fn walk_state<W: StateWalk>(&mut self, w: &mut W) -> Result<(), W::Error> {
+        self.rng.walk_state(w)?;
+        w.u64(&mut self.next_sample_at)?;
+        w.u64(&mut self.period_end)?;
+        self.batch.walk_state(w, "tof.batch")?;
+        let cap = self.cfg.history_cap.max(1);
+        walk_seq(w, "tof.history", &mut self.history, cap, |w, m| {
+            w.u64(&mut m.at)?;
+            w.f64(&mut m.cycles)
+        })
     }
-
-    /// [`export_state`](Self::export_state) into a reused state: every
-    /// field is overwritten and the vectors keep their allocations.
-    pub fn snapshot_into(&self, out: &mut TofSamplerState) {
-        out.rng = self.rng.export_state();
-        out.next_sample_at = self.next_sample_at;
-        out.period_end = self.period_end;
-        out.batch.clear();
-        out.batch.extend_from_slice(self.batch.samples());
-        out.history.clear();
-        out.history.extend_from_slice(&self.history);
-    }
-
-    /// Reconstructs a sampler from [`export_state`](Self::export_state)
-    /// output. History beyond `cfg.history_cap` is trimmed oldest-first,
-    /// so a state saved under a larger cap restores safely.
-    pub fn from_state(cfg: TofConfig, state: TofSamplerState) -> Self {
-        let mut sampler = TofSampler::new(cfg, 0, DetRng::seed_from_u64(0));
-        sampler.restore_from(&state);
-        sampler
-    }
-
-    /// [`from_state`](Self::from_state) into this sampler, keeping its
-    /// configuration and reusing its buffers: afterwards it is
-    /// indistinguishable from `TofSampler::from_state(cfg, state)`.
-    pub fn restore_from(&mut self, state: &TofSamplerState) {
-        self.rng = DetRng::from_state(&state.rng);
-        self.next_sample_at = state.next_sample_at;
-        self.period_end = state.period_end;
-        self.batch.restore_from(&state.batch);
-        let skip = state
-            .history
-            .len()
-            .saturating_sub(self.cfg.history_cap.max(1));
-        self.history.clear();
-        self.history
-            .extend(state.history.iter().skip(skip).copied());
-    }
-}
-
-/// Serializable dynamic state of a [`TofSampler`], produced by
-/// [`TofSampler::export_state`]. Plain data: the session snapshot codec
-/// owns the byte-level encoding.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TofSamplerState {
-    /// Position of the measurement-noise stream.
-    pub rng: DetRngState,
-    /// Next raw-sample time on the 20 ms schedule.
-    pub next_sample_at: Nanos,
-    /// End of the current aggregation period.
-    pub period_end: Nanos,
-    /// Raw samples of the in-flight aggregation batch, oldest-first.
-    pub batch: Vec<f64>,
-    /// Bounded filtered history, oldest-first.
-    pub history: Vec<TofMeasurement>,
 }
 
 #[cfg(test)]
@@ -404,43 +356,6 @@ mod tests {
             let d = 10.0 + (t as f64 / 1e9).sin();
             assert_eq!(a.poll(t, d), b.poll(t, d));
         }
-    }
-
-    #[test]
-    fn state_round_trip_resumes_mid_period() {
-        let mut a = sampler(10);
-        let mut t = 0;
-        // Stop mid-aggregation-period so the batch is non-empty.
-        for _ in 0..130 {
-            t += 20 * MILLISECOND;
-            a.poll(t, 12.0);
-        }
-        let state = a.export_state();
-        let mut b = TofSampler::from_state(a.config().clone(), state.clone());
-        assert_eq!(a.export_state(), b.export_state());
-        for _ in 0..500 {
-            t += 20 * MILLISECOND;
-            let d = 12.0 - (t as f64 / 1e9) * 0.5;
-            assert_eq!(a.poll(t, d), b.poll(t, d));
-        }
-        assert_eq!(a.history(), b.history());
-    }
-
-    #[test]
-    fn from_state_trims_oversized_history() {
-        let mut a = sampler(11);
-        let mut t = 0;
-        for _ in 0..600 {
-            t += 20 * MILLISECOND;
-            a.poll(t, 9.0);
-        }
-        let state = a.export_state();
-        let tight = TofConfig {
-            history_cap: 3,
-            ..TofConfig::default()
-        };
-        let b = TofSampler::from_state(tight, state.clone());
-        assert_eq!(b.history(), &state.history[state.history.len() - 3..]);
     }
 
     #[test]

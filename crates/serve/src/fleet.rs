@@ -15,13 +15,8 @@ use mobisense_core::scenario::{Scenario, ScenarioKind};
 use mobisense_mobility::movers::EnvIntensity;
 use mobisense_util::units::{Nanos, MILLISECOND, SECOND};
 
+use crate::routing::mix64;
 use crate::wire::ObsFrame;
-
-// The client hash and shard mapping moved to [`crate::routing`] (one
-// shared copy for fleet, service and the socket edge); re-exported here
-// because fleet generation is where most callers historically found
-// them.
-pub use crate::routing::{mix64, shard_of};
 
 /// Parameters of a synthetic fleet.
 #[derive(Clone, Debug)]
@@ -285,6 +280,7 @@ fn generate_stream(cfg: &FleetConfig, client_id: u32) -> ClientStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::shard_of;
     use crate::wire::decode_stream;
 
     fn tiny() -> FleetConfig {

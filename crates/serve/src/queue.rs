@@ -169,16 +169,14 @@ impl IngestBatch {
 }
 
 /// A migrating client's session in transit between two shard workers:
-/// the encoded [`SessionSnapshot`] bytes (codec-sealed, so transfer
-/// corruption is detected at adoption) plus the bookkeeping the target
-/// needs to resume exactly where the source stopped.
-///
-/// [`SessionSnapshot`]: mobisense_session::SessionSnapshot
+/// its encoded page ([`mobisense_session::codec`]; CRC-sealed, so
+/// transfer corruption is detected at adoption) plus the bookkeeping
+/// the target needs to resume exactly where the source stopped.
 #[derive(Clone, Debug)]
 pub struct MigrateParcel {
     /// The migrating client.
     pub client_id: u32,
-    /// Encoded snapshot bytes, or `None` when the source worker had no
+    /// The encoded page, or `None` when the source worker had no
     /// live or hibernated session for the client (the target starts a
     /// fresh session on the client's next frame, exactly as the source
     /// would have).

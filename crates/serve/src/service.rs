@@ -37,9 +37,9 @@ use mobisense_core::classifier::Classification;
 use mobisense_core::pipeline::{PipelineConfig, PipelineSession};
 use mobisense_core::policy::MobilityPolicy;
 use mobisense_mobility::{Direction, MobilityMode};
+use mobisense_session::codec;
 use mobisense_session::{
-    HibernationConfig, HibernationManager, MemoryPager, RetirePolicy, SessionSnapshot,
-    SnapshotPager,
+    HibernationConfig, HibernationManager, MemoryPager, RetirePolicy, SnapshotPager,
 };
 use mobisense_telemetry::metrics::{Histogram, SPAN_NS_BUCKETS};
 use mobisense_telemetry::{Event, NoopSink, Registry, Sink, Stage, StageHistograms};
@@ -331,12 +331,12 @@ struct WorkerResult {
 /// frame loop so the lifecycle arms ([`WorkItem::Migrate`] /
 /// [`WorkItem::Adopt`] / victim retirement) share one implementation.
 ///
-/// A hibernate → fault-in cycle reuses everything but the pager's page:
-/// the victim is snapshotted into `scratch`, encoded into the manager's
-/// buffer and its box kept as `spare`; a fault-in decodes into
-/// `scratch` and restores into `spare`. Client states are boxed, so
-/// retiring or faulting one in moves a pointer inside the map, not the
-/// whole session.
+/// A hibernate → fault-in cycle copies no session state and reuses
+/// everything but the pager's page: the victim's live session is
+/// encoded straight into the manager's buffer and its box kept as
+/// `spare`; a fault-in decodes the page straight into `spare`. Client
+/// states are boxed, so retiring or faulting one in moves a pointer
+/// inside the map, not the whole session.
 struct WorkerSessions<'a> {
     cfg: &'a ServeConfig,
     shard: u32,
@@ -345,8 +345,6 @@ struct WorkerSessions<'a> {
     pager: BoxedPager,
     gauges: Arc<SessionGauges>,
     resident_bytes: u64,
-    /// The one snapshot every page-out and fault-in goes through.
-    scratch: SessionSnapshot,
     /// The last retired client's state, recycled by the next fault-in.
     spare: Option<Box<ClientState>>,
     /// Reused victim list.
@@ -357,10 +355,9 @@ impl WorkerSessions<'_> {
     /// Faults the client's session back in if it is hibernated,
     /// recording the fault-in latency, and returns the instant the
     /// session became resident again; `None` (no-op) for hot or unknown
-    /// clients. The page is decoded into the worker's scratch snapshot
-    /// and restored into the spare state the last victim left — or,
-    /// with no spare, a new one (what [`PipelineSession::restore`]
-    /// does). A failed fault-in (missing or corrupt page) panics the
+    /// clients. The page is decoded straight into the spare state the
+    /// last victim left — or, with no spare, a new one. A failed
+    /// fault-in (missing or corrupt page) panics the
     /// worker: serving a fresh session where a hibernated one exists
     /// would silently diverge the decision log, and the workspace's
     /// poison philosophy is that corrupt state fails the run loudly.
@@ -375,14 +372,6 @@ impl WorkerSessions<'_> {
         }
         // lint: determinism -- fault-in wall latency is telemetry only, never decisions
         let t0 = Instant::now();
-        let faulted = self
-            .manager
-            .fault_in(client, self.pager.as_mut(), &mut self.scratch)
-            .expect("session fault-in failed: paged state unusable, refusing to diverge");
-        assert!(
-            faulted,
-            "hibernated client has a snapshot by manager invariant"
-        );
         let mut state = match self.spare.take() {
             Some(spare) => spare,
             None => Box::new(ClientState {
@@ -392,8 +381,19 @@ impl WorkerSessions<'_> {
                 bytes: 0,
             }),
         };
-        state.session.restore_from(&self.scratch.state);
-        state.last_emitted = self.scratch.last_emitted;
+        let faulted = self
+            .manager
+            .fault_in(
+                client,
+                self.pager.as_mut(),
+                &mut state.session,
+                &mut state.last_emitted,
+            )
+            .expect("session fault-in failed: paged state unusable, refusing to diverge");
+        assert!(
+            faulted,
+            "hibernated client has a snapshot by manager invariant"
+        );
         state.last_at = at;
         state.bytes = 0;
         self.map.insert(client, state);
@@ -428,19 +428,21 @@ impl WorkerSessions<'_> {
         self.manager.victims_into(now, &mut victims);
         let mut paged = false;
         for &victim in &victims {
-            let state = self
+            let mut state = self
                 .map
                 .remove(&victim)
                 .expect("victim selection tracks exactly the resident sessions");
             self.resident_bytes -= state.bytes as u64;
             match self.cfg.hibernation.policy {
                 RetirePolicy::Hibernate => {
-                    self.scratch.client_id = victim;
-                    self.scratch.last_emitted = state.last_emitted;
-                    state.session.snapshot_into(&mut self.scratch.state);
                     let bytes = self
                         .manager
-                        .hibernate(&self.scratch, self.pager.as_mut())
+                        .hibernate(
+                            victim,
+                            state.last_emitted,
+                            &mut state.session,
+                            self.pager.as_mut(),
+                        )
                         .expect("session page-out failed: cannot retire without losing state")
                         as u64;
                     paged = true;
@@ -464,15 +466,10 @@ impl WorkerSessions<'_> {
     /// Extracts the client's full session as a [`MigrateParcel`] —
     /// resident, hibernated, or never-seen — and forgets it locally.
     fn extract_parcel(&mut self, client: u32) -> MigrateParcel {
-        if let Some(state) = self.map.remove(&client) {
+        if let Some(mut state) = self.map.remove(&client) {
             self.resident_bytes -= state.bytes as u64;
-            let snap = SessionSnapshot {
-                client_id: client,
-                last_emitted: state.last_emitted,
-                state: state.session.snapshot(),
-            };
-            let bytes = snap
-                .encode()
+            let mut bytes = Vec::new();
+            codec::encode_into(&mut bytes, client, state.last_emitted, &mut state.session)
                 .expect("migrating session failed to encode: state unusable");
             self.manager.forget(client);
             MigrateParcel {
@@ -513,17 +510,17 @@ impl WorkerSessions<'_> {
         let Some(bytes) = bytes else {
             return; // source had nothing: fresh session on next frame
         };
-        let snap = SessionSnapshot::decode(&bytes)
+        let mut session = PipelineSession::new(self.cfg.pipeline.clone(), 0);
+        let (page_client, last_emitted) = codec::decode_into(&bytes, &mut session)
             .expect("adopted session parcel failed to decode: transfer corrupted");
-        assert_eq!(snap.client_id, client_id, "parcel/snapshot client mismatch");
-        let session = PipelineSession::restore(self.cfg.pipeline.clone(), snap.state);
+        assert_eq!(page_client, client_id, "parcel/snapshot client mismatch");
         let bytes_resident = session.approx_bytes();
         self.resident_bytes += bytes_resident as u64;
         let prev = self.map.insert(
             client_id,
             Box::new(ClientState {
                 session,
-                last_emitted: snap.last_emitted,
+                last_emitted,
                 last_at,
                 bytes: bytes_resident,
             }),
@@ -668,7 +665,6 @@ fn run_worker(
         pager,
         gauges,
         resident_bytes: 0,
-        scratch: SessionSnapshot::default(),
         spare: None,
         victims: Vec::new(),
     };

@@ -1,6 +1,6 @@
-//! The versioned binary codec for full session snapshots.
+//! The versioned binary codec for per-client session pages.
 //!
-//! A snapshot captures everything a [`PipelineSession`] needs to resume
+//! A page captures everything a [`PipelineSession`] needs to resume
 //! bit-identically — the classifier's similarity and trend windows, the
 //! Figure-5 machine registers, and the ToF sampler's noise-stream
 //! position, schedule anchors, in-flight batch and bounded history —
@@ -9,7 +9,7 @@
 //! into the trace store, faulted back in on the client's next frame)
 //! and live shard rebalancing (drained, transferred, resumed).
 //!
-//! One snapshot on disk or on the wire is:
+//! One page on disk or on the wire is:
 //!
 //! ```text
 //! offset      size  field
@@ -27,26 +27,25 @@
 //! truncated, oversized, or corrupt input yields a [`SnapshotError`],
 //! never a panic and never a silently-divergent restore.
 //!
-//! Each direction has one implementation that reuses buffers, because
-//! the shard worker runs it on nearly every frame when far more clients
-//! are associated than active:
-//! [`encode_into`](SessionSnapshot::encode_into) writes the header with
-//! a zero length, then the body, then patches the length and appends
-//! the CRC, all in the caller's buffer; and
-//! [`decode_into`](SessionSnapshot::decode_into) overwrites a caller's
-//! snapshot in place, vectors included, after the same checks.
-//! [`encode`](SessionSnapshot::encode) and
-//! [`decode`](SessionSnapshot::decode) are owned-value wrappers over
-//! them, producing the same bytes and values.
+//! The body is one state walk ([`mobisense_util::walk`]): the client
+//! id, `last_emitted`, then [`PipelineSession::walk_state`]. This module
+//! runs it as a [`StateWalk`] in each direction, and nothing else
+//! touches page bytes. [`encode_into`] writes the live session's fields
+//! straight into the caller's buffer: the header goes out with a zero
+//! length, the body follows, then the length is patched and the CRC
+//! appended. [`decode_into`] checks the header, length and CRC, then
+//! reads the body straight into a live session, overwriting every
+//! dynamic field and reusing its buffers. No copy of the state exists
+//! between the session and its page in either direction.
+
+use std::ops::RangeInclusive;
 
 use mobisense_core::classifier::Classification;
-use mobisense_core::pipeline::SessionState;
-use mobisense_mobility::{Direction, MobilityMode};
-use mobisense_phy::tof::TofMeasurement;
+use mobisense_core::pipeline::PipelineSession;
 use mobisense_util::crc::crc32;
-use mobisense_util::units::Nanos;
+use mobisense_util::walk::{StateWalk, MAX_ELEMS};
 
-/// Snapshot magic: `"MSSP"` little-endian (MobiSense Session Page),
+/// Page magic: `"MSSP"` little-endian (MobiSense Session Page),
 /// sibling of the segment magic `"MSSG"` and the wire magic `"MS"`.
 pub const SNAPSHOT_MAGIC: u32 = 0x5053_534D;
 /// Current codec version.
@@ -55,35 +54,16 @@ pub const SNAPSHOT_CODEC_VERSION: u16 = 1;
 pub const SNAPSHOT_HEADER_LEN: usize = 12;
 /// Fixed overhead around the body (header plus trailing CRC).
 pub const OVERHEAD: usize = SNAPSHOT_HEADER_LEN + 4;
-/// Upper bound on the body length field. A real snapshot is a few
-/// hundred bytes; this cap keeps a corrupt length field from driving a
-/// giant allocation.
+/// Upper bound on the body length field. A real page is a few KiB;
+/// this cap keeps a corrupt length field from driving a giant read.
 pub const MAX_BODY_LEN: usize = 1 << 24;
-/// Upper bound on any encoded vector's element count.
-const MAX_ELEMS: usize = 1 << 20;
 
-/// A full per-client session snapshot: the pipeline state plus the
-/// serving layer's decision-suppression register.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SessionSnapshot {
-    /// The client this snapshot belongs to.
-    pub client_id: u32,
-    /// The last classification the serving layer emitted for this
-    /// client (decision-log deduplication state). Without it a restored
-    /// session would re-emit or wrongly suppress its next decision.
-    pub last_emitted: Option<Classification>,
-    /// The pipeline state ([`PipelineSession::snapshot`] output).
-    ///
-    /// [`PipelineSession::snapshot`]: mobisense_core::pipeline::PipelineSession::snapshot
-    pub state: SessionState,
-}
-
-/// Why a buffer failed to decode as a [`SessionSnapshot`].
+/// Why a buffer failed to encode or decode as a session page.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// Fewer bytes than the snapshot requires.
+    /// Fewer bytes than the page requires.
     Truncated {
-        /// Bytes the snapshot needed.
+        /// Bytes the page needed.
         needed: usize,
         /// Bytes available.
         got: usize,
@@ -104,11 +84,11 @@ pub enum SnapshotError {
     BadCrc {
         /// Checksum computed over the received bytes.
         expected: u32,
-        /// Checksum carried by the snapshot.
+        /// Checksum carried by the page.
         got: u32,
     },
-    /// Bytes remained after the snapshot (the buffer must hold exactly
-    /// one snapshot), or the body ended before its declared length.
+    /// Bytes remained after the page (the buffer must hold exactly
+    /// one page), or the body ended before its declared length.
     TrailingBytes {
         /// Surplus byte count.
         extra: usize,
@@ -120,8 +100,8 @@ pub enum SnapshotError {
         /// The offending byte.
         value: u8,
     },
-    /// A vector field declared more elements than [`SessionSnapshot`]
-    /// state can legitimately hold.
+    /// A vector field declared more elements than any session state
+    /// can legitimately hold ([`MAX_ELEMS`]).
     FieldTooLong {
         /// Which field.
         field: &'static str,
@@ -165,127 +145,147 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-impl SessionSnapshot {
-    /// Encodes the snapshot as a self-contained, CRC-sealed buffer.
-    ///
-    /// Total: a state vector too long for the format (beyond any real
-    /// configuration) is reported as [`SnapshotError::FieldTooLong`],
-    /// never a panic.
-    pub fn encode(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out)?;
-        Ok(out)
+/// Encodes one client's page straight from its live session into `out`,
+/// replacing its contents. `session` is borrowed mutably only because
+/// one walk serves both directions; encoding leaves it as it was.
+///
+/// Total: a state vector too long for the format (beyond any real
+/// configuration) is reported as [`SnapshotError::FieldTooLong`], never
+/// a panic. On error `out` holds a partial encoding and must not be
+/// used.
+pub fn encode_into(
+    out: &mut Vec<u8>,
+    client_id: u32,
+    last_emitted: Option<Classification>,
+    session: &mut PipelineSession,
+) -> Result<(), SnapshotError> {
+    out.clear();
+    out.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
+    out.extend_from_slice(&SNAPSHOT_CODEC_VERSION.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes()); // body length, patched below
+    let (mut client_id, mut last_emitted) = (client_id, last_emitted);
+    walk_page(
+        &mut Writer { out },
+        &mut client_id,
+        &mut last_emitted,
+        session,
+    )?;
+    let body_len = out.len() - SNAPSHOT_HEADER_LEN;
+    if body_len > MAX_BODY_LEN {
+        return Err(SnapshotError::BodyTooLong { len: body_len });
     }
+    if let Some(len_field) = out.get_mut(8..SNAPSHOT_HEADER_LEN) {
+        len_field.copy_from_slice(&(body_len as u32).to_le_bytes());
+    }
+    let crc = crc32(out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
 
-    /// [`encode`](Self::encode) into a reused buffer, replacing its
-    /// contents: the header goes out with a zero length, the body
-    /// follows, then the length is patched and the CRC appended. One
-    /// buffer, no intermediate body copy. On error `out` holds a partial
-    /// encoding and must not be used.
-    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        out.clear();
-        put_u32(out, SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_CODEC_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        put_u32(out, 0); // body length, patched below
-        encode_body(self, out)?;
-        let body_len = out.len() - SNAPSHOT_HEADER_LEN;
-        if body_len > MAX_BODY_LEN {
-            return Err(SnapshotError::BodyTooLong { len: body_len });
-        }
-        if let Some(len_field) = out.get_mut(8..SNAPSHOT_HEADER_LEN) {
-            len_field.copy_from_slice(&(body_len as u32).to_le_bytes());
-        }
-        let crc = crc32(out);
-        put_u32(out, crc);
-        Ok(())
+/// Decodes a buffer holding exactly one page straight into `session`
+/// and returns the page's client id and `last_emitted` register. Every
+/// dynamic field of `session` is overwritten and its buffers reused, so
+/// decoding into a session that served another client gives the same
+/// session a fresh one would; its configuration is kept.
+///
+/// Total: every malformation — truncation, surplus bytes, any single
+/// bit flip — yields a typed error. The header, length and CRC are
+/// checked before any body byte is read, so a failed check leaves
+/// `session` untouched; an error past them leaves a partial decode that
+/// must not be used.
+pub fn decode_into(
+    buf: &[u8],
+    session: &mut PipelineSession,
+) -> Result<(u32, Option<Classification>), SnapshotError> {
+    let body = sealed_body(buf)?;
+    let mut r = Reader { buf: body, pos: 0 };
+    let (mut client_id, mut last_emitted) = (0, None);
+    walk_page(&mut r, &mut client_id, &mut last_emitted, session)?;
+    if r.pos != body.len() {
+        return Err(SnapshotError::TrailingBytes {
+            extra: body.len() - r.pos,
+        });
     }
+    Ok((client_id, last_emitted))
+}
 
-    /// Decodes a buffer holding exactly one snapshot. Total: every
-    /// malformation — truncation, surplus bytes, any single bit flip —
-    /// yields a typed error.
-    pub fn decode(buf: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
-        let mut snap = SessionSnapshot::default();
-        SessionSnapshot::decode_into(buf, &mut snap)?;
-        Ok(snap)
+/// Reads the client id out of an encoded page without decoding or
+/// CRC-checking the rest (page-table rebuilds peek this).
+pub fn peek_client_id(buf: &[u8]) -> Result<u32, SnapshotError> {
+    let magic = u32::from_le_bytes(le_bytes::<4>(buf, 0)?);
+    if magic != SNAPSHOT_MAGIC {
+        return Err(SnapshotError::BadMagic(magic));
     }
+    Ok(u32::from_le_bytes(le_bytes::<4>(buf, SNAPSHOT_HEADER_LEN)?))
+}
 
-    /// [`decode`](Self::decode) into a reused snapshot: every field of
-    /// `into` is overwritten and its vectors keep their allocations, so
-    /// whatever `into` held before cannot survive a successful decode.
-    /// Runs every check `decode` runs. On error `into` holds a partial
-    /// decode and must not be used.
-    pub fn decode_into(buf: &[u8], into: &mut SessionSnapshot) -> Result<(), SnapshotError> {
-        if buf.len() < OVERHEAD {
-            return Err(SnapshotError::Truncated {
-                needed: OVERHEAD,
-                got: buf.len(),
-            });
-        }
-        let magic = u32::from_le_bytes(le_bytes::<4>(buf, 0)?);
-        if magic != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic(magic));
-        }
-        let version = u16::from_le_bytes(le_bytes::<2>(buf, 4)?);
-        if version != SNAPSHOT_CODEC_VERSION {
-            return Err(SnapshotError::BadVersion(version));
-        }
-        let reserved = u16::from_le_bytes(le_bytes::<2>(buf, 6)?);
-        if reserved != 0 {
-            return Err(SnapshotError::BadReserved(reserved));
-        }
-        let body_len = u32::from_le_bytes(le_bytes::<4>(buf, 8)?) as usize;
-        if body_len > MAX_BODY_LEN {
-            return Err(SnapshotError::BodyTooLong { len: body_len });
-        }
-        let total = OVERHEAD + body_len;
-        if buf.len() < total {
-            return Err(SnapshotError::Truncated {
-                needed: total,
-                got: buf.len(),
-            });
-        }
-        if buf.len() > total {
-            return Err(SnapshotError::TrailingBytes {
-                extra: buf.len() - total,
-            });
-        }
-        let sealed = buf
-            .get(..SNAPSHOT_HEADER_LEN + body_len)
-            .ok_or(SnapshotError::Truncated {
-                needed: total,
-                got: buf.len(),
-            })?;
-        let expected = crc32(sealed);
-        let got = u32::from_le_bytes(le_bytes::<4>(buf, SNAPSHOT_HEADER_LEN + body_len)?);
-        if expected != got {
-            return Err(SnapshotError::BadCrc { expected, got });
-        }
-        let body = sealed
-            .get(SNAPSHOT_HEADER_LEN..)
-            .ok_or(SnapshotError::Truncated {
-                needed: total,
-                got: buf.len(),
-            })?;
-        let mut r = Reader { buf: body, pos: 0 };
-        decode_body_into(&mut r, into)?;
-        if r.pos != body.len() {
-            return Err(SnapshotError::TrailingBytes {
-                extra: body.len() - r.pos,
-            });
-        }
-        Ok(())
-    }
+/// The page body, in byte order.
+fn walk_page<W: StateWalk>(
+    w: &mut W,
+    client_id: &mut u32,
+    last_emitted: &mut Option<Classification>,
+    session: &mut PipelineSession,
+) -> Result<(), W::Error> {
+    w.u32(client_id)?;
+    Classification::walk_opt(w, "last_emitted", last_emitted)?;
+    session.walk_state(w)
+}
 
-    /// Reads the client id out of an encoded snapshot without decoding
-    /// or CRC-checking the rest (page-table rebuilds peek this).
-    pub fn peek_client_id(buf: &[u8]) -> Result<u32, SnapshotError> {
-        let magic = u32::from_le_bytes(le_bytes::<4>(buf, 0)?);
-        if magic != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic(magic));
-        }
-        Ok(u32::from_le_bytes(le_bytes::<4>(buf, SNAPSHOT_HEADER_LEN)?))
+/// Checks the header, the body length and the CRC of a page and returns
+/// its body.
+fn sealed_body(buf: &[u8]) -> Result<&[u8], SnapshotError> {
+    if buf.len() < OVERHEAD {
+        return Err(SnapshotError::Truncated {
+            needed: OVERHEAD,
+            got: buf.len(),
+        });
     }
+    let magic = u32::from_le_bytes(le_bytes::<4>(buf, 0)?);
+    if magic != SNAPSHOT_MAGIC {
+        return Err(SnapshotError::BadMagic(magic));
+    }
+    let version = u16::from_le_bytes(le_bytes::<2>(buf, 4)?);
+    if version != SNAPSHOT_CODEC_VERSION {
+        return Err(SnapshotError::BadVersion(version));
+    }
+    let reserved = u16::from_le_bytes(le_bytes::<2>(buf, 6)?);
+    if reserved != 0 {
+        return Err(SnapshotError::BadReserved(reserved));
+    }
+    let body_len = u32::from_le_bytes(le_bytes::<4>(buf, 8)?) as usize;
+    if body_len > MAX_BODY_LEN {
+        return Err(SnapshotError::BodyTooLong { len: body_len });
+    }
+    let total = OVERHEAD + body_len;
+    if buf.len() < total {
+        return Err(SnapshotError::Truncated {
+            needed: total,
+            got: buf.len(),
+        });
+    }
+    if buf.len() > total {
+        return Err(SnapshotError::TrailingBytes {
+            extra: buf.len() - total,
+        });
+    }
+    let sealed = buf
+        .get(..SNAPSHOT_HEADER_LEN + body_len)
+        .ok_or(SnapshotError::Truncated {
+            needed: total,
+            got: buf.len(),
+        })?;
+    let expected = crc32(sealed);
+    let got = u32::from_le_bytes(le_bytes::<4>(buf, SNAPSHOT_HEADER_LEN + body_len)?);
+    if expected != got {
+        return Err(SnapshotError::BadCrc { expected, got });
+    }
+    sealed
+        .get(SNAPSHOT_HEADER_LEN..)
+        .ok_or(SnapshotError::Truncated {
+            needed: total,
+            got: buf.len(),
+        })
 }
 
 /// Reads `N` little-endian bytes at `offset`, as a typed error instead
@@ -300,145 +300,57 @@ fn le_bytes<const N: usize>(buf: &[u8], offset: usize) -> Result<[u8; N], Snapsh
         })
 }
 
-// ---------------------------------------------------------------- encode
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+/// The encoding walk: appends each visited field to the page buffer.
+struct Writer<'a> {
+    out: &'a mut Vec<u8>,
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+impl StateWalk for Writer<'_> {
+    type Error = SnapshotError;
+    const READS: bool = false;
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_len(out: &mut Vec<u8>, field: &'static str, len: usize) -> Result<(), SnapshotError> {
-    if len > MAX_ELEMS {
-        return Err(SnapshotError::FieldTooLong { field, len });
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapshotError> {
+        self.out.push(*v);
+        Ok(())
     }
-    put_u32(out, len as u32);
-    Ok(())
-}
 
-fn put_f64s(out: &mut Vec<u8>, field: &'static str, xs: &[f64]) -> Result<(), SnapshotError> {
-    put_len(out, field, xs.len())?;
-    for &x in xs {
-        put_f64(out, x);
+    fn u32(&mut self, v: &mut u32) -> Result<(), SnapshotError> {
+        self.out.extend_from_slice(&v.to_le_bytes());
+        Ok(())
     }
-    Ok(())
-}
 
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            put_f64(out, x);
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapshotError> {
+        self.out.extend_from_slice(&v.to_le_bytes());
+        Ok(())
+    }
+
+    fn f64(&mut self, v: &mut f64) -> Result<(), SnapshotError> {
+        self.out.extend_from_slice(&v.to_bits().to_le_bytes());
+        Ok(())
+    }
+
+    fn len(&mut self, field: &'static str, len: &mut usize) -> Result<(), SnapshotError> {
+        if *len > MAX_ELEMS {
+            return Err(SnapshotError::FieldTooLong { field, len: *len });
         }
+        self.u32(&mut (*len as u32))
     }
-}
 
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            put_u64(out, x);
+    fn tag(
+        &mut self,
+        field: &'static str,
+        tag: &mut u8,
+        valid: RangeInclusive<u8>,
+    ) -> Result<(), SnapshotError> {
+        if !valid.contains(tag) {
+            return Err(SnapshotError::BadEnum { field, value: *tag });
         }
+        self.u8(tag)
     }
 }
 
-fn mode_to_u8(m: MobilityMode) -> u8 {
-    match m {
-        MobilityMode::Static => 0,
-        MobilityMode::Environmental => 1,
-        MobilityMode::Micro => 2,
-        MobilityMode::Macro => 3,
-    }
-}
-
-fn direction_to_u8(d: Option<Direction>) -> u8 {
-    match d {
-        None => 0,
-        Some(Direction::Towards) => 1,
-        Some(Direction::Away) => 2,
-    }
-}
-
-fn put_opt_classification(out: &mut Vec<u8>, c: &Option<Classification>) {
-    match c {
-        None => put_u8(out, 0),
-        Some(c) => {
-            put_u8(out, 1);
-            put_u8(out, mode_to_u8(c.mode));
-            put_u8(out, direction_to_u8(c.direction));
-        }
-    }
-}
-
-fn encode_body(snap: &SessionSnapshot, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-    put_u32(out, snap.client_id);
-    put_opt_classification(out, &snap.last_emitted);
-
-    // Classifier: similarity tracker.
-    let cl = &snap.state.classifier;
-    put_len(out, "similarity.recent", cl.similarity.recent.len())?;
-    for (at, profile) in &cl.similarity.recent {
-        put_u64(out, *at);
-        put_f64s(out, "similarity.recent.profile", profile)?;
-    }
-    match &cl.similarity.last_profile {
-        None => put_u8(out, 0),
-        Some(p) => {
-            put_u8(out, 1);
-            put_f64s(out, "similarity.last_profile", p)?;
-        }
-    }
-    put_opt_u64(out, cl.similarity.next_sample_at);
-    put_opt_f64(out, cl.similarity.last_similarity);
-    put_f64s(out, "similarity.avg", &cl.similarity.avg)?;
-
-    // Classifier: trend window and Figure-5 registers.
-    put_f64s(out, "trend_samples", &cl.trend_samples)?;
-    put_u8(out, cl.tof_active as u8);
-    put_opt_classification(out, &cl.current);
-    put_u64(out, cl.decisions);
-    match cl.last_trend {
-        None => put_u8(out, 0),
-        Some((at, d)) => {
-            put_u8(out, 1);
-            put_u64(out, at);
-            put_u8(out, direction_to_u8(Some(d)));
-        }
-    }
-
-    // ToF sampler.
-    let tof = &snap.state.tof;
-    for k in tof.rng.key {
-        put_u32(out, k);
-    }
-    put_u64(out, tof.rng.counter);
-    put_u8(out, tof.rng.index);
-    put_opt_f64(out, tof.rng.gauss_spare);
-    put_u64(out, tof.next_sample_at);
-    put_u64(out, tof.period_end);
-    put_f64s(out, "tof.batch", &tof.batch)?;
-    put_len(out, "tof.history", tof.history.len())?;
-    for m in &tof.history {
-        put_u64(out, m.at);
-        put_f64(out, m.cycles);
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------- decode
-
+/// The decoding walk over a CRC-checked body: overwrites each visited
+/// field with the next bytes.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -450,229 +362,264 @@ impl Reader<'_> {
         self.pos += N;
         Ok(bytes)
     }
+}
 
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take::<1>()?[0])
-    }
+impl StateWalk for Reader<'_> {
+    type Error = SnapshotError;
+    const READS: bool = true;
 
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take::<4>()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take::<8>()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn len(&mut self, field: &'static str) -> Result<usize, SnapshotError> {
-        let len = self.u32()? as usize;
-        if len > MAX_ELEMS {
-            return Err(SnapshotError::FieldTooLong { field, len });
-        }
-        Ok(len)
-    }
-
-    /// Reads a length-prefixed `f64` vector into `out`, replacing its
-    /// contents. The reservation is capped so a corrupt length cannot
-    /// drive a giant allocation before truncation is noticed.
-    fn f64s_into(&mut self, field: &'static str, out: &mut Vec<f64>) -> Result<(), SnapshotError> {
-        let len = self.len(field)?;
-        out.clear();
-        out.reserve(len.min(1024));
-        for _ in 0..len {
-            out.push(self.f64()?);
-        }
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapshotError> {
+        let [byte] = self.take()?;
+        *v = byte;
         Ok(())
     }
 
-    fn tag(&mut self, field: &'static str) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            value => Err(SnapshotError::BadEnum { field, value }),
+    fn u32(&mut self, v: &mut u32) -> Result<(), SnapshotError> {
+        *v = u32::from_le_bytes(self.take()?);
+        Ok(())
+    }
+
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapshotError> {
+        *v = u64::from_le_bytes(self.take()?);
+        Ok(())
+    }
+
+    fn f64(&mut self, v: &mut f64) -> Result<(), SnapshotError> {
+        *v = f64::from_bits(u64::from_le_bytes(self.take()?));
+        Ok(())
+    }
+
+    fn len(&mut self, field: &'static str, len: &mut usize) -> Result<(), SnapshotError> {
+        let read = u32::from_le_bytes(self.take()?) as usize;
+        if read > MAX_ELEMS {
+            return Err(SnapshotError::FieldTooLong { field, len: read });
         }
+        *len = read;
+        Ok(())
     }
 
-    fn opt_f64(&mut self, field: &'static str) -> Result<Option<f64>, SnapshotError> {
-        Ok(if self.tag(field)? {
-            Some(self.f64()?)
-        } else {
-            None
-        })
-    }
-
-    fn opt_u64(&mut self, field: &'static str) -> Result<Option<u64>, SnapshotError> {
-        Ok(if self.tag(field)? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
-    }
-
-    fn mode(&mut self, field: &'static str) -> Result<MobilityMode, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(MobilityMode::Static),
-            1 => Ok(MobilityMode::Environmental),
-            2 => Ok(MobilityMode::Micro),
-            3 => Ok(MobilityMode::Macro),
-            value => Err(SnapshotError::BadEnum { field, value }),
-        }
-    }
-
-    fn opt_direction(&mut self, field: &'static str) -> Result<Option<Direction>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(Direction::Towards)),
-            2 => Ok(Some(Direction::Away)),
-            value => Err(SnapshotError::BadEnum { field, value }),
-        }
-    }
-
-    fn opt_classification(
+    fn tag(
         &mut self,
         field: &'static str,
-    ) -> Result<Option<Classification>, SnapshotError> {
-        Ok(if self.tag(field)? {
-            Some(Classification {
-                mode: self.mode(field)?,
-                direction: self.opt_direction(field)?,
-            })
-        } else {
-            None
-        })
-    }
-}
-
-fn decode_body_into(r: &mut Reader<'_>, snap: &mut SessionSnapshot) -> Result<(), SnapshotError> {
-    snap.client_id = r.u32()?;
-    snap.last_emitted = r.opt_classification("last_emitted")?;
-
-    // Classifier: similarity tracker.
-    let cl = &mut snap.state.classifier;
-    let sim = &mut cl.similarity;
-    let recent_len = r.len("similarity.recent")?;
-    sim.recent.truncate(recent_len);
-    for i in 0..recent_len {
-        let at: Nanos = r.u64()?;
-        match sim.recent.get_mut(i) {
-            Some((slot_at, profile)) => {
-                *slot_at = at;
-                r.f64s_into("similarity.recent.profile", profile)?;
-            }
-            None => {
-                let mut profile = Vec::new();
-                r.f64s_into("similarity.recent.profile", &mut profile)?;
-                sim.recent.push((at, profile));
-            }
+        tag: &mut u8,
+        valid: RangeInclusive<u8>,
+    ) -> Result<(), SnapshotError> {
+        self.u8(tag)?;
+        if !valid.contains(tag) {
+            return Err(SnapshotError::BadEnum { field, value: *tag });
         }
+        Ok(())
     }
-    if r.tag("similarity.last_profile")? {
-        let profile = sim.last_profile.get_or_insert_with(Vec::new);
-        r.f64s_into("similarity.last_profile", profile)?;
-    } else {
-        sim.last_profile = None;
-    }
-    sim.next_sample_at = r.opt_u64("similarity.next_sample_at")?;
-    sim.last_similarity = r.opt_f64("similarity.last_similarity")?;
-    r.f64s_into("similarity.avg", &mut sim.avg)?;
-
-    // Classifier: trend window and Figure-5 registers.
-    r.f64s_into("trend_samples", &mut cl.trend_samples)?;
-    cl.tof_active = r.tag("tof_active")?;
-    cl.current = r.opt_classification("current")?;
-    cl.decisions = r.u64()?;
-    cl.last_trend = if r.tag("last_trend")? {
-        let at: Nanos = r.u64()?;
-        match r.opt_direction("last_trend.direction")? {
-            Some(d) => Some((at, d)),
-            None => {
-                return Err(SnapshotError::BadEnum {
-                    field: "last_trend.direction",
-                    value: 0,
-                })
-            }
-        }
-    } else {
-        None
-    };
-
-    // ToF sampler.
-    let tof = &mut snap.state.tof;
-    for k in &mut tof.rng.key {
-        *k = r.u32()?;
-    }
-    tof.rng.counter = r.u64()?;
-    tof.rng.index = r.u8()?;
-    tof.rng.gauss_spare = r.opt_f64("rng.gauss_spare")?;
-    tof.next_sample_at = r.u64()?;
-    tof.period_end = r.u64()?;
-    r.f64s_into("tof.batch", &mut tof.batch)?;
-    let history_len = r.len("tof.history")?;
-    tof.history.clear();
-    tof.history.reserve(history_len.min(1024));
-    for _ in 0..history_len {
-        let at = r.u64()?;
-        let cycles = r.f64()?;
-        tof.history.push(TofMeasurement { at, cycles });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use mobisense_core::pipeline::{PipelineConfig, PipelineSession};
-    use mobisense_core::Scenario;
-    use mobisense_core::ScenarioKind;
-    use mobisense_util::units::SECOND;
+    use mobisense_core::pipeline::PipelineConfig;
+    use mobisense_core::{Scenario, ScenarioKind};
+    use mobisense_mobility::{Direction, MobilityMode};
+    use mobisense_phy::csi::Csi;
+    use mobisense_util::units::{Nanos, MILLISECOND, SECOND};
+    use mobisense_util::DetRng;
+    use std::convert::Infallible;
 
-    /// The [`busy_snapshot`] pre-encoded, built once: the corruption
-    /// proptests mutate hundreds of copies and must not re-drive the
-    /// scenario per case.
-    fn busy_bytes() -> &'static [u8] {
-        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
-        BYTES.get_or_init(|| busy_snapshot().encode().expect("encodes"))
+    /// Encodes a page into a fresh buffer.
+    pub(crate) fn page(
+        client_id: u32,
+        last_emitted: Option<Classification>,
+        session: &mut PipelineSession,
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_into(&mut out, client_id, last_emitted, session).expect("encodes");
+        out
     }
 
-    /// A snapshot with every optional field populated and non-trivial
-    /// window contents, taken from a genuinely driven session.
-    pub(crate) fn busy_snapshot() -> SessionSnapshot {
-        let cfg = PipelineConfig::default();
-        let mut session = PipelineSession::new(cfg.clone(), 99);
-        let mut sc = Scenario::new(ScenarioKind::MacroAway, 99);
-        let mut last = None;
-        let mut t = 0;
-        while t <= 11 * SECOND {
+    /// Decodes a page into a fresh default-config session.
+    fn decode_fresh(
+        buf: &[u8],
+    ) -> Result<(u32, Option<Classification>, PipelineSession), SnapshotError> {
+        let mut session = PipelineSession::new(PipelineConfig::default(), 0);
+        let (client_id, last_emitted) = decode_into(buf, &mut session)?;
+        Ok((client_id, last_emitted, session))
+    }
+
+    /// Drives a fresh session over a scenario through every frame
+    /// instant up to `until`, returning the session, its scenario (to
+    /// continue from) and the last classification.
+    fn drive(
+        cfg: &PipelineConfig,
+        kind: ScenarioKind,
+        seed: u64,
+        until: Nanos,
+    ) -> (PipelineSession, Scenario, Option<Classification>) {
+        let mut session = PipelineSession::new(cfg.clone(), seed);
+        let mut sc = Scenario::new(kind, seed);
+        let last = continue_session(&mut session, &mut sc, 0, until)
+            .last()
+            .map(|&(_, c)| c);
+        (session, sc, last)
+    }
+
+    /// Continues `session` over `sc` at every frame instant in
+    /// `[from, to]`, returning its classifications.
+    fn continue_session(
+        session: &mut PipelineSession,
+        sc: &mut Scenario,
+        from: Nanos,
+        to: Nanos,
+    ) -> Vec<(Nanos, Classification)> {
+        let step = session.config().step;
+        let mut out = Vec::new();
+        let mut t = from;
+        while t <= to {
             let obs = sc.observe(t);
             if let Some(c) = session.observe(t, &obs.csi, obs.distance_m) {
-                last = Some(c);
+                out.push((t, c));
             }
-            t += cfg.step;
+            t += step;
         }
-        SessionSnapshot {
-            client_id: 0xDEAD_BEEF,
-            last_emitted: last,
-            state: session.snapshot(),
+        out
+    }
+
+    /// A scenario advanced through the same instants as one a session
+    /// was driven over to `until`, to continue a restored twin from.
+    fn scenario_at(kind: ScenarioKind, seed: u64, step: Nanos, until: Nanos) -> Scenario {
+        let mut sc = Scenario::new(kind, seed);
+        let mut t = 0;
+        while t <= until {
+            sc.observe(t);
+            t += step;
+        }
+        sc
+    }
+
+    /// Drives `session` over `steps` frames of a synthetic channel, a
+    /// random walk seeded by `seed`: cheap enough for proptests, and it
+    /// still moves every part of the state.
+    fn drive_synthetic(session: &mut PipelineSession, seed: u64, steps: u64) {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut csi = Csi::zeros(3, 2, 52);
+        for i in 0..steps {
+            for v in csi.as_mut_slice() {
+                *v += rng.complex_gaussian(0.5);
+            }
+            let at = i * session.config().step;
+            session.observe(at, &csi, 5.0 + 0.05 * i as f64);
         }
     }
 
-    fn minimal_snapshot() -> SessionSnapshot {
-        SessionSnapshot {
-            client_id: 7,
-            last_emitted: None,
-            state: PipelineSession::new(PipelineConfig::default(), 7).snapshot(),
+    /// A session with every optional field populated and non-trivial
+    /// window contents, driven over a genuine walk, and its last
+    /// classification.
+    pub(crate) fn busy_session() -> (PipelineSession, Option<Classification>) {
+        let (session, _, last) = drive(
+            &PipelineConfig::default(),
+            ScenarioKind::MacroAway,
+            99,
+            11 * SECOND,
+        );
+        (session, last)
+    }
+
+    /// The [`busy_session`] page, built once: the corruption proptests
+    /// mutate hundreds of copies and must not re-drive the scenario per
+    /// case.
+    fn busy_bytes() -> &'static [u8] {
+        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| {
+            let (mut session, last) = busy_session();
+            page(0xDEAD_BEEF, last, &mut session)
+        })
+    }
+
+    /// A writer-side walk that records, for every sequence length and
+    /// tag it visits, the field and the words that follow it (the length
+    /// or tag first): what a page holds, field by field.
+    #[derive(Default)]
+    struct Census {
+        groups: Vec<(&'static str, Vec<u64>)>,
+    }
+
+    impl Census {
+        fn of(last_emitted: Option<Classification>, session: &mut PipelineSession) -> Census {
+            let mut census = Census::default();
+            let (mut client_id, mut last_emitted) = (0, last_emitted);
+            match walk_page(&mut census, &mut client_id, &mut last_emitted, session) {
+                Ok(()) => census,
+                Err(never) => match never {},
+            }
         }
+
+        /// The first group of `field`.
+        fn words(&self, field: &str) -> &[u64] {
+            self.groups
+                .iter()
+                .find(|(f, _)| *f == field)
+                .map(|(_, words)| words.as_slice())
+                .unwrap_or_else(|| panic!("no field {field}"))
+        }
+
+        fn word(&mut self, v: u64) -> Result<(), Infallible> {
+            if let Some((_, words)) = self.groups.last_mut() {
+                words.push(v);
+            }
+            Ok(())
+        }
+    }
+
+    impl StateWalk for Census {
+        type Error = Infallible;
+        const READS: bool = false;
+
+        fn u8(&mut self, v: &mut u8) -> Result<(), Infallible> {
+            self.word(u64::from(*v))
+        }
+
+        fn u32(&mut self, v: &mut u32) -> Result<(), Infallible> {
+            self.word(u64::from(*v))
+        }
+
+        fn u64(&mut self, v: &mut u64) -> Result<(), Infallible> {
+            self.word(*v)
+        }
+
+        fn f64(&mut self, v: &mut f64) -> Result<(), Infallible> {
+            self.word(v.to_bits())
+        }
+
+        fn len(&mut self, field: &'static str, len: &mut usize) -> Result<(), Infallible> {
+            self.groups.push((field, Vec::new()));
+            self.word(*len as u64)
+        }
+
+        fn tag(
+            &mut self,
+            field: &'static str,
+            tag: &mut u8,
+            _: RangeInclusive<u8>,
+        ) -> Result<(), Infallible> {
+            self.groups.push((field, Vec::new()));
+            self.word(u64::from(*tag))
+        }
+    }
+
+    /// Rewrites the page's CRC after a deliberate body edit, so decoding
+    /// gets past the seal to the field under test.
+    fn reseal(bytes: &mut [u8]) {
+        let body_end = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
     fn round_trip_is_exact() {
-        for snap in [busy_snapshot(), minimal_snapshot()] {
-            let bytes = snap.encode().expect("encodes");
-            let back = SessionSnapshot::decode(&bytes).expect("decodes");
-            assert_eq!(back, snap);
+        let (mut busy, last) = busy_session();
+        let mut minimal = PipelineSession::new(PipelineConfig::default(), 7);
+        for (client, last, session) in [(0xDEAD_BEEF, last, &mut busy), (7, None, &mut minimal)] {
+            let bytes = page(client, last, session);
+            let (id, emitted, mut back) = decode_fresh(&bytes).expect("decodes");
+            assert_eq!((id, emitted), (client, last));
+            assert_eq!(page(id, emitted, &mut back), bytes);
         }
     }
 
@@ -680,72 +627,164 @@ pub(crate) mod tests {
     fn busy_snapshot_exercises_every_optional_field() {
         // Guard: if the session drive ever stops populating the state,
         // the corruption proptests would silently lose coverage.
-        let s = busy_snapshot();
-        assert!(s.last_emitted.is_some());
-        assert!(!s.state.classifier.similarity.recent.is_empty());
-        assert!(s.state.classifier.similarity.last_profile.is_some());
-        assert!(s.state.classifier.similarity.next_sample_at.is_some());
-        assert!(s.state.classifier.similarity.last_similarity.is_some());
-        assert!(!s.state.classifier.similarity.avg.is_empty());
-        assert!(!s.state.classifier.trend_samples.is_empty());
-        assert!(s.state.classifier.tof_active);
-        assert!(s.state.classifier.current.is_some());
-        assert!(s.state.classifier.decisions > 0);
-        assert!(s.state.classifier.last_trend.is_some());
-        assert!(!s.state.tof.history.is_empty());
+        let (mut session, last) = busy_session();
+        let census = Census::of(last, &mut session);
+        for field in [
+            "last_emitted",
+            "similarity.recent",
+            "similarity.last_profile",
+            "similarity.next_sample_at",
+            "similarity.last_similarity",
+            "similarity.avg",
+            "trend_samples",
+            "tof_active",
+            "current",
+            "last_trend",
+            "tof.history",
+        ] {
+            assert!(census.words(field)[0] > 0, "{field} is empty");
+        }
     }
 
     #[test]
     fn restored_state_continues_identically() {
-        // Codec-level version of the hibernation invariant: byte round
-        // trip, then both sessions continue decision-for-decision.
+        // Codec-level version of the hibernation invariant: a page
+        // decoded into a fresh session, and into one that served
+        // another client (a walk, so every window is full of foreign
+        // state), continues decision-for-decision with the original.
         let cfg = PipelineConfig::default();
-        let mut original = PipelineSession::new(cfg.clone(), 5);
-        let mut sc_a = Scenario::new(ScenarioKind::Micro, 5);
-        let mut sc_b = Scenario::new(ScenarioKind::Micro, 5);
-        let mut sc_c = Scenario::new(ScenarioKind::Micro, 5);
-        let mut t = 0;
-        while t <= 8 * SECOND {
-            let o = sc_a.observe(t);
-            original.observe(t, &o.csi, o.distance_m);
-            sc_b.observe(t);
-            sc_c.observe(t);
-            t += cfg.step;
+        let cut = 8 * SECOND;
+        let (mut original, mut sc_a, _) = drive(&cfg, ScenarioKind::Micro, 5, cut);
+        let mut sc_b = scenario_at(ScenarioKind::Micro, 5, cfg.step, cut);
+        let mut sc_c = scenario_at(ScenarioKind::Micro, 5, cfg.step, cut);
+        let bytes = page(1, None, &mut original);
+
+        let (mut recycled, _, _) = drive(&cfg, ScenarioKind::MacroAway, 77, 12 * SECOND);
+        assert_ne!(page(1, None, &mut recycled), bytes);
+        assert_eq!(decode_into(&bytes, &mut recycled), Ok((1, None)));
+        assert_eq!(page(1, None, &mut recycled), bytes);
+        let (_, _, mut restored) = decode_fresh(&bytes).expect("decodes");
+
+        let from = cut + cfg.step;
+        let want = continue_session(&mut original, &mut sc_a, from, 20 * SECOND);
+        assert!(!want.is_empty());
+        assert_eq!(
+            continue_session(&mut restored, &mut sc_b, from, 20 * SECOND),
+            want
+        );
+        assert_eq!(
+            continue_session(&mut recycled, &mut sc_c, from, 20 * SECOND),
+            want
+        );
+    }
+
+    #[test]
+    fn a_restored_page_continues_the_uninterrupted_session() {
+        // The hibernation invariant at awkward instants — between ToF
+        // medians, mid-similarity-period, with and without the noise
+        // stream's cached Gaussian spare: the page is lossless and the
+        // restored session continues with bit-identical decisions.
+        let cfg = PipelineConfig::default();
+        // 9.13 s is not a multiple of any pipeline period; one frame
+        // later the noise stream has drawn one more measurement.
+        let cut = 9 * SECOND + 130 * MILLISECOND;
+        let mut spares = Vec::new();
+        let mut batches = Vec::new();
+        for (kind, cut) in [
+            (ScenarioKind::Static, cut),
+            (ScenarioKind::Micro, cut),
+            (ScenarioKind::MacroAway, cut),
+            (ScenarioKind::MacroAway, cut + cfg.step),
+        ] {
+            let (mut original, mut sc_a, _) = drive(&cfg, kind, 17, cut);
+            let mut sc_b = scenario_at(kind, 17, cfg.step, cut);
+            let bytes = page(17, None, &mut original);
+            let census = Census::of(None, &mut original);
+            spares.push(census.words("rng.gauss_spare")[0]);
+            batches.push(census.words("tof.batch")[0]);
+            let (_, _, mut restored) = decode_fresh(&bytes).expect("decodes");
+            assert_eq!(page(17, None, &mut restored), bytes, "{kind:?}: lossy page");
+            let from = cut + cfg.step;
+            let tail_a = continue_session(&mut original, &mut sc_a, from, 25 * SECOND);
+            let tail_b = continue_session(&mut restored, &mut sc_b, from, 25 * SECOND);
+            assert!(!tail_a.is_empty());
+            assert_eq!(tail_a, tail_b, "{kind:?}: restored session diverged");
         }
-        let snap = SessionSnapshot {
-            client_id: 1,
-            last_emitted: None,
-            state: original.snapshot(),
-        };
-        let bytes = snap.encode().expect("encodes");
-        let back = SessionSnapshot::decode(&bytes).expect("decodes");
-        // The worker's recycled path: a session that served another
-        // client (a walk, so every window is full of foreign state)
-        // restored in place from the decoded snapshot.
-        let mut recycled = PipelineSession::new(cfg.clone(), 77);
-        let mut sc_other = Scenario::new(ScenarioKind::MacroAway, 77);
-        let mut u = 0;
-        while u <= 12 * SECOND {
-            let o = sc_other.observe(u);
-            recycled.observe(u, &o.csi, o.distance_m);
-            u += cfg.step;
+        assert!(spares.contains(&0) && spares.contains(&1), "{spares:?}");
+        assert!(
+            batches.iter().all(|&n| n > 0),
+            "mid-period cuts: {batches:?}"
+        );
+    }
+
+    #[test]
+    fn a_fresh_session_page_restores_fresh() {
+        let cfg = PipelineConfig::default();
+        let bytes = page(23, None, &mut PipelineSession::new(cfg.clone(), 23));
+        let (mut dirty, _, _) = drive(&cfg, ScenarioKind::Micro, 4, 9 * SECOND);
+        decode_into(&bytes, &mut dirty).expect("decodes");
+        let mut reference = PipelineSession::new(cfg, 23);
+        let until = 12 * SECOND;
+        let mut sc_a = Scenario::new(ScenarioKind::MacroAway, 23);
+        let mut sc_b = Scenario::new(ScenarioKind::MacroAway, 23);
+        let a = continue_session(&mut dirty, &mut sc_a, 0, until);
+        let b = continue_session(&mut reference, &mut sc_b, 0, until);
+        assert!(!a.is_empty());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_page_under_larger_caps_keeps_the_newest_samples() {
+        // Written under a wider similarity average, trend window and
+        // ToF history than the reader's session holds: the reader keeps
+        // the newest samples of each, exactly as pushing them through
+        // its own windows would.
+        let mut loose_cfg = PipelineConfig::default();
+        loose_cfg.classifier.similarity_window = 6;
+        loose_cfg.classifier.trend = loose_cfg.classifier.trend.with_window_secs(5);
+        let mut tight_cfg = PipelineConfig::default();
+        tight_cfg.tof.history_cap = 3;
+        let (mut loose, _, _) = drive(&loose_cfg, ScenarioKind::MacroAway, 61, 11 * SECOND);
+        let mut tight = PipelineSession::new(tight_cfg.clone(), 0);
+        decode_into(&page(61, None, &mut loose), &mut tight).expect("decodes");
+
+        let wide = Census::of(None, &mut loose);
+        let narrow = Census::of(None, &mut tight);
+        let caps = [
+            ("similarity.avg", tight_cfg.classifier.similarity_window, 1),
+            ("trend_samples", tight_cfg.classifier.trend.window, 1),
+            ("tof.history", tight_cfg.tof.history_cap, 2),
+        ];
+        for (field, cap, words_per_item) in caps {
+            let (written, kept) = (wide.words(field), narrow.words(field));
+            assert!(written[0] as usize > cap, "{field}: nothing to trim");
+            assert_eq!(kept[0] as usize, cap, "{field}");
+            assert_eq!(
+                kept[1..],
+                written[written.len() - cap * words_per_item..],
+                "{field}"
+            );
         }
-        assert_ne!(recycled.snapshot(), back.state);
-        recycled.restore_from(&back.state);
-        assert_eq!(recycled.snapshot(), back.state);
-        let mut restored = PipelineSession::restore(cfg, back.state);
-        let mut decisions = 0;
-        while t <= 20 * SECOND {
-            let oa = sc_a.observe(t);
-            let ob = sc_b.observe(t);
-            let oc = sc_c.observe(t);
-            let want = original.observe(t, &oa.csi, oa.distance_m);
-            assert_eq!(want, restored.observe(t, &ob.csi, ob.distance_m));
-            assert_eq!(want, recycled.observe(t, &oc.csi, oc.distance_m), "at {t}");
-            decisions += usize::from(want.is_some());
-            t += original.config().step;
+    }
+
+    #[test]
+    fn decode_into_a_dirty_session_matches_every_source() {
+        // Sessions with very different state — a walk (full windows,
+        // ToF history, a last trend), a short static run and a fresh
+        // one — decoded into one another leave no stale field behind.
+        let cfg = PipelineConfig::default();
+        let (walk, _, _) = drive(&cfg, ScenarioKind::MacroAway, 41, 11 * SECOND);
+        let (still, _, _) = drive(&cfg, ScenarioKind::Static, 42, 3 * SECOND);
+        let fresh = PipelineSession::new(cfg, 43);
+        let sessions = [walk, still, fresh];
+        for src in &sessions {
+            let bytes = page(1, None, &mut src.clone());
+            for dirty in &sessions {
+                let mut dirty = dirty.clone();
+                decode_into(&bytes, &mut dirty).expect("decodes");
+                assert_eq!(page(1, None, &mut dirty), bytes);
+            }
         }
-        assert!(decisions > 0);
     }
 
     /// FNV-1a 64 of a byte string: a compact fingerprint for pinning an
@@ -758,12 +797,12 @@ pub(crate) mod tests {
 
     #[test]
     fn encode_into_a_dirty_buffer_matches_encode_and_the_pinned_bytes() {
-        let busy = busy_snapshot();
-        let owned = busy.encode().expect("encodes");
+        let (mut busy, last) = busy_session();
+        let owned = page(0xDEAD_BEEF, last, &mut busy);
         // Longer and shorter than the encoding, full of stale bytes.
         for dirty_len in [3 * owned.len(), 7] {
             let mut buf = vec![0xA5; dirty_len];
-            busy.encode_into(&mut buf).expect("encodes");
+            encode_into(&mut buf, 0xDEAD_BEEF, last, &mut busy).expect("encodes");
             assert_eq!(buf, owned, "dirty buffer of {dirty_len} bytes");
         }
         // Codec version 1 bytes, as encoded before buffers were reused
@@ -779,50 +818,125 @@ pub(crate) mod tests {
 
     #[test]
     fn peek_client_id_matches_decode() {
-        let snap = busy_snapshot();
-        let bytes = snap.encode().expect("encodes");
-        assert_eq!(SessionSnapshot::peek_client_id(&bytes), Ok(snap.client_id));
-        assert!(SessionSnapshot::peek_client_id(&bytes[..3]).is_err());
+        let bytes = busy_bytes();
+        assert_eq!(peek_client_id(bytes), Ok(0xDEAD_BEEF));
+        assert_eq!(decode_fresh(bytes).map(|(id, _, _)| id), Ok(0xDEAD_BEEF));
+        assert!(peek_client_id(&bytes[..3]).is_err());
     }
 
     #[test]
     fn corrupt_header_fields_rejected_with_typed_errors() {
-        let bytes = busy_snapshot().encode().expect("encodes");
+        let bytes = busy_bytes().to_vec();
 
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xFF;
         assert!(matches!(
-            SessionSnapshot::decode(&bad_magic),
+            decode_fresh(&bad_magic),
             Err(SnapshotError::BadMagic(_))
         ));
 
         let mut bad_version = bytes.clone();
         bad_version[4] = 0xFE;
         assert!(matches!(
-            SessionSnapshot::decode(&bad_version),
+            decode_fresh(&bad_version),
             Err(SnapshotError::BadVersion(_))
         ));
 
         let mut bad_reserved = bytes.clone();
         bad_reserved[6] = 1;
         assert!(matches!(
-            SessionSnapshot::decode(&bad_reserved),
+            decode_fresh(&bad_reserved),
             Err(SnapshotError::BadReserved(_))
         ));
 
         let mut huge_body = bytes.clone();
         huge_body[8..12].copy_from_slice(&(MAX_BODY_LEN as u32 + 1).to_le_bytes());
         assert!(matches!(
-            SessionSnapshot::decode(&huge_body),
+            decode_fresh(&huge_body),
             Err(SnapshotError::BodyTooLong { .. })
         ));
 
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(matches!(
-            SessionSnapshot::decode(&trailing),
+            decode_fresh(&trailing),
             Err(SnapshotError::TrailingBytes { extra: 1 })
         ));
+    }
+
+    #[test]
+    fn a_failed_seal_check_leaves_the_session_untouched() {
+        let (mut busy, _) = busy_session();
+        let before = page(1, None, &mut busy);
+        let mut flipped = busy_bytes().to_vec();
+        flipped[40] ^= 1;
+        assert!(matches!(
+            decode_into(&flipped, &mut busy),
+            Err(SnapshotError::BadCrc { .. })
+        ));
+        assert_eq!(page(1, None, &mut busy), before);
+    }
+
+    #[test]
+    fn a_corrupt_length_fails_on_truncation_before_it_allocates() {
+        // The ToF history is the page's last field: its length word sits
+        // just before its items and the CRC. A resealed length of a
+        // million items fails on the bytes that are not there; one past
+        // the cap is refused outright.
+        let (mut busy, last) = busy_session();
+        let items = Census::of(last, &mut busy).words("tof.history")[0] as usize;
+        let bytes = busy_bytes();
+        let at = bytes.len() - 4 - 16 * items - 4;
+        for (len, field_too_long) in [(MAX_ELEMS, false), (MAX_ELEMS + 1, true)] {
+            let mut corrupt = bytes.to_vec();
+            corrupt[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+            reseal(&mut corrupt);
+            let err = decode_fresh(&corrupt).map(|_| ()).expect_err("refused");
+            if field_too_long {
+                assert_eq!(
+                    err,
+                    SnapshotError::FieldTooLong {
+                        field: "tof.history",
+                        len
+                    }
+                );
+            } else {
+                assert!(matches!(err, SnapshotError::Truncated { .. }), "{err:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn bad_tags_and_oversize_lengths_are_typed_in_both_directions() {
+        // Decode: the `last_emitted` presence tag follows the client id.
+        let mut corrupt = busy_bytes().to_vec();
+        corrupt[SNAPSHOT_HEADER_LEN + 4] = 2;
+        reseal(&mut corrupt);
+        assert_eq!(
+            decode_fresh(&corrupt).map(|_| ()),
+            Err(SnapshotError::BadEnum {
+                field: "last_emitted",
+                value: 2
+            })
+        );
+        // Encode: the writer refuses what the reader would.
+        let mut out = Vec::new();
+        let mut w = Writer { out: &mut out };
+        assert_eq!(
+            w.tag("current", &mut 4, 0..=3),
+            Err(SnapshotError::BadEnum {
+                field: "current",
+                value: 4
+            })
+        );
+        assert_eq!(
+            w.len("tof.batch", &mut (MAX_ELEMS + 1)),
+            Err(SnapshotError::FieldTooLong {
+                field: "tof.batch",
+                len: MAX_ELEMS + 1
+            })
+        );
+        assert!(out.is_empty(), "a refused field writes nothing");
     }
 
     #[test]
@@ -847,15 +961,31 @@ pub(crate) mod tests {
 
     #[test]
     fn oversize_state_vector_is_a_typed_encode_error() {
-        let mut snap = minimal_snapshot();
-        snap.state.tof.batch = vec![0.0; MAX_ELEMS + 1];
+        // A ToF batch that never closes, sampled every nanosecond,
+        // outgrows the format's element cap.
+        let mut cfg = PipelineConfig::default();
+        cfg.tof.sampling_period = 1;
+        cfg.tof.aggregation_period = 1 << 40;
+        let mut session = PipelineSession::new(cfg, 3);
+        session.observe(MAX_ELEMS as Nanos, &Csi::zeros(1, 1, 4), 5.0);
         assert!(matches!(
-            snap.encode(),
+            encode_into(&mut Vec::new(), 3, None, &mut session),
             Err(SnapshotError::FieldTooLong {
                 field: "tof.batch",
-                ..
-            })
+                len
+            }) if len == MAX_ELEMS + 1
         ));
+    }
+
+    /// Every value `last_emitted` can hold.
+    fn classifications() -> Vec<Option<Classification>> {
+        let mut all = vec![None];
+        for mode in MobilityMode::ALL {
+            for direction in [None, Some(Direction::Towards), Some(Direction::Away)] {
+                all.push(Some(Classification { mode, direction }));
+            }
+        }
+        all
     }
 
     proptest::proptest! {
@@ -870,7 +1000,7 @@ pub(crate) mod tests {
             let mut flipped = bytes.to_vec();
             flipped[bit / 8] ^= 1 << (bit % 8);
             proptest::prop_assert!(
-                SessionSnapshot::decode(&flipped).is_err(),
+                decode_fresh(&flipped).is_err(),
                 "bit flip at byte {} bit {} went undetected",
                 bit / 8,
                 bit % 8
@@ -882,7 +1012,7 @@ pub(crate) mod tests {
         fn any_truncation_is_detected(cut in 0usize..8 * 512) {
             let bytes = busy_bytes();
             let cut = cut % bytes.len();
-            proptest::prop_assert!(SessionSnapshot::decode(&bytes[..cut]).is_err());
+            proptest::prop_assert!(decode_fresh(&bytes[..cut]).is_err());
         }
 
         /// Random garbage never panics the decoder and never yields a
@@ -893,89 +1023,47 @@ pub(crate) mod tests {
             seeds in proptest::collection::vec(0u64..u64::MAX, 0..256),
         ) {
             let data: Vec<u8> = seeds.iter().map(|&s| (s % 256) as u8).collect();
-            let _ = SessionSnapshot::decode(&data);
+            let _ = decode_fresh(&data);
         }
 
-        /// Decoding into a snapshot that held *more* than the source —
-        /// more smoothing profiles, a longer ToF history and batch, and
-        /// `Some` where the source has `None` — equals a fresh decode:
-        /// no stale field survives the recycled fault-in path.
+        /// Decoding into a session that served another client — more
+        /// smoothing profiles, a longer ToF history and batch, `Some`
+        /// where the source has `None`, or the reverse — equals decoding
+        /// into a fresh one: no stale field survives the recycled
+        /// fault-in path.
         #[test]
         fn decode_into_a_dirty_snapshot_equals_decode(
-            sizes in (0usize..3, 0usize..4),
-            extra in (1usize..4, 0u8..7),
-            seed in 0u64..1_000,
-            values in proptest::collection::vec(-100.0..100.0f64, 0..6),
+            src in (0u64..1_000, 0u64..300),
+            dirty in (0u64..1_000, 0u64..300),
         ) {
-            let ((n_recent, n_tof), (more, some_mask)) = (sizes, extra);
-            let value = |i: usize| values.get(i % values.len().max(1)).copied().unwrap_or(1.5);
-            let mut source = SessionSnapshot {
-                client_id: seed as u32,
-                last_emitted: None,
-                state: PipelineSession::new(PipelineConfig::default(), seed).snapshot(),
-            };
-            let sim = &mut source.state.classifier.similarity;
-            sim.recent = (0..n_recent).map(|i| (i as u64, vec![value(i); 1 + i])).collect();
-            source.state.tof.batch = (0..n_tof).map(value).collect();
-            source.state.tof.history = (0..n_tof)
-                .map(|i| TofMeasurement { at: i as u64, cycles: value(i + 1) })
-                .collect();
-
-            let mut dirty = SessionSnapshot::decode(busy_bytes()).expect("decodes");
-            let target = &mut dirty.state;
-            target.classifier.similarity.recent = (0..n_recent + more)
-                .map(|i| (100 + i as u64, vec![-value(i); 52]))
-                .collect();
-            target.tof.batch = vec![-7.0; n_tof + more];
-            target.tof.history.truncate(n_tof);
-            while target.tof.history.len() < n_tof + more {
-                target.tof.history.push(TofMeasurement { at: 9, cycles: -9.0 });
-            }
-            // Always `Some` in at least one of the three optionals the
-            // source leaves `None`; `some_mask` picks which others too.
-            target.classifier.similarity.last_profile =
-                (some_mask & 1 == 0).then(|| vec![3.0; 52]);
-            target.tof.rng.gauss_spare = (some_mask & 2 == 0).then_some(0.25);
-            target.classifier.last_trend = (some_mask & 4 == 0)
-                .then_some((5, Direction::Away));
-            proptest::prop_assert!(
-                source.state.classifier.similarity.last_profile.is_none()
-                    && source.state.tof.rng.gauss_spare.is_none()
-                    && source.state.classifier.last_trend.is_none()
-            );
-
-            let bytes = source.encode().expect("encodes");
-            SessionSnapshot::decode_into(&bytes, &mut dirty).expect("decodes");
-            proptest::prop_assert_eq!(&dirty, &SessionSnapshot::decode(&bytes).expect("decodes"));
-            proptest::prop_assert_eq!(dirty, source);
+            let cfg = PipelineConfig::default();
+            let mut source = PipelineSession::new(cfg.clone(), src.0);
+            drive_synthetic(&mut source, src.0, src.1);
+            let bytes = page(9, None, &mut source);
+            let mut recycled = PipelineSession::new(cfg, dirty.0);
+            drive_synthetic(&mut recycled, dirty.0 ^ 1, dirty.1);
+            proptest::prop_assert_eq!(decode_into(&bytes, &mut recycled), Ok((9, None)));
+            let (_, _, mut fresh) = decode_fresh(&bytes).expect("decodes");
+            proptest::prop_assert_eq!(page(9, None, &mut recycled), bytes.clone());
+            proptest::prop_assert_eq!(page(9, None, &mut fresh), bytes);
         }
 
-        /// Round-trip over randomly parameterised (but structurally
-        /// valid) snapshots: encode ∘ decode = identity.
+        /// Round trip over randomly driven sessions, every client id and
+        /// every `last_emitted` value: decode ∘ encode = identity.
         #[test]
         fn random_snapshot_round_trips(
             client_id in 0u32..u32::MAX,
             seed in 0u64..1_000,
-            decisions in 0u64..u64::MAX,
-            counter in 0u64..u64::MAX,
-            index in 0u8..17,
-            gauss_tag in 0u8..2,
-            gauss_val in -10.0..10.0f64,
-            batch in proptest::collection::vec(-100.0..100.0f64, 0..8),
+            steps in 0u64..300,
+            emitted in 0usize..13,
         ) {
-            let mut snap = SessionSnapshot {
-                client_id,
-                last_emitted: None,
-                state: PipelineSession::new(PipelineConfig::default(), seed).snapshot(),
-            };
-            snap.state.classifier.decisions = decisions;
-            snap.state.tof.rng.counter = counter;
-            snap.state.tof.rng.index = index;
-            snap.state.tof.rng.gauss_spare = (gauss_tag == 1).then_some(gauss_val);
-            snap.state.tof.batch = batch;
-            let bytes = snap.encode().expect("encodes");
-            let back = SessionSnapshot::decode(&bytes).expect("decodes");
-            proptest::prop_assert_eq!(back, snap);
+            let mut session = PipelineSession::new(PipelineConfig::default(), seed);
+            drive_synthetic(&mut session, seed, steps);
+            let last = classifications()[emitted];
+            let bytes = page(client_id, last, &mut session);
+            let (id, back_last, mut back) = decode_fresh(&bytes).expect("decodes");
+            proptest::prop_assert_eq!((id, back_last), (client_id, last));
+            proptest::prop_assert_eq!(page(id, back_last, &mut back), bytes);
         }
     }
 }

@@ -13,20 +13,20 @@
 //! with the buffer each step writes into, is:
 //!
 //! ```text
-//!   worker tick ──► victims_into(now, &mut victims)          worker's Vec<u32>
-//!     for each ──► session.snapshot_into(&mut scratch.state) worker's SessionSnapshot
-//!             └──► manager.hibernate(&scratch, pager)        manager's encode buffer
-//!                    └─► pager.page_out(id, &buf)            pager's exact-size page
+//!   worker tick ──► victims_into(now, &mut victims)              worker's Vec<u32>
+//!     for each ──► manager.hibernate(id, last, &mut session, pager)
+//!                    ├─► codec::encode_into(buf, .., session)    manager's encode buffer
+//!                    └─► pager.page_out(id, &buf)                pager's exact-size page
 //!   frame for hibernated client
-//!          ──► manager.fault_in(id, pager, &mut scratch)     page decoded in place
-//!             └──► spare.session.restore_from(&scratch.state) last victim's session
+//!          ──► manager.fault_in(id, pager, &mut spare.session, &mut last)
+//!                    └─► codec::decode_into(&page, session)      last victim's session
 //! ```
 //!
-//! One hibernate → fault-in cycle therefore copies the session state
-//! once in each direction and allocates only the pager's page: the
-//! encode buffer, the scratch snapshot and the victim list are reused,
-//! and [`SessionSnapshot::encode`] / [`SessionSnapshot::decode`] stay
-//! as owned-value wrappers for migration parcels and the store.
+//! One hibernate → fault-in cycle therefore copies no session state:
+//! the page is encoded straight from the victim's live session and
+//! decoded straight into the session the last victim left behind. It
+//! allocates only the pager's page; the encode buffer, the spare
+//! session and the victim list are reused.
 //!
 //! Storage is abstracted behind [`SnapshotPager`]: [`MemoryPager`] here
 //! for tests and memory-only deployments, and the trace store's
@@ -34,9 +34,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use mobisense_core::classifier::Classification;
+use mobisense_core::pipeline::PipelineSession;
 use mobisense_util::units::Nanos;
 
-use crate::codec::{SessionSnapshot, SnapshotError};
+use crate::codec::{self, SnapshotError};
 
 /// Where paged-out snapshots live.
 ///
@@ -293,20 +295,24 @@ impl HibernationManager {
         }
     }
 
-    /// Pages the session's snapshot out and moves the client from the
-    /// hot set to the hibernated set. Returns the encoded size. The
-    /// snapshot is encoded into the manager's own reused buffer, which
-    /// the pager copies from. On error nothing changes: the client
-    /// stays hot and the worker keeps its session.
+    /// Pages the client's live session and `last_emitted` register out
+    /// and moves the client from the hot set to the hibernated set.
+    /// Returns the encoded size. The page is encoded straight from
+    /// `session` into the manager's own reused buffer, which the pager
+    /// copies from; the session is left as it was, for the worker to
+    /// recycle. On error nothing changes: the client stays hot and the
+    /// worker keeps its session.
     pub fn hibernate(
         &mut self,
-        snap: &SessionSnapshot,
+        client: u32,
+        last_emitted: Option<Classification>,
+        session: &mut PipelineSession,
         pager: &mut dyn SnapshotPager,
     ) -> Result<usize, PageError> {
-        snap.encode_into(&mut self.page)?;
-        pager.page_out(snap.client_id, &self.page)?;
-        self.drop_hot(snap.client_id);
-        self.hibernated.insert(snap.client_id);
+        codec::encode_into(&mut self.page, client, last_emitted, session)?;
+        pager.page_out(client, &self.page)?;
+        self.drop_hot(client);
+        self.hibernated.insert(client);
         self.stats.hibernated += 1;
         Ok(self.page.len())
     }
@@ -321,29 +327,28 @@ impl HibernationManager {
         }
     }
 
-    /// Brings a hibernated client's snapshot back: pages it in and
-    /// decodes it into `into` (overwriting every field, reusing its
-    /// vectors) for the worker to
-    /// [`PipelineSession::restore_from`]. Returns `Ok(false)`, leaving
-    /// `into` untouched, when the client is not hibernated (the common
-    /// case — a hot client's frame). On error the client stays
-    /// hibernated and `into` must not be used.
+    /// Brings a hibernated client back: pages it in and decodes the
+    /// page straight into `session` (any session of the serving
+    /// configuration, whatever client it served before) and
+    /// `last_emitted`. Returns `Ok(false)`, leaving both untouched, when
+    /// the client is not hibernated (the common case — a hot client's
+    /// frame). On error the client stays hibernated and `session` must
+    /// not be used.
     ///
     /// The caller must [`touch`](Self::touch) the client afterwards to
     /// re-enter it into the hot set.
-    ///
-    /// [`PipelineSession::restore_from`]: mobisense_core::pipeline::PipelineSession::restore_from
     pub fn fault_in(
         &mut self,
         client: u32,
         pager: &mut dyn SnapshotPager,
-        into: &mut SessionSnapshot,
+        session: &mut PipelineSession,
+        last_emitted: &mut Option<Classification>,
     ) -> Result<bool, PageError> {
         if !self.hibernated.contains(&client) {
             return Ok(false);
         }
         let page = pager.page_in(client)?.ok_or(PageError::Missing(client))?;
-        SessionSnapshot::decode_into(&page, into)?;
+        (_, *last_emitted) = codec::decode_into(&page, session)?;
         self.hibernated.remove(&client);
         self.stats.restored += 1;
         Ok(true)
@@ -371,15 +376,18 @@ impl HibernationManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobisense_core::pipeline::{PipelineConfig, PipelineSession};
+    use crate::codec::tests::{busy_session, page};
+    use mobisense_core::pipeline::PipelineConfig;
     use mobisense_util::units::SECOND;
 
-    fn snap_for(client: u32) -> SessionSnapshot {
-        SessionSnapshot {
-            client_id: client,
-            last_emitted: None,
-            state: PipelineSession::new(PipelineConfig::default(), client as u64).snapshot(),
-        }
+    fn session_for(client: u32) -> PipelineSession {
+        PipelineSession::new(PipelineConfig::default(), client as u64)
+    }
+
+    /// Pages a fresh session out for `client`.
+    fn hibernate_fresh(mgr: &mut HibernationManager, client: u32, pager: &mut MemoryPager) {
+        mgr.hibernate(client, None, &mut session_for(client), pager)
+            .expect("pages out");
     }
 
     fn idle_cfg(idle_after: Nanos) -> HibernationConfig {
@@ -430,14 +438,15 @@ mod tests {
         // the pager must not keep that slack per hibernated session.
         let mut mgr = HibernationManager::new(idle_cfg(SECOND));
         let mut pager = MemoryPager::new();
-        let busy = crate::codec::tests::busy_snapshot();
-        mgr.touch(busy.client_id, 0);
-        mgr.hibernate(&busy, &mut pager).expect("pages out");
+        let (mut busy, last) = busy_session();
+        mgr.touch(99, 0);
+        mgr.hibernate(99, last, &mut busy, &mut pager)
+            .expect("pages out");
         for c in 0..4 {
             mgr.touch(c, 0);
-            mgr.hibernate(&snap_for(c), &mut pager).expect("pages out");
+            hibernate_fresh(&mut mgr, c, &mut pager);
         }
-        assert!(mgr.page.capacity() > snap_for(0).encode().expect("encodes").len());
+        assert!(mgr.page.capacity() > page(0, None, &mut session_for(0)).len());
         assert_eq!(pager.len(), 5);
         for page in pager.pages.values() {
             assert_eq!(page.capacity(), page.len());
@@ -491,20 +500,31 @@ mod tests {
     fn hibernate_then_fault_in_round_trips_and_counts() {
         let mut mgr = HibernationManager::new(idle_cfg(SECOND));
         let mut pager = MemoryPager::new();
-        let snap = snap_for(42);
+        let (mut busy, last) = busy_session();
+        let want = page(42, last, &mut busy);
         mgr.touch(42, 0);
-        let n = mgr.hibernate(&snap, &mut pager).expect("pages out");
-        assert!(n > 0);
+        let n = mgr
+            .hibernate(42, last, &mut busy, &mut pager)
+            .expect("pages out");
+        assert_eq!(n, want.len());
+        assert_eq!(
+            page(42, last, &mut busy),
+            want,
+            "paging out leaves the session"
+        );
         assert_eq!(mgr.hot_count(), 0);
         assert_eq!(mgr.hibernated_count(), 1);
         assert!(mgr.is_hibernated(42));
         assert_eq!(pager.len(), 1);
         assert_eq!(pager.stored_bytes(), n);
 
-        let mut back = SessionSnapshot::default();
-        let faulted = mgr.fault_in(42, &mut pager, &mut back).expect("pages in");
+        let (mut back, mut back_last) = (session_for(7), None);
+        let faulted = mgr
+            .fault_in(42, &mut pager, &mut back, &mut back_last)
+            .expect("pages in");
         assert!(faulted);
-        assert_eq!(back, snap);
+        assert_eq!(back_last, last);
+        assert_eq!(page(42, back_last, &mut back), want);
         assert_eq!(mgr.hibernated_count(), 0);
         assert!(pager.is_empty());
         assert_eq!(
@@ -522,11 +542,16 @@ mod tests {
         let mut mgr = HibernationManager::new(idle_cfg(SECOND));
         let mut pager = MemoryPager::new();
         mgr.touch(7, 0);
-        let mut into = snap_for(3);
-        assert_eq!(mgr.fault_in(7, &mut pager, &mut into), Ok(false));
+        let (mut busy, last) = busy_session();
+        let before = page(3, last, &mut busy);
+        let mut into_last = last;
         assert_eq!(
-            into,
-            snap_for(3),
+            mgr.fault_in(7, &mut pager, &mut busy, &mut into_last),
+            Ok(false)
+        );
+        assert_eq!(
+            page(3, into_last, &mut busy),
+            before,
             "a hot client's fault-in leaves the target alone"
         );
         assert_eq!(mgr.stats().restored, 0);
@@ -537,11 +562,11 @@ mod tests {
         let mut mgr = HibernationManager::new(idle_cfg(SECOND));
         let mut pager = MemoryPager::new();
         mgr.touch(5, 0);
-        mgr.hibernate(&snap_for(5), &mut pager).expect("pages out");
+        hibernate_fresh(&mut mgr, 5, &mut pager);
         // Simulate a lost page.
         pager.page_in(5).expect("drains");
         assert_eq!(
-            mgr.fault_in(5, &mut pager, &mut SessionSnapshot::default()),
+            mgr.fault_in(5, &mut pager, &mut session_for(0), &mut None),
             Err(PageError::Missing(5))
         );
         // The split-brain is visible, not papered over.
@@ -553,13 +578,13 @@ mod tests {
         let mut mgr = HibernationManager::new(idle_cfg(SECOND));
         let mut pager = MemoryPager::new();
         mgr.touch(6, 0);
-        mgr.hibernate(&snap_for(6), &mut pager).expect("pages out");
+        hibernate_fresh(&mut mgr, 6, &mut pager);
         // Flip a body bit behind the manager's back.
         let mut bytes = pager.page_in(6).expect("drains").expect("present");
         bytes[20] ^= 0x10;
         pager.page_out(6, &bytes).expect("re-pages");
         assert!(matches!(
-            mgr.fault_in(6, &mut pager, &mut SessionSnapshot::default()),
+            mgr.fault_in(6, &mut pager, &mut session_for(0), &mut None),
             Err(PageError::Codec(SnapshotError::BadCrc { .. }))
         ));
     }
@@ -587,7 +612,7 @@ mod tests {
         let mut pager = MemoryPager::new();
         mgr.touch(1, 0);
         mgr.touch(2, 0);
-        mgr.hibernate(&snap_for(2), &mut pager).expect("pages out");
+        hibernate_fresh(&mut mgr, 2, &mut pager);
         mgr.forget(1);
         mgr.forget(2);
         assert_eq!(mgr.hot_count(), 0);

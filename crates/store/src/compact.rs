@@ -27,7 +27,7 @@
 //! # Crash-safe promotion
 //!
 //! Outputs are staged under the **next generation**'s file names
-//! (`gen-G-seg-N.seg`, see the [`manifest`](crate::manifest) module),
+//! (`gen-G-seg-N.seg`, see the [`manifest`] module),
 //! invisible to every reader until one atomic manifest rename makes
 //! the new generation current. The full protocol, with what a crash
 //! at each step leaves behind:
@@ -45,7 +45,7 @@
 //! step 5 on the new generation is current and fully sealed. At no
 //! instant is neither store recoverable — `TraceReader::recover()`
 //! reports a complete store at every row, and the garbage rows are
-//! swept by the next open's [`gc_losers`](crate::manifest::gc_losers).
+//! swept by the next open's loser GC (`manifest::gc_losers`).
 //! The kill-mid-compact xtest aborts a child process at each step and
 //! proves exactly this table.
 //!
@@ -232,7 +232,7 @@ impl StreamingCompactor {
         // Step 1: a previously crashed compaction may have left losing
         // generations or staging leftovers; sweep so this run's
         // staging namespace is provably ours alone.
-        let swept = manifest::gc_losers(dir, old_generation, self.cfg.dir_sync)?;
+        let swept = manifest::gc_losers(dir, old_generation)?;
         if swept.files > 0 {
             sink.count("store.compact.stale_gc_files", swept.files);
         }
@@ -272,7 +272,6 @@ impl StreamingCompactor {
             dir: dir.clone(),
             target_segment_bytes: self.cfg.target_segment_bytes,
             retention: None,
-            dir_sync: self.cfg.dir_sync,
         };
         let mut writer = TraceWriter::create_staging(staging_cfg, new_generation)?;
         let mut probe = ResidentProbe::default();
@@ -350,7 +349,7 @@ impl StreamingCompactor {
         // the new one is.
         manifest::stage(dir, new_generation)?;
         self.fail_at(CrashPoint::ManifestStaged)?;
-        manifest::commit(dir, self.cfg.dir_sync)?;
+        manifest::commit(dir)?;
         self.fail_at(CrashPoint::AfterPromote)?;
 
         // Step 6: the old generation is garbage now; delete it. A
@@ -361,9 +360,7 @@ impl StreamingCompactor {
                 self.fail_at(CrashPoint::MidGc)?;
             }
         }
-        if self.cfg.dir_sync {
-            crate::writer::sync_dir(dir)?;
-        }
+        crate::writer::sync_dir(dir)?;
 
         let report = CompactReport {
             segments_before,

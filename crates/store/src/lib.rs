@@ -18,7 +18,7 @@
 //! * [`reader`] — [`TraceReader`]: strict reads with typed errors,
 //!   plus a recovering read that salvages a crash-truncated tail and
 //!   skips (whole, detectably-damaged) segments;
-//! * [`compact`] — merges many small sealed segments into few large
+//! * [`mod@compact`] — merges many small sealed segments into few large
 //!   ones, preserving record order and hence replay output;
 //! * [`replay`] — the golden-regression harness: record a fleet
 //!   together with the decision log the live service produced, then

@@ -20,7 +20,7 @@
 //!   rename the old generation is current; after it the new one is.
 //!   There is no instant at which neither is.
 //! * The losing generation's files are garbage, collected by
-//!   [`gc_losers`] on the next open (writer create or compaction
+//!   `gc_losers` on the next open (writer create or compaction
 //!   start). A crash mid-GC just leaves some garbage for next time —
 //!   readers filter by generation and never see it.
 //!
@@ -126,21 +126,18 @@ pub(crate) fn stage(dir: &Path, generation: u64) -> io::Result<PathBuf> {
 /// Atomically commits a previously [`stage`]d manifest: rename over
 /// the live name, then fsync the directory so the rename itself is
 /// durable. This is the compaction commit point.
-pub(crate) fn commit(dir: &Path, dir_sync: bool) -> io::Result<()> {
+pub(crate) fn commit(dir: &Path) -> io::Result<()> {
     fs::rename(dir.join(MANIFEST_TMP_NAME), dir.join(MANIFEST_NAME))?;
-    if dir_sync {
-        crate::writer::sync_dir(dir)?;
-    }
-    Ok(())
+    crate::writer::sync_dir(dir)
 }
 
 /// Stages and commits in one call (no crash window wanted). The
 /// compactor always uses the two-step form so its crash injection can
 /// land between them; tests promote directly.
 #[cfg(test)]
-pub(crate) fn promote(dir: &Path, generation: u64, dir_sync: bool) -> io::Result<()> {
+pub(crate) fn promote(dir: &Path, generation: u64) -> io::Result<()> {
     stage(dir, generation)?;
-    commit(dir, dir_sync)
+    commit(dir)
 }
 
 /// What a stale-generation sweep deleted.
@@ -157,7 +154,7 @@ pub struct GcReport {
 /// uncommitted `store.manifest.tmp`, legacy `seg-N.tmp` leftovers).
 /// Run at every open: a crash between promotion and GC leaves the
 /// losing generation on disk, and this sweep is how it finally goes.
-pub(crate) fn gc_losers(dir: &Path, current: u64, dir_sync: bool) -> io::Result<GcReport> {
+pub(crate) fn gc_losers(dir: &Path, current: u64) -> io::Result<GcReport> {
     let mut report = GcReport::default();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -181,7 +178,7 @@ pub(crate) fn gc_losers(dir: &Path, current: u64, dir_sync: bool) -> io::Result<
     }
     // Deletions are directory mutations; make them durable so a crash
     // cannot resurrect a losing generation after we reported it gone.
-    if report.files > 0 && dir_sync {
+    if report.files > 0 {
         crate::writer::sync_dir(dir)?;
     }
     Ok(report)
@@ -196,9 +193,9 @@ mod tests {
     fn manifest_round_trips_and_absence_means_generation_zero() {
         let dir = testdir::fresh("manifest-roundtrip");
         assert_eq!(current_generation(&dir).expect("absent"), 0);
-        promote(&dir, 3, true).expect("promote");
+        promote(&dir, 3).expect("promote");
         assert_eq!(current_generation(&dir).expect("read"), 3);
-        promote(&dir, 4, true).expect("re-promote");
+        promote(&dir, 4).expect("re-promote");
         assert_eq!(current_generation(&dir).expect("read"), 4);
         assert!(!dir.join(MANIFEST_TMP_NAME).exists(), "tmp consumed");
     }
@@ -206,7 +203,7 @@ mod tests {
     #[test]
     fn damaged_manifest_is_a_loud_error_not_a_guess() {
         let dir = testdir::fresh("manifest-damaged");
-        promote(&dir, 7, true).expect("promote");
+        promote(&dir, 7).expect("promote");
         let path = dir.join(MANIFEST_NAME);
         let mut bytes = fs::read(&path).expect("read");
         bytes[8] ^= 0x01; // flip a generation bit; CRC now disagrees
@@ -221,11 +218,11 @@ mod tests {
     #[test]
     fn staged_but_uncommitted_manifest_changes_nothing() {
         let dir = testdir::fresh("manifest-staged");
-        promote(&dir, 1, true).expect("promote");
+        promote(&dir, 1).expect("promote");
         let tmp = stage(&dir, 2).expect("stage");
         assert!(tmp.exists());
         assert_eq!(current_generation(&dir).expect("read"), 1);
-        commit(&dir, true).expect("commit");
+        commit(&dir).expect("commit");
         assert_eq!(current_generation(&dir).expect("read"), 2);
     }
 
@@ -242,7 +239,7 @@ mod tests {
         ] {
             fs::write(dir.join(name), b"x").expect("write");
         }
-        let report = gc_losers(&dir, 1, true).expect("gc");
+        let report = gc_losers(&dir, 1).expect("gc");
         assert_eq!(report.files, 4);
         assert_eq!(report.bytes, 4);
         assert!(dir.join("gen-00000001-seg-00000000.seg").exists());
@@ -250,6 +247,6 @@ mod tests {
         assert!(!dir.join("seg-00000000.seg").exists());
         assert!(!dir.join("store.manifest.tmp").exists());
         // Idempotent: a second sweep finds nothing.
-        assert_eq!(gc_losers(&dir, 1, true).expect("gc"), GcReport::default());
+        assert_eq!(gc_losers(&dir, 1).expect("gc"), GcReport::default());
     }
 }

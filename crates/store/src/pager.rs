@@ -34,7 +34,7 @@
 
 use std::collections::BTreeMap;
 
-use mobisense_session::{PageError, SessionSnapshot, SnapshotPager};
+use mobisense_session::{codec, PageError, SnapshotPager};
 
 use crate::writer::{StoreConfig, TraceWriter, WriteSummary};
 use crate::{StoreError, TraceReader};
@@ -138,7 +138,7 @@ impl SnapshotPager for StorePager {
         // proved the bytes decode, but make the client-id pairing
         // explicit — filing a snapshot under the wrong client would
         // resurrect the wrong user's state.
-        let snap_client = SessionSnapshot::peek_client_id(bytes).map_err(PageError::Codec)?;
+        let snap_client = codec::peek_client_id(bytes).map_err(PageError::Codec)?;
         if snap_client != client {
             return Err(PageError::Io(format!(
                 "snapshot for client {snap_client} paged out under client {client}"
@@ -173,21 +173,28 @@ impl std::fmt::Debug for StorePager {
 mod tests {
     use super::*;
     use crate::testdir;
+    use mobisense_core::classifier::Classification;
     use mobisense_core::pipeline::{PipelineConfig, PipelineSession};
-    use mobisense_session::{
-        HibernationConfig, HibernationManager, MemoryPager, RetirePolicy, SessionSnapshot,
-    };
+    use mobisense_session::{HibernationConfig, HibernationManager, MemoryPager, RetirePolicy};
+
+    fn session(seed: u64) -> PipelineSession {
+        PipelineSession::new(PipelineConfig::default(), seed)
+    }
+
+    fn page_of(
+        client: u32,
+        last_emitted: Option<Classification>,
+        session: &mut PipelineSession,
+    ) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        codec::encode_into(&mut bytes, client, last_emitted, session).expect("encode");
+        bytes
+    }
 
     /// An encoded snapshot whose pipeline state varies with `seed`,
     /// so "old" and "newer" snapshots of one client differ on disk.
     fn snapshot_for(client: u32, seed: u64) -> Vec<u8> {
-        SessionSnapshot {
-            client_id: client,
-            last_emitted: None,
-            state: PipelineSession::new(PipelineConfig::default(), seed).snapshot(),
-        }
-        .encode()
-        .expect("encode")
+        page_of(client, None, &mut session(seed))
     }
 
     #[test]
@@ -282,22 +289,31 @@ mod tests {
         }
         assert_eq!(mem_mgr.victims(100), disk_mgr.victims(100));
         for client in mem_mgr.victims(100) {
-            let snap = SessionSnapshot::decode(&snapshot_for(client, 2)).expect("decode");
-            mem_mgr.hibernate(&snap, &mut mem).expect("mem hibernate");
+            let mut live = session(u64::from(client));
+            mem_mgr
+                .hibernate(client, None, &mut live, &mut mem)
+                .expect("mem hibernate");
             disk_mgr
-                .hibernate(&snap, &mut disk)
+                .hibernate(client, None, &mut live, &mut disk)
                 .expect("disk hibernate");
         }
         assert_eq!(mem_mgr.hibernated_count(), disk_mgr.hibernated_count());
-        let (mut a, mut b) = (SessionSnapshot::default(), SessionSnapshot::default());
+        let (mut a, mut b) = (session(0), session(1));
         for client in [3u32, 4, 5] {
+            let (mut last_a, mut last_b) = (None, None);
             let fa = mem_mgr
-                .fault_in(client, &mut mem, &mut a)
+                .fault_in(client, &mut mem, &mut a, &mut last_a)
                 .expect("mem fault");
             let fb = disk_mgr
-                .fault_in(client, &mut disk, &mut b)
+                .fault_in(client, &mut disk, &mut b, &mut last_b)
                 .expect("disk fault");
-            assert_eq!((fa, &a), (fb, &b), "client {client} restored differently");
+            let restored_a = page_of(client, last_a, &mut a);
+            let restored_b = page_of(client, last_b, &mut b);
+            assert_eq!(
+                (fa, restored_a),
+                (fb, restored_b),
+                "client {client} restored differently"
+            );
         }
     }
 }

@@ -26,7 +26,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use mobisense_core::pipeline::{PipelineConfig, PipelineSession};
 use mobisense_serve::wire::ObsFrame;
+use mobisense_session::codec;
 use mobisense_telemetry::event::Event;
 use mobisense_telemetry::sink::Sink;
 
@@ -412,7 +414,8 @@ impl TraceReader {
     }
 }
 
-fn decode_obs(segment_id: u64, payload: &[u8]) -> Result<ObsFrame, StoreError> {
+/// Decodes an observation-frame record: one whole wire frame.
+pub(crate) fn decode_obs(segment_id: u64, payload: &[u8]) -> Result<ObsFrame, StoreError> {
     let (frame, used) =
         ObsFrame::decode(payload).map_err(|error| StoreError::BadFrame { segment_id, error })?;
     if used != payload.len() {
@@ -427,16 +430,19 @@ fn decode_obs(segment_id: u64, payload: &[u8]) -> Result<ObsFrame, StoreError> {
     Ok(frame)
 }
 
-fn decode_row(segment_id: u64, payload: &[u8]) -> Result<String, StoreError> {
+/// Decodes a decision-row record: one UTF-8 line.
+pub(crate) fn decode_row(segment_id: u64, payload: &[u8]) -> Result<String, StoreError> {
     std::str::from_utf8(payload)
         .map(str::to_owned)
         .map_err(|_| StoreError::BadUtf8 { segment_id })
 }
 
-/// Fully validates a snapshot payload and returns its client id.
-fn decode_snapshot(segment_id: u64, payload: &[u8]) -> Result<u32, StoreError> {
-    mobisense_session::SessionSnapshot::decode(payload)
-        .map(|s| s.client_id)
+/// Fully validates a session-snapshot record — header, CRC and every
+/// field, decoded into a scratch session — and returns its client id.
+pub(crate) fn decode_snapshot(segment_id: u64, payload: &[u8]) -> Result<u32, StoreError> {
+    let mut scratch = PipelineSession::new(PipelineConfig::default(), 0);
+    codec::decode_into(payload, &mut scratch)
+        .map(|(client_id, _)| client_id)
         .map_err(|error| StoreError::BadSnapshot { segment_id, error })
 }
 

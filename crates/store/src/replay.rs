@@ -27,7 +27,7 @@ use mobisense_serve::wire::{ObsFrame, WireError};
 use mobisense_telemetry::event::Event;
 use mobisense_telemetry::sink::{timed, Sink};
 
-use crate::reader::{SegmentMeta, TraceReader};
+use crate::reader::{decode_row, SegmentMeta, TraceReader};
 use crate::segment::RecordKind;
 use crate::writer::{StoreConfig, TraceWriter};
 use crate::StoreError;
@@ -154,13 +154,7 @@ pub fn rebuild_streams(reader: &TraceReader) -> Result<(Vec<ClientStream>, Strin
                 }
                 entry.1.extend_from_slice(payload);
             }
-            RecordKind::DecisionRow => {
-                rows.push(
-                    std::str::from_utf8(payload)
-                        .map_err(|_| StoreError::BadUtf8 { segment_id })?
-                        .to_owned(),
-                );
-            }
+            RecordKind::DecisionRow => rows.push(decode_row(segment_id, payload)?),
             // Hibernation snapshots ride in the same store but are not
             // part of the fleet's observation streams; the strict walk
             // already CRC-verified them, and `TraceReader::
@@ -290,7 +284,11 @@ mod tests {
         let mut sink = Telemetry::new();
         let rec = record_fleet(&store, &serve_cfg, &fleet, &mut sink).expect("record");
         assert_eq!(rec.frames, 8 * fleet.cfg.frames_per_client() as u64);
-        assert!(rows(&rec.golden) >= 8, "{} decision rows", rows(&rec.golden));
+        assert!(
+            rows(&rec.golden) >= 8,
+            "{} decision rows",
+            rows(&rec.golden)
+        );
         assert!(
             sink.events().any(|e| e.kind() == "store_segment"),
             "recording reports its segments"
@@ -328,7 +326,11 @@ mod tests {
         let store = StoreConfig::new(&dir).with_target_segment_bytes(8 << 10);
         let serve_cfg = serve_cfg();
         let rec = record_fleet(&store, &serve_cfg, &fleet, &mut NoopSink).expect("record");
-        assert!(rows(&rec.golden) >= 8, "{} decision rows", rows(&rec.golden));
+        assert!(
+            rows(&rec.golden) >= 8,
+            "{} decision rows",
+            rows(&rec.golden)
+        );
         for client in [0u32, 3, 7] {
             let rows = replay_client(&store, &serve_cfg, client, &mut NoopSink).expect("replay");
             let want: Vec<&str> = rec
@@ -351,7 +353,11 @@ mod tests {
         let store = StoreConfig::new(&dir).with_target_segment_bytes(4 << 10);
         let serve_cfg = serve_cfg();
         let rec = record_fleet(&store, &serve_cfg, &fleet, &mut NoopSink).expect("record");
-        assert!(rows(&rec.golden) >= 8, "{} decision rows", rows(&rec.golden));
+        assert!(
+            rows(&rec.golden) >= 8,
+            "{} decision rows",
+            rows(&rec.golden)
+        );
         let before = TraceReader::open(&dir).expect("open").segments().len();
         let merged = StoreConfig::new(&dir).with_target_segment_bytes(4 << 20);
         let report = crate::compact(&merged, &mut NoopSink).expect("compact");

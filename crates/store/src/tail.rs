@@ -27,6 +27,7 @@ use std::path::{Path, PathBuf};
 
 use mobisense_serve::wire::ObsFrame;
 
+use crate::reader::{decode_obs, decode_row, decode_snapshot};
 use crate::segment::{scan_segment, RecordKind, SEGMENT_HEADER_LEN};
 use crate::{open_name, parse_segment_name, sealed_name, StoreError};
 
@@ -204,41 +205,19 @@ impl TailCursor {
             }
             match record.kind {
                 RecordKind::Obs => {
-                    let (frame, used) =
-                        ObsFrame::decode(record.payload).map_err(|error| StoreError::BadFrame {
-                            segment_id: self.segment_id,
-                            error,
-                        })?;
-                    if used != record.payload.len() {
-                        return Err(StoreError::BadFrame {
-                            segment_id: self.segment_id,
-                            error: mobisense_serve::wire::WireError::Truncated {
-                                needed: used,
-                                got: record.payload.len(),
-                            },
-                        });
-                    }
+                    out.push(TailItem::Frame(decode_obs(
+                        self.segment_id,
+                        record.payload,
+                    )?));
                     self.frames += 1;
-                    out.push(TailItem::Frame(frame));
                 }
                 RecordKind::DecisionRow => {
-                    let row = std::str::from_utf8(record.payload)
-                        .map_err(|_| StoreError::BadUtf8 {
-                            segment_id: self.segment_id,
-                        })?
-                        .to_owned();
+                    out.push(TailItem::Row(decode_row(self.segment_id, record.payload)?));
                     self.rows += 1;
-                    out.push(TailItem::Row(row));
                 }
                 RecordKind::SessionSnapshot => {
-                    let snap = mobisense_session::SessionSnapshot::decode(record.payload).map_err(
-                        |error| StoreError::BadSnapshot {
-                            segment_id: self.segment_id,
-                            error,
-                        },
-                    )?;
                     out.push(TailItem::Snapshot {
-                        client_id: snap.client_id,
+                        client_id: decode_snapshot(self.segment_id, record.payload)?,
                         bytes: record.payload.len(),
                     });
                 }

@@ -36,11 +36,6 @@ pub struct StoreConfig {
     pub target_segment_bytes: usize,
     /// Retention enforced at every seal; `None` keeps everything.
     pub retention: Option<RetentionPolicy>,
-    /// Whether to fsync the parent directory after sealing renames
-    /// (on by default). Disabling it reopens the crash window the
-    /// sync closes — the only legitimate use is tests simulating
-    /// exactly that crash.
-    pub dir_sync: bool,
 }
 
 impl StoreConfig {
@@ -50,7 +45,6 @@ impl StoreConfig {
             dir: dir.into(),
             target_segment_bytes: 4 << 20,
             retention: None,
-            dir_sync: true,
         }
     }
 
@@ -64,13 +58,6 @@ impl StoreConfig {
     /// Enforces `policy` at every seal boundary.
     pub fn with_retention(mut self, policy: RetentionPolicy) -> Self {
         self.retention = Some(policy);
-        self
-    }
-
-    /// Disables the post-rename directory fsync — the test hook for
-    /// crash-window simulation. Never use in production.
-    pub fn without_dir_sync(mut self) -> Self {
-        self.dir_sync = false;
         self
     }
 }
@@ -93,7 +80,7 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
 #[cfg(test)]
 thread_local! {
     /// Per-thread count of `sync_dir` calls, so unit tests can prove
-    /// the hook gates the sync without cross-test interference.
+    /// a seal syncs without cross-test interference.
     pub(crate) static DIR_SYNCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -154,7 +141,7 @@ impl TraceWriter {
     pub fn create(cfg: StoreConfig) -> io::Result<TraceWriter> {
         fs::create_dir_all(&cfg.dir)?;
         let generation = crate::manifest::current_generation(&cfg.dir)?;
-        crate::manifest::gc_losers(&cfg.dir, generation, cfg.dir_sync)?;
+        crate::manifest::gc_losers(&cfg.dir, generation)?;
         Self::create_in(cfg, generation, true)
     }
 
@@ -276,12 +263,7 @@ impl TraceWriter {
     /// a snapshot that would not decode is refused here rather than
     /// discovered at fault-in time, when the client is waiting.
     pub fn append_session_snapshot(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        mobisense_session::SessionSnapshot::decode(bytes).map_err(|error| {
-            StoreError::BadSnapshot {
-                segment_id: self.segment_id,
-                error,
-            }
-        })?;
+        crate::reader::decode_snapshot(self.segment_id, bytes)?;
         self.append_record(RecordKind::SessionSnapshot, bytes)
     }
 
@@ -425,9 +407,7 @@ impl TraceWriter {
         // every byte (seal included) is safely on disk. That window
         // would make "the sealed name is the durability promise" a
         // lie, so close it before reporting the segment sealed.
-        if self.cfg.dir_sync {
-            sync_dir(&self.cfg.dir)?;
-        }
+        sync_dir(&self.cfg.dir)?;
         self.sealed.push(SegmentMeta {
             id: self.segment_id,
             path: sealed_path,
@@ -470,10 +450,7 @@ impl TraceWriter {
         self.preexisting.retain(|m| !dropped_ids.contains(&m.id));
         self.sealed.retain(|m| !dropped_ids.contains(&m.id));
         // Deletions are directory mutations too.
-        if self.cfg.dir_sync {
-            sync_dir(&self.cfg.dir)?;
-        }
-        Ok(())
+        sync_dir(&self.cfg.dir)
     }
 }
 
@@ -609,7 +586,7 @@ mod tests {
     }
 
     #[test]
-    fn seal_syncs_the_directory_unless_disabled() {
+    fn seal_syncs_the_directory() {
         // DIR_SYNCS is thread-local and every seal below runs on this
         // thread, so the deltas are exact even under parallel tests.
         let dir = testdir::fresh("writer-dirsync");
@@ -620,17 +597,6 @@ mod tests {
         assert!(
             DIR_SYNCS.with(|c| c.get()) > before,
             "sealing must fsync the parent directory"
-        );
-
-        let dir = testdir::fresh("writer-nodirsync");
-        let before = DIR_SYNCS.with(|c| c.get());
-        let mut w = TraceWriter::create(StoreConfig::new(&dir).without_dir_sync()).expect("create");
-        w.append_frame(&frame(1, 0)).expect("append");
-        w.finish().expect("finish");
-        assert_eq!(
-            DIR_SYNCS.with(|c| c.get()),
-            before,
-            "the test hook disables the sync"
         );
     }
 

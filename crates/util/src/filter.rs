@@ -9,6 +9,8 @@
 
 use std::collections::VecDeque;
 
+use crate::walk::{walk_seq, StateWalk, MAX_ELEMS};
+
 /// Fixed-capacity sliding window over `f64` samples.
 #[derive(Clone, Debug)]
 pub struct SlidingWindow {
@@ -54,20 +56,14 @@ impl SlidingWindow {
         self.buf.iter().copied().collect()
     }
 
-    /// Copies the contents oldest-first into `out`, reusing its
-    /// allocation.
-    pub fn snapshot_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.buf.iter().copied());
-    }
-
-    /// Replaces the contents with `samples` (oldest-first), keeping only
-    /// the newest `cap` of them — what pushing each in turn would leave —
-    /// without reallocating.
-    pub fn restore_from(&mut self, samples: &[f64]) {
-        self.buf.clear();
-        let skip = samples.len().saturating_sub(self.cap);
-        self.buf.extend(samples.iter().skip(skip).copied());
+    /// Walks the samples oldest-first (see [`crate::walk`]). A read
+    /// keeps the newest `cap` of them, as pushing each in turn would.
+    pub fn walk_state<W: StateWalk>(
+        &mut self,
+        w: &mut W,
+        field: &'static str,
+    ) -> Result<(), W::Error> {
+        walk_seq(w, field, &mut self.buf, self.cap, W::f64)
     }
 
     /// Iterates oldest-first.
@@ -156,19 +152,14 @@ impl BatchMedian {
         self.samples.is_empty()
     }
 
-    /// The raw samples of the current batch, oldest-first. Used to
-    /// snapshot an in-flight aggregation period:
-    /// [`restore_from`](Self::restore_from) reconstructs the batch
-    /// exactly.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Replaces the current batch with `samples` (oldest-first), reusing
-    /// the batch's allocation.
-    pub fn restore_from(&mut self, samples: &[f64]) {
-        self.samples.clear();
-        self.samples.extend_from_slice(samples);
+    /// Walks the in-flight batch's raw samples oldest-first (see
+    /// [`crate::walk`]).
+    pub fn walk_state<W: StateWalk>(
+        &mut self,
+        w: &mut W,
+        field: &'static str,
+    ) -> Result<(), W::Error> {
+        walk_seq(w, field, &mut self.samples, MAX_ELEMS, W::f64)
     }
 
     /// Ends the batch: returns its median (if non-empty) and clears it.
@@ -257,19 +248,13 @@ impl MovingAverage {
         self.window.mean()
     }
 
-    /// Copies the window's contents oldest-first into `out`, reusing
-    /// its allocation. Used to snapshot the average:
-    /// [`restore_from`](Self::restore_from) on an instance of the same
-    /// capacity reconstructs it exactly.
-    pub fn snapshot_into(&self, out: &mut Vec<f64>) {
-        self.window.snapshot_into(out);
-    }
-
-    /// Replaces the window with `values` (oldest-first); more values
-    /// than the window holds keep the newest, exactly as pushing each
-    /// in turn would.
-    pub fn restore_from(&mut self, values: &[f64]) {
-        self.window.restore_from(values);
+    /// Walks the averaged samples (see [`SlidingWindow::walk_state`]).
+    pub fn walk_state<W: StateWalk>(
+        &mut self,
+        w: &mut W,
+        field: &'static str,
+    ) -> Result<(), W::Error> {
+        self.window.walk_state(w, field)
     }
 
     /// Number of samples currently held.
@@ -360,25 +345,6 @@ mod tests {
     #[should_panic(expected = "alpha must be in (0, 1]")]
     fn ewma_rejects_zero_alpha() {
         Ewma::new(0.0);
-    }
-
-    #[test]
-    fn restore_from_matches_pushing_each_sample() {
-        let samples = [1.0, 2.0, 3.0, 4.0, 5.0];
-        for n in 0..=samples.len() {
-            let mut pushed = SlidingWindow::new(3);
-            for &x in &samples[..n] {
-                pushed.push(x);
-            }
-            // A dirty window: stale contents must not survive.
-            let mut restored = SlidingWindow::new(3);
-            restored.push(9.0);
-            restored.restore_from(&samples[..n]);
-            assert_eq!(restored.as_vec(), pushed.as_vec(), "{n} samples");
-            let mut out = vec![7.0; 8];
-            restored.snapshot_into(&mut out);
-            assert_eq!(out, pushed.as_vec());
-        }
     }
 
     #[test]

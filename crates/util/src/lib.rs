@@ -4,8 +4,9 @@
 //! random-number fan-out, complex arithmetic, small complex linear algebra
 //! (for MIMO precoding), descriptive statistics, CDF construction, the
 //! streaming filters (median, moving average, EWMA) that the paper's
-//! classification pipeline is built from, and the workspace's one JSON
-//! codec ([`json`]).
+//! classification pipeline is built from, the workspace's one JSON
+//! codec ([`json`]), and the state walk that session snapshots encode
+//! and decode through ([`walk`]).
 //!
 //! Everything in this crate is `std`-only, allocation-light, and free of
 //! global state: all randomness flows from explicitly seeded [`rng::DetRng`]
@@ -24,6 +25,7 @@ pub mod rng;
 pub mod stats;
 pub mod units;
 pub mod vec2;
+pub mod walk;
 
 pub use cdf::Cdf;
 pub use complex::C64;

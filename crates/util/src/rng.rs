@@ -17,29 +17,14 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
+use crate::walk::{walk_opt, StateWalk};
+
 /// A deterministic, forkable random-number generator.
 #[derive(Clone, Debug)]
 pub struct DetRng {
     inner: StdRng,
     /// Cached second output of the polar Gaussian transform.
     gauss_spare: Option<f64>,
-}
-
-/// Serializable position of a [`DetRng`]: the ChaCha key/counter/offset of
-/// the underlying `StdRng` plus the cached second output of the polar
-/// Gaussian transform. Restoring via [`DetRng::from_state`] resumes the
-/// stream at exactly the saved position, so a snapshotted component and its
-/// never-snapshotted twin draw identical values forever after.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DetRngState {
-    /// ChaCha key words (state words 4..12).
-    pub key: [u32; 8],
-    /// 64-bit block counter.
-    pub counter: u64,
-    /// Next unread word of the in-flight block; 16 = exhausted.
-    pub index: u8,
-    /// Cached second output of the Marsaglia polar transform, if any.
-    pub gauss_spare: Option<f64>,
 }
 
 /// FNV-1a 64-bit hash, used to mix fork labels into child seeds.
@@ -61,24 +46,24 @@ impl DetRng {
         }
     }
 
-    /// Exports the generator's exact position for serialization.
-    pub fn export_state(&self) -> DetRngState {
-        let (key, counter, index) = self.inner.state_words();
-        DetRngState {
-            key,
-            counter,
-            index,
-            gauss_spare: self.gauss_spare,
+    /// Walks the generator's exact position (see [`crate::walk`]): the
+    /// ChaCha key, block counter and word offset of the underlying
+    /// `StdRng`, then the polar transform's cached spare. A read resumes
+    /// the stream at exactly that position, so the walked generator and
+    /// its never-walked twin draw identical values forever after; only a
+    /// read rebuilds the in-flight keystream block.
+    pub fn walk_state<W: StateWalk>(&mut self, w: &mut W) -> Result<(), W::Error> {
+        let (mut key, mut counter, mut index) = self.inner.state_words();
+        for k in &mut key {
+            w.u32(k)?;
         }
-    }
-
-    /// Reconstructs a generator from [`export_state`](Self::export_state)
-    /// output, resuming the stream at exactly the saved position.
-    pub fn from_state(state: &DetRngState) -> Self {
-        DetRng {
-            inner: StdRng::from_state_words(state.key, state.counter, state.index),
-            gauss_spare: state.gauss_spare,
+        w.u64(&mut counter)?;
+        w.u8(&mut index)?;
+        walk_opt(w, "rng.gauss_spare", &mut self.gauss_spare, 0.0, W::f64)?;
+        if W::READS {
+            self.inner = StdRng::from_state_words(key, counter, index);
         }
+        Ok(())
     }
 
     /// Derives a child generator for the component named `label`.
@@ -206,23 +191,6 @@ mod tests {
         let mut c2 = p2.fork("x");
         for _ in 0..32 {
             assert_eq!(c1.uniform(), c2.uniform());
-        }
-    }
-
-    #[test]
-    fn state_round_trip_resumes_mid_stream() {
-        // Odd gaussian count leaves `gauss_spare` populated, exercising the
-        // cached-spare half of the state.
-        for draws in [0usize, 1, 3, 7, 20] {
-            let mut a = DetRng::seed_from_u64(11);
-            for _ in 0..draws {
-                a.gaussian();
-            }
-            let mut b = DetRng::from_state(&a.export_state());
-            for _ in 0..64 {
-                assert_eq!(a.gaussian().to_bits(), b.gaussian().to_bits());
-                assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
-            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! Loopback load generator for the socket-edge soak tests.
 //!
-//! The soak wants ≥10k concurrent connections against one [`Edge`].
+//! The soak wants ≥10k concurrent connections against one
+//! [`Edge`](mobisense_edge::Edge).
 //! Holding both ends of 10k loopback sockets in one process would blow
 //! the fd budget, so the client side lives in a few of these child
 //! processes, each holding a slice of the connections and

@@ -247,16 +247,13 @@ fn retention_never_gcs_a_protected_replay_window() {
 /// The seal-durability crash window: `seal_segment` renames
 /// `.open → .seg`, but without the parent-directory fsync a crash can
 /// revert the *name* while every byte — seal footer included — is on
-/// disk. With the sync disabled (the test hook), simulate exactly
-/// that outcome and prove (a) strict reads refuse the store, (b)
-/// recovery salvages every record, so the fix closes a window that
-/// loses names, never data.
+/// disk. Simulate exactly that outcome and prove (a) strict reads
+/// refuse the store, (b) recovery salvages every record, so the sync
+/// closes a window that loses names, never data.
 #[test]
 fn crash_between_rename_and_dir_sync_loses_no_records() {
     let dir = fresh_dir("crashwindow");
-    let cfg = StoreConfig::new(&dir)
-        .with_target_segment_bytes(8 << 10)
-        .without_dir_sync();
+    let cfg = StoreConfig::new(&dir).with_target_segment_bytes(8 << 10);
     let mut w = TraceWriter::create(cfg).expect("create");
     for seq in 0..200u32 {
         w.append_frame(&obs(3, seq)).expect("append");

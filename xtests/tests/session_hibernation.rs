@@ -7,12 +7,13 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mobisense_core::pipeline::PipelineSession;
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::queue::Ticket;
 use mobisense_serve::service::{
     decision_log_csv, serve_streams, BoxedPager, ServeConfig, ServeReport, ShardEngine,
 };
-use mobisense_session::{HibernationConfig, RetirePolicy, SessionSnapshot, SnapshotPager};
+use mobisense_session::{codec, HibernationConfig, RetirePolicy, SnapshotPager};
 use mobisense_store::{record_fleet, replay_fleet, StoreConfig, StorePager, TraceReader};
 use mobisense_telemetry::NoopSink;
 use mobisense_util::units::{MILLISECOND, SECOND};
@@ -229,8 +230,10 @@ fn disk_paged_hibernation_is_invisible_and_recoverable() {
             .collect();
         for client in clients {
             if let Some(bytes) = pager.page_in(client).expect("page in") {
-                let snap = SessionSnapshot::decode(&bytes).expect("snapshot decodes");
-                assert_eq!(snap.client_id, client);
+                let mut session = PipelineSession::new(cfg.pipeline.clone(), 0);
+                let (snap_client, _) =
+                    codec::decode_into(&bytes, &mut session).expect("snapshot decodes");
+                assert_eq!(snap_client, client);
             }
         }
     }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mobisense_core::pipeline::{PipelineConfig, PipelineSession};
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::wire::ObsFrame;
-use mobisense_session::SessionSnapshot;
+use mobisense_session::codec;
 use mobisense_store::segment::scan_segment;
 use mobisense_store::{
     compact, record_fleet, replay_fleet, CrashPoint, RecordKind, StoreConfig, TraceReader,
@@ -50,13 +50,10 @@ fn frame(client: u32, seq: u32, at_step: u64) -> ObsFrame {
 /// An encoded session snapshot whose pipeline state varies with
 /// `seed`, so distinct snapshots have distinct bytes on disk.
 fn snapshot_for(client: u32, seed: u64) -> Vec<u8> {
-    SessionSnapshot {
-        client_id: client,
-        last_emitted: None,
-        state: PipelineSession::new(PipelineConfig::default(), seed).snapshot(),
-    }
-    .encode()
-    .expect("encode snapshot")
+    let mut session = PipelineSession::new(PipelineConfig::default(), seed);
+    let mut bytes = Vec::new();
+    codec::encode_into(&mut bytes, client, None, &mut session).expect("encode snapshot");
+    bytes
 }
 
 /// The store's full record stream — every record of every kind, in
