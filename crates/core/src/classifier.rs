@@ -114,7 +114,6 @@ pub struct MobilityClassifier {
     trend: TrendDetector,
     tof_active: bool,
     current: Option<Classification>,
-    decisions: u64,
     /// Last time a ToF trend fired, with its direction.
     last_trend: Option<(Nanos, Direction)>,
 }
@@ -132,7 +131,6 @@ impl MobilityClassifier {
             cfg,
             tof_active: false,
             current: None,
-            decisions: 0,
             last_trend: None,
         }
     }
@@ -243,7 +241,6 @@ impl MobilityClassifier {
             }
         };
         self.current = Some(decision);
-        self.decisions += 1;
         Some(decision)
     }
 
@@ -265,7 +262,6 @@ impl MobilityClassifier {
         self.trend.walk_state(w)?;
         walk_enum(w, "tof_active", &mut self.tof_active, 0, &[false, true])?;
         Classification::walk_opt(w, "current", &mut self.current)?;
-        w.u64(&mut self.decisions)?;
         let (trend, blank) = (&mut self.last_trend, (0, Direction::Towards));
         walk_opt(w, "last_trend", trend, blank, |w, (at, d)| {
             w.u64(at)?;

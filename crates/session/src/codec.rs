@@ -14,7 +14,7 @@
 //! ```text
 //! offset      size  field
 //!      0         4  magic 0x5053534D ("MSSP", little-endian)
-//!      4         2  codec version (u16 LE, currently 1)
+//!      4         2  codec version (u16 LE, currently 2)
 //!      6         2  reserved (zero)
 //!      8         4  body length   (u32 LE)
 //!     12      body  body (field-by-field little-endian encoding)
@@ -48,8 +48,10 @@ use mobisense_util::walk::{StateWalk, MAX_ELEMS};
 /// Page magic: `"MSSP"` little-endian (MobiSense Session Page),
 /// sibling of the segment magic `"MSSG"` and the wire magic `"MS"`.
 pub const SNAPSHOT_MAGIC: u32 = 0x5053_534D;
-/// Current codec version.
-pub const SNAPSHOT_CODEC_VERSION: u16 = 1;
+/// Current codec version. Version 2 dropped the classifier's
+/// write-only decision counter; version 1 pages are refused with
+/// [`SnapshotError::BadVersion`].
+pub const SNAPSHOT_CODEC_VERSION: u16 = 2;
 /// Bytes before the body (magic + version + reserved + body length).
 pub const SNAPSHOT_HEADER_LEN: usize = 12;
 /// Fixed overhead around the body (header plus trailing CRC).
@@ -787,6 +789,18 @@ pub(crate) mod tests {
         }
     }
 
+    #[test]
+    fn a_reset_session_pages_out_like_a_fresh_one() {
+        // `PipelineSession::reset` promises a session indistinguishable
+        // from a fresh one with the same seed; its page must agree byte
+        // for byte, so a recycled session carries nothing of its past.
+        let cfg = PipelineConfig::default();
+        let (mut recycled, _, _) = drive(&cfg, ScenarioKind::MacroAway, 3, 12 * SECOND);
+        recycled.reset(9);
+        let mut fresh = PipelineSession::new(cfg, 9);
+        assert_eq!(page(9, None, &mut recycled), page(9, None, &mut fresh));
+    }
+
     /// FNV-1a 64 of a byte string: a compact fingerprint for pinning an
     /// encoding.
     fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -805,14 +819,16 @@ pub(crate) mod tests {
             encode_into(&mut buf, 0xDEAD_BEEF, last, &mut busy).expect("encodes");
             assert_eq!(buf, owned, "dirty buffer of {dirty_len} bytes");
         }
-        // Codec version 1 bytes, as encoded before buffers were reused
-        // (the snapshot comes from a simulated walk, so a change to the
-        // PHY simulator's numerics moves this pin too).
-        assert_eq!(owned.len(), 2094);
-        assert_eq!(fnv1a64(&owned), 0x9991_ceaa_b76c_88cc);
+        // Codec version 2 bytes: version 1's 2,094 bytes without the
+        // classifier's 8-byte decision counter, with the version, body
+        // length and CRC fields updated (the snapshot comes from a
+        // simulated walk, so a change to the PHY simulator's numerics
+        // moves this pin too).
+        assert_eq!(owned.len(), 2086);
+        assert_eq!(fnv1a64(&owned), 0x7dc7_a0c6_900f_4dd6);
         assert_eq!(
             owned.get(owned.len() - 4..),
-            Some(&0x4116_9900u32.to_le_bytes()[..])
+            Some(&0xb453_bda1u32.to_le_bytes()[..])
         );
     }
 
@@ -841,6 +857,15 @@ pub(crate) mod tests {
             decode_fresh(&bad_version),
             Err(SnapshotError::BadVersion(_))
         ));
+
+        // Version 1 pages, which carried the classifier's decision
+        // counter, are refused.
+        let mut v1 = bytes.clone();
+        v1[4] = 1;
+        assert_eq!(
+            decode_fresh(&v1).map(|_| ()),
+            Err(SnapshotError::BadVersion(1))
+        );
 
         let mut bad_reserved = bytes.clone();
         bad_reserved[6] = 1;
