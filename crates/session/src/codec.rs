@@ -41,7 +41,7 @@
 use std::ops::RangeInclusive;
 
 use mobisense_core::classifier::Classification;
-use mobisense_core::pipeline::PipelineSession;
+use mobisense_core::pipeline::{PipelineConfig, PipelineSession};
 use mobisense_util::crc::crc32;
 use mobisense_util::walk::{StateWalk, MAX_ELEMS};
 
@@ -210,6 +210,14 @@ pub fn decode_into(
         });
     }
     Ok((client_id, last_emitted))
+}
+
+/// Fully checks a page — header, length, CRC and every field — by
+/// decoding it into a scratch session, and returns its client id: the
+/// check the store runs on every snapshot record.
+pub fn validate(buf: &[u8]) -> Result<u32, SnapshotError> {
+    let mut scratch = PipelineSession::new(PipelineConfig::default(), 0);
+    decode_into(buf, &mut scratch).map(|(client_id, _)| client_id)
 }
 
 /// Reads the client id out of an encoded page without decoding or
@@ -417,7 +425,6 @@ impl StateWalk for Reader<'_> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use mobisense_core::pipeline::PipelineConfig;
     use mobisense_core::{Scenario, ScenarioKind};
     use mobisense_mobility::{Direction, MobilityMode};
     use mobisense_phy::csi::Csi;
@@ -836,7 +843,7 @@ pub(crate) mod tests {
     fn peek_client_id_matches_decode() {
         let bytes = busy_bytes();
         assert_eq!(peek_client_id(bytes), Ok(0xDEAD_BEEF));
-        assert_eq!(decode_fresh(bytes).map(|(id, _, _)| id), Ok(0xDEAD_BEEF));
+        assert_eq!(validate(bytes), Ok(0xDEAD_BEEF));
         assert!(peek_client_id(&bytes[..3]).is_err());
     }
 

@@ -26,7 +26,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use mobisense_core::pipeline::{PipelineConfig, PipelineSession};
 use mobisense_serve::wire::ObsFrame;
 use mobisense_session::codec;
 use mobisense_telemetry::event::Event;
@@ -437,13 +436,9 @@ pub(crate) fn decode_row(segment_id: u64, payload: &[u8]) -> Result<String, Stor
         .map_err(|_| StoreError::BadUtf8 { segment_id })
 }
 
-/// Fully validates a session-snapshot record — header, CRC and every
-/// field, decoded into a scratch session — and returns its client id.
+/// Fully validates a session-snapshot record and returns its client id.
 pub(crate) fn decode_snapshot(segment_id: u64, payload: &[u8]) -> Result<u32, StoreError> {
-    let mut scratch = PipelineSession::new(PipelineConfig::default(), 0);
-    codec::decode_into(payload, &mut scratch)
-        .map(|(client_id, _)| client_id)
-        .map_err(|error| StoreError::BadSnapshot { segment_id, error })
+    codec::validate(payload).map_err(|error| StoreError::BadSnapshot { segment_id, error })
 }
 
 #[cfg(test)]
