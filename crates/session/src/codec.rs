@@ -454,19 +454,17 @@ pub(crate) mod tests {
 
     /// Drives a fresh session over a scenario through every frame
     /// instant up to `until`, returning the session, its scenario (to
-    /// continue from) and the last classification.
+    /// continue from) and its classifications.
     fn drive(
         cfg: &PipelineConfig,
         kind: ScenarioKind,
         seed: u64,
         until: Nanos,
-    ) -> (PipelineSession, Scenario, Option<Classification>) {
+    ) -> (PipelineSession, Scenario, Vec<(Nanos, Classification)>) {
         let mut session = PipelineSession::new(cfg.clone(), seed);
         let mut sc = Scenario::new(kind, seed);
-        let last = continue_session(&mut session, &mut sc, 0, until)
-            .last()
-            .map(|&(_, c)| c);
-        (session, sc, last)
+        let head = continue_session(&mut session, &mut sc, 0, until);
+        (session, sc, head)
     }
 
     /// Continues `session` over `sc` at every frame instant in
@@ -490,18 +488,6 @@ pub(crate) mod tests {
         out
     }
 
-    /// A scenario advanced through the same instants as one a session
-    /// was driven over to `until`, to continue a restored twin from.
-    fn scenario_at(kind: ScenarioKind, seed: u64, step: Nanos, until: Nanos) -> Scenario {
-        let mut sc = Scenario::new(kind, seed);
-        let mut t = 0;
-        while t <= until {
-            sc.observe(t);
-            t += step;
-        }
-        sc
-    }
-
     /// Drives `session` over `steps` frames of a synthetic channel, a
     /// random walk seeded by `seed`: cheap enough for proptests, and it
     /// still moves every part of the state.
@@ -521,13 +507,9 @@ pub(crate) mod tests {
     /// window contents, driven over a genuine walk, and its last
     /// classification.
     pub(crate) fn busy_session() -> (PipelineSession, Option<Classification>) {
-        let (session, _, last) = drive(
-            &PipelineConfig::default(),
-            ScenarioKind::MacroAway,
-            99,
-            11 * SECOND,
-        );
-        (session, last)
+        let cfg = PipelineConfig::default();
+        let (session, _, head) = drive(&cfg, ScenarioKind::MacroAway, 99, 11 * SECOND);
+        (session, head.last().map(|&(_, c)| c))
     }
 
     /// The [`busy_session`] page, built once: the corruption proptests
@@ -664,8 +646,8 @@ pub(crate) mod tests {
         let cfg = PipelineConfig::default();
         let cut = 8 * SECOND;
         let (mut original, mut sc_a, _) = drive(&cfg, ScenarioKind::Micro, 5, cut);
-        let mut sc_b = scenario_at(ScenarioKind::Micro, 5, cfg.step, cut);
-        let mut sc_c = scenario_at(ScenarioKind::Micro, 5, cfg.step, cut);
+        let (_, mut sc_b, _) = drive(&cfg, ScenarioKind::Micro, 5, cut);
+        let (_, mut sc_c, _) = drive(&cfg, ScenarioKind::Micro, 5, cut);
         let bytes = page(1, None, &mut original);
 
         let (mut recycled, _, _) = drive(&cfg, ScenarioKind::MacroAway, 77, 12 * SECOND);
@@ -705,8 +687,11 @@ pub(crate) mod tests {
             (ScenarioKind::MacroAway, cut),
             (ScenarioKind::MacroAway, cut + cfg.step),
         ] {
-            let (mut original, mut sc_a, _) = drive(&cfg, kind, 17, cut);
-            let mut sc_b = scenario_at(kind, 17, cfg.step, cut);
+            let (mut original, mut sc_a, head) = drive(&cfg, kind, 17, cut);
+            // A twin driven identically agrees, so its scenario is the
+            // original's at the cut.
+            let (_, mut sc_b, twin_head) = drive(&cfg, kind, 17, cut);
+            assert_eq!(head, twin_head);
             let bytes = page(17, None, &mut original);
             let census = Census::of(None, &mut original);
             spares.push(census.words("rng.gauss_spare")[0]);

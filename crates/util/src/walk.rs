@@ -61,7 +61,10 @@ pub fn walk_enum<W: StateWalk, T: Copy + PartialEq>(
     let mut tag = index.map_or(u8::MAX, |i| first + i as u8);
     let last = first + table.len().saturating_sub(1) as u8;
     w.tag(field, &mut tag, first..=last)?;
-    if let Some(&t) = table.get(usize::from(tag - first)) {
+    if let Some(&t) = tag
+        .checked_sub(first)
+        .and_then(|i| table.get(usize::from(i)))
+    {
         *v = t;
     }
     Ok(())
