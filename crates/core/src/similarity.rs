@@ -9,7 +9,7 @@
 use mobisense_phy::csi::Csi;
 use mobisense_util::filter::MovingAverage;
 use mobisense_util::units::Nanos;
-use mobisense_util::walk::{walk_opt, walk_seq, StateWalk, MAX_ELEMS};
+use mobisense_util::walk::{walk_opt, walk_seq, StateWalk};
 use std::collections::VecDeque;
 
 /// Frame profiles no older than this are averaged into one sample
@@ -141,10 +141,10 @@ impl SimilarityTracker {
         let cap = PROFILE_SMOOTHING_MAX;
         walk_seq(w, "similarity.recent", recent, cap, |w, (at, p)| {
             w.u64(at)?;
-            walk_seq(w, "similarity.recent.profile", p, MAX_ELEMS, W::f64)
+            w.f64s("similarity.recent.profile", p)
         })?;
         walk_opt(w, "similarity.last_profile", last, Vec::new(), |w, p| {
-            walk_seq(w, "similarity.last_profile", p, MAX_ELEMS, W::f64)
+            w.f64s("similarity.last_profile", p)
         })?;
         let (next, sim) = (&mut self.next_sample_at, &mut self.last_similarity);
         walk_opt(w, "similarity.next_sample_at", next, 0, W::u64)?;

@@ -339,6 +339,18 @@ impl StateWalk for Writer<'_> {
         Ok(())
     }
 
+    fn f64s(&mut self, field: &'static str, vs: &mut Vec<f64>) -> Result<(), SnapshotError> {
+        self.len(field, &mut vs.len())?;
+        let start = self.out.len();
+        self.out.resize(start + 8 * vs.len(), 0);
+        if let Some(run) = self.out.get_mut(start..) {
+            for (bytes, v) in run.as_chunks_mut::<8>().0.iter_mut().zip(vs.iter()) {
+                *bytes = v.to_bits().to_le_bytes();
+            }
+        }
+        Ok(())
+    }
+
     fn len(&mut self, field: &'static str, len: &mut usize) -> Result<(), SnapshotError> {
         if *len > MAX_ELEMS {
             return Err(SnapshotError::FieldTooLong { field, len: *len });
@@ -366,11 +378,25 @@ struct Reader<'a> {
     pos: usize,
 }
 
-impl Reader<'_> {
+impl<'a> Reader<'a> {
     fn take<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
         let bytes = le_bytes::<N>(self.buf, self.pos)?;
         self.pos += N;
         Ok(bytes)
+    }
+
+    /// The next `n` bytes, or `Truncated` when fewer remain.
+    fn take_run(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        let end = self.pos + n;
+        let run = self
+            .buf
+            .get(self.pos..end)
+            .ok_or(SnapshotError::Truncated {
+                needed: end,
+                got: self.buf.len(),
+            })?;
+        self.pos = end;
+        Ok(run)
     }
 }
 
@@ -396,6 +422,16 @@ impl StateWalk for Reader<'_> {
 
     fn f64(&mut self, v: &mut f64) -> Result<(), SnapshotError> {
         *v = f64::from_bits(u64::from_le_bytes(self.take()?));
+        Ok(())
+    }
+
+    fn f64s(&mut self, field: &'static str, vs: &mut Vec<f64>) -> Result<(), SnapshotError> {
+        let mut len = 0;
+        self.len(field, &mut len)?;
+        let run = self.take_run(8 * len)?;
+        vs.clear();
+        let floats = run.as_chunks::<8>().0.iter();
+        vs.extend(floats.map(|bytes| f64::from_bits(u64::from_le_bytes(*bytes))));
         Ok(())
     }
 
@@ -576,6 +612,11 @@ pub(crate) mod tests {
 
         fn f64(&mut self, v: &mut f64) -> Result<(), Infallible> {
             self.word(v.to_bits())
+        }
+
+        fn f64s(&mut self, field: &'static str, vs: &mut Vec<f64>) -> Result<(), Infallible> {
+            self.len(field, &mut vs.len())?;
+            vs.iter_mut().try_for_each(|v| self.f64(v))
         }
 
         fn len(&mut self, field: &'static str, len: &mut usize) -> Result<(), Infallible> {
@@ -896,29 +937,28 @@ pub(crate) mod tests {
 
     #[test]
     fn a_corrupt_length_fails_on_truncation_before_it_allocates() {
-        // The ToF history is the page's last field: its length word sits
-        // just before its items and the CRC. A resealed length of a
-        // million items fails on the bytes that are not there; one past
-        // the cap is refused outright.
+        // The page ends with the ToF batch (a float run) and the ToF
+        // history (a sequence of items), each a length word then its
+        // elements, then the CRC. A resealed length of a million
+        // elements fails on the bytes that are not there; one past the
+        // cap is refused outright.
         let (mut busy, last) = busy_session();
-        let items = Census::of(last, &mut busy).words("tof.history")[0] as usize;
+        let census = Census::of(last, &mut busy);
+        let (batch, history) = (census.words("tof.batch")[0], census.words("tof.history")[0]);
         let bytes = busy_bytes();
-        let at = bytes.len() - 4 - 16 * items - 4;
-        for (len, field_too_long) in [(MAX_ELEMS, false), (MAX_ELEMS + 1, true)] {
-            let mut corrupt = bytes.to_vec();
-            corrupt[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
-            reseal(&mut corrupt);
-            let err = decode_fresh(&corrupt).map(|_| ()).expect_err("refused");
-            if field_too_long {
-                assert_eq!(
-                    err,
-                    SnapshotError::FieldTooLong {
-                        field: "tof.history",
-                        len
-                    }
-                );
-            } else {
-                assert!(matches!(err, SnapshotError::Truncated { .. }), "{err:?}");
+        let history_at = bytes.len() - 4 - 16 * history as usize - 4;
+        let batch_at = history_at - 8 * batch as usize - 4;
+        for (field, at) in [("tof.batch", batch_at), ("tof.history", history_at)] {
+            for (len, field_too_long) in [(MAX_ELEMS, false), (MAX_ELEMS + 1, true)] {
+                let mut corrupt = bytes.to_vec();
+                corrupt[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+                reseal(&mut corrupt);
+                let err = decode_fresh(&corrupt).map(|_| ()).expect_err("refused");
+                if field_too_long {
+                    assert_eq!(err, SnapshotError::FieldTooLong { field, len });
+                } else {
+                    assert!(matches!(err, SnapshotError::Truncated { .. }), "{err:?}");
+                }
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use crate::walk::{walk_seq, StateWalk, MAX_ELEMS};
+use crate::walk::{walk_seq, StateWalk};
 
 /// Fixed-capacity sliding window over `f64` samples.
 #[derive(Clone, Debug)]
@@ -159,7 +159,7 @@ impl BatchMedian {
         w: &mut W,
         field: &'static str,
     ) -> Result<(), W::Error> {
-        walk_seq(w, field, &mut self.samples, MAX_ELEMS, W::f64)
+        w.f64s(field, &mut self.samples)
     }
 
     /// Ends the batch: returns its median (if non-empty) and clears it.

@@ -36,6 +36,11 @@ pub trait StateWalk {
     fn u64(&mut self, v: &mut u64) -> Result<(), Self::Error>;
     /// A float, bit for bit.
     fn f64(&mut self, v: &mut f64) -> Result<(), Self::Error>;
+    /// A length-prefixed run of floats, bit for bit, in one pass: the
+    /// length as [`len`](Self::len) walks it, then every element. A
+    /// read replaces `vs`, reusing its allocation, and grows it only
+    /// once the whole run is known to be there.
+    fn f64s(&mut self, field: &'static str, vs: &mut Vec<f64>) -> Result<(), Self::Error>;
     /// A sequence length. Both directions refuse one above
     /// [`MAX_ELEMS`], naming `field`.
     fn len(&mut self, field: &'static str, len: &mut usize) -> Result<(), Self::Error>;
@@ -92,8 +97,8 @@ pub fn walk_opt<W: StateWalk, T>(
 /// Walks a length-prefixed sequence, `each` walking one item in place.
 /// A read overwrites the items already held, so their own buffers are
 /// reused, and appends one further item per successful item read; then
-/// it keeps the newest `cap` items (pass [`MAX_ELEMS`] for no cap), as
-/// pushing each into a window of that size would.
+/// it keeps the newest `cap` items, as pushing each into a window of
+/// that size would.
 pub fn walk_seq<W: StateWalk, T: Default>(
     w: &mut W,
     field: &'static str,
@@ -113,7 +118,7 @@ pub fn walk_seq<W: StateWalk, T: Default>(
             }
         }
     }
-    if W::READS {
+    if W::READS && items.held() != len.min(cap) {
         items.keep_newest(len, cap);
     }
     Ok(())
