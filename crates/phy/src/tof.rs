@@ -12,6 +12,8 @@
 //! `sampling_period` (20 ms) and aggregates each second with a median
 //! filter before trend detection.
 
+use std::collections::VecDeque;
+
 use mobisense_util::filter::BatchMedian;
 use mobisense_util::units::{Nanos, SPEED_OF_LIGHT};
 use mobisense_util::walk::{walk_seq, StateWalk};
@@ -96,7 +98,7 @@ pub struct TofSampler {
     batch: BatchMedian,
     period_end: Nanos,
     /// Filtered (median-per-second) samples produced so far.
-    history: Vec<TofMeasurement>,
+    history: VecDeque<TofMeasurement>,
 }
 
 impl TofSampler {
@@ -109,7 +111,7 @@ impl TofSampler {
             next_sample_at: start,
             batch: BatchMedian::new(),
             period_end: start + period,
-            history: Vec::new(),
+            history: VecDeque::new(),
         }
     }
 
@@ -149,11 +151,9 @@ impl TofSampler {
                 let m = TofMeasurement { at, cycles: median };
                 if self.history.len() >= self.cfg.history_cap.max(1) {
                     // Bounded history: drop the oldest filtered sample.
-                    // O(cap) per aggregation period (once a second), and
-                    // cap is small, so the shift is in the noise.
-                    self.history.remove(0);
+                    self.history.pop_front();
                 }
-                self.history.push(m);
+                self.history.push_back(m);
                 return Some(m);
             }
         }
@@ -161,7 +161,7 @@ impl TofSampler {
     }
 
     /// All filtered samples produced so far.
-    pub fn history(&self) -> &[TofMeasurement] {
+    pub fn history(&self) -> &VecDeque<TofMeasurement> {
         &self.history
     }
 
@@ -337,7 +337,7 @@ mod tests {
         }
         assert_eq!(s.history().len(), 5);
         // The retained suffix is the newest five medians, in order.
-        assert_eq!(s.history(), &medians[medians.len() - 5..]);
+        assert_eq!(*s.history(), &medians[medians.len() - 5..]);
     }
 
     #[test]

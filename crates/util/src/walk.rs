@@ -102,11 +102,11 @@ pub fn walk_opt<W: StateWalk, T>(
 pub fn walk_seq<W: StateWalk, T: Default>(
     w: &mut W,
     field: &'static str,
-    items: &mut impl Seq<T>,
+    items: &mut VecDeque<T>,
     cap: usize,
     mut each: impl FnMut(&mut W, &mut T) -> Result<(), W::Error>,
 ) -> Result<(), W::Error> {
-    let mut len = items.held();
+    let mut len = items.len();
     w.len(field, &mut len)?;
     for i in 0..len {
         match items.get_mut(i) {
@@ -114,63 +114,13 @@ pub fn walk_seq<W: StateWalk, T: Default>(
             None => {
                 let mut item = T::default();
                 each(w, &mut item)?;
-                items.push(item);
+                items.push_back(item);
             }
         }
     }
-    if W::READS && items.held() != len.min(cap) {
-        items.keep_newest(len, cap);
+    if W::READS && items.len() != len.min(cap) {
+        items.truncate(len);
+        items.drain(..len.saturating_sub(cap));
     }
     Ok(())
-}
-
-/// A sequence [`walk_seq`] fills in place: `Vec` or `VecDeque`.
-pub trait Seq<T> {
-    /// Number of items held.
-    fn held(&self) -> usize;
-    /// The item at `i`, if held.
-    fn get_mut(&mut self, i: usize) -> Option<&mut T>;
-    /// Appends an item.
-    fn push(&mut self, item: T);
-    /// Drops every item past the first `len`, then the oldest of those
-    /// beyond `cap`.
-    fn keep_newest(&mut self, len: usize, cap: usize);
-}
-
-impl<T> Seq<T> for Vec<T> {
-    fn held(&self) -> usize {
-        self.len()
-    }
-
-    fn get_mut(&mut self, i: usize) -> Option<&mut T> {
-        <[T]>::get_mut(self, i)
-    }
-
-    fn push(&mut self, item: T) {
-        Vec::push(self, item);
-    }
-
-    fn keep_newest(&mut self, len: usize, cap: usize) {
-        self.truncate(len);
-        self.drain(..len.saturating_sub(cap));
-    }
-}
-
-impl<T> Seq<T> for VecDeque<T> {
-    fn held(&self) -> usize {
-        self.len()
-    }
-
-    fn get_mut(&mut self, i: usize) -> Option<&mut T> {
-        VecDeque::get_mut(self, i)
-    }
-
-    fn push(&mut self, item: T) {
-        self.push_back(item);
-    }
-
-    fn keep_newest(&mut self, len: usize, cap: usize) {
-        self.truncate(len);
-        self.drain(..len.saturating_sub(cap));
-    }
 }
