@@ -343,6 +343,7 @@ mod tests {
     use crate::scenario::ScenarioKind;
     use mobisense_mobility::movers::EnvIntensity;
     use mobisense_mobility::Direction;
+    use mobisense_util::walk::Tape;
 
     fn accuracy_over_seeds(kind: ScenarioKind, seeds: std::ops::Range<u64>) -> f64 {
         let cfg = PipelineConfig::default();
@@ -545,6 +546,64 @@ mod tests {
         let b = drive_session(&mut fresh, ScenarioKind::Micro, 9, 15 * SECOND);
         assert!(!a.is_empty());
         assert_eq!(a, b, "recycled session must match a fresh one");
+    }
+
+    /// Continues a session mid-scenario from time `from` to `to`.
+    fn continue_session(
+        session: &mut PipelineSession,
+        sc: &mut Scenario,
+        from: Nanos,
+        to: Nanos,
+    ) -> Vec<(Nanos, Classification)> {
+        let step = session.config().step;
+        let mut out = Vec::new();
+        let mut t = from;
+        while t <= to {
+            let obs = sc.observe(t);
+            if let Some(c) = session.observe(t, &obs.csi, obs.distance_m) {
+                out.push((t, c));
+            }
+            t += step;
+        }
+        out
+    }
+
+    #[test]
+    fn snapshot_restore_matches_uninterrupted_session() {
+        // The hibernation invariant at the core layer: walk a session's
+        // state out mid-stream (at an awkward instant, between ToF medians
+        // and mid-similarity-period), play it into a brand-new session,
+        // and both must continue with bit-identical decisions.
+        for kind in [
+            ScenarioKind::Static,
+            ScenarioKind::Micro,
+            ScenarioKind::MacroAway,
+        ] {
+            let cfg = PipelineConfig::default();
+            let mut original = PipelineSession::new(cfg.clone(), 17);
+            let mut sc_a = Scenario::new(kind, 17);
+            let mut sc_b = Scenario::new(kind, 17);
+            // 9.13 s: not a multiple of any pipeline period.
+            let cut = 9 * SECOND + 130 * MILLISECOND;
+            let head = continue_session(&mut original, &mut sc_a, 0, cut);
+            {
+                // Advance the twin scenario identically.
+                let mut twin = PipelineSession::new(cfg.clone(), 17);
+                let twin_head = continue_session(&mut twin, &mut sc_b, 0, cut);
+                assert_eq!(head, twin_head);
+            }
+            let tape = Tape::record(|w| original.walk_state(w)).expect("records");
+            // Another seed: the walk must overwrite the noise stream too.
+            let mut restored = PipelineSession::new(cfg, 18);
+            tape.play(|w| restored.walk_state(w)).expect("plays");
+            // The walk is lossless: re-recording reproduces it.
+            assert_eq!(Tape::record(|w| restored.walk_state(w)), Ok(tape));
+            let next = cut + original.config().step;
+            let tail_a = continue_session(&mut original, &mut sc_a, next, 25 * SECOND);
+            let tail_b = continue_session(&mut restored, &mut sc_b, next, 25 * SECOND);
+            assert!(!tail_a.is_empty());
+            assert_eq!(tail_a, tail_b, "{kind:?}: restored session diverged");
+        }
     }
 
     #[test]

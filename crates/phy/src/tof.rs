@@ -216,6 +216,7 @@ impl TofSampler {
 mod tests {
     use super::*;
     use mobisense_util::units::{MILLISECOND, SECOND};
+    use mobisense_util::walk::Tape;
 
     fn sampler(seed: u64) -> TofSampler {
         TofSampler::new(TofConfig::default(), 0, DetRng::seed_from_u64(seed))
@@ -356,6 +357,28 @@ mod tests {
             let d = 10.0 + (t as f64 / 1e9).sin();
             assert_eq!(a.poll(t, d), b.poll(t, d));
         }
+    }
+
+    #[test]
+    fn state_round_trip_resumes_mid_period() {
+        let mut a = sampler(10);
+        let mut t = 0;
+        // Stop mid-aggregation-period so the batch is non-empty.
+        for _ in 0..130 {
+            t += 20 * MILLISECOND;
+            a.poll(t, 12.0);
+        }
+        assert!(!a.batch.is_empty() && !a.history().is_empty());
+        let tape = Tape::record(|w| a.walk_state(w)).expect("records");
+        let mut b = sampler(99);
+        tape.play(|w| b.walk_state(w)).expect("plays");
+        assert_eq!(Tape::record(|w| b.walk_state(w)), Ok(tape));
+        for _ in 0..500 {
+            t += 20 * MILLISECOND;
+            let d = 12.0 - (t as f64 / 1e9) * 0.5;
+            assert_eq!(a.poll(t, d), b.poll(t, d));
+        }
+        assert_eq!(a.history(), b.history());
     }
 
     #[test]

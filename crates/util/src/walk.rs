@@ -6,12 +6,14 @@
 //! that walk twice over: a writer copies each visited field out, a
 //! reader overwrites it. The field list that encodes a component is
 //! therefore the list that decodes it, and a new register takes one
-//! line next to its field.
+//! line next to its field. [`Tape`] runs the same walk in memory, to
+//! copy one component's state into another of its kind.
 //!
 //! Both directions see `&mut` fields, and a writer leaves them as they
 //! were. A component whose state must be rebuilt after a read (a cached
 //! keystream block, say) checks [`StateWalk::READS`].
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::ops::RangeInclusive;
 
@@ -123,4 +125,195 @@ pub fn walk_seq<W: StateWalk, T: Default>(
         items.drain(..len.saturating_sub(cap));
     }
     Ok(())
+}
+
+/// A walked state held in memory, one word per scalar:
+/// [`Tape::record`] runs a writer walk and [`Tape::play`] a reader walk
+/// over what it recorded. It has no header or checksum; a state that
+/// leaves the process goes through a codec.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Tape {
+    words: Vec<u64>,
+}
+
+/// Why a [`Tape`] walk stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TapeError {
+    /// A read asked for more words than were recorded.
+    Exhausted,
+    /// A read ended before the last recorded word.
+    Trailing,
+    /// A length above [`MAX_ELEMS`] or a tag outside its range.
+    Invalid(&'static str),
+}
+
+/// The visitor of a [`Tape`] walk: a writer when `READS` is false.
+pub struct TapeWalk<'a, const READS: bool> {
+    words: Cow<'a, [u64]>,
+    at: usize,
+}
+
+impl Tape {
+    /// Records the state that `walk` visits.
+    pub fn record(
+        walk: impl FnOnce(&mut TapeWalk<'_, false>) -> Result<(), TapeError>,
+    ) -> Result<Tape, TapeError> {
+        let mut w = TapeWalk {
+            words: Cow::Owned(Vec::new()),
+            at: 0,
+        };
+        walk(&mut w)?;
+        Ok(Tape {
+            words: w.words.into_owned(),
+        })
+    }
+
+    /// Overwrites the state that `walk` visits with the recorded one.
+    /// The walk must read every recorded word and no more.
+    pub fn play(
+        &self,
+        walk: impl FnOnce(&mut TapeWalk<'_, true>) -> Result<(), TapeError>,
+    ) -> Result<(), TapeError> {
+        let mut w = TapeWalk {
+            words: Cow::Borrowed(&self.words),
+            at: 0,
+        };
+        walk(&mut w)?;
+        if w.at == self.words.len() {
+            Ok(())
+        } else {
+            Err(TapeError::Trailing)
+        }
+    }
+}
+
+impl<const READS: bool> TapeWalk<'_, READS> {
+    /// Records `v`, or reads the next word in its place.
+    fn word(&mut self, v: u64) -> Result<u64, TapeError> {
+        if !READS {
+            self.words.to_mut().push(v);
+            return Ok(v);
+        }
+        let w = self.words.get(self.at).copied();
+        self.at += 1;
+        w.ok_or(TapeError::Exhausted)
+    }
+}
+
+impl<const R: bool> StateWalk for TapeWalk<'_, R> {
+    type Error = TapeError;
+    const READS: bool = R;
+
+    fn u8(&mut self, v: &mut u8) -> Result<(), TapeError> {
+        *v = self.word(u64::from(*v))? as u8;
+        Ok(())
+    }
+
+    fn u32(&mut self, v: &mut u32) -> Result<(), TapeError> {
+        *v = self.word(u64::from(*v))? as u32;
+        Ok(())
+    }
+
+    fn u64(&mut self, v: &mut u64) -> Result<(), TapeError> {
+        *v = self.word(*v)?;
+        Ok(())
+    }
+
+    fn f64(&mut self, v: &mut f64) -> Result<(), TapeError> {
+        *v = f64::from_bits(self.word(v.to_bits())?);
+        Ok(())
+    }
+
+    fn f64s(&mut self, field: &'static str, vs: &mut Vec<f64>) -> Result<(), TapeError> {
+        let mut len = vs.len();
+        self.len(field, &mut len)?;
+        if !R {
+            self.words.to_mut().extend(vs.iter().map(|v| v.to_bits()));
+            return Ok(());
+        }
+        let run = self.words.get(self.at..self.at + len);
+        let run = run.ok_or(TapeError::Exhausted)?;
+        vs.clear();
+        vs.extend(run.iter().map(|&w| f64::from_bits(w)));
+        self.at += len;
+        Ok(())
+    }
+
+    fn len(&mut self, field: &'static str, len: &mut usize) -> Result<(), TapeError> {
+        let w = self.word(*len as u64)?;
+        *len = usize::try_from(w)
+            .ok()
+            .filter(|&n| n <= MAX_ELEMS)
+            .ok_or(TapeError::Invalid(field))?;
+        Ok(())
+    }
+
+    fn tag(
+        &mut self,
+        field: &'static str,
+        tag: &mut u8,
+        valid: RangeInclusive<u8>,
+    ) -> Result<(), TapeError> {
+        let w = self.word(u64::from(*tag))?;
+        *tag = u8::try_from(w)
+            .ok()
+            .filter(|t| valid.contains(t))
+            .ok_or(TapeError::Invalid(field))?;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[derive(Default)]
+    struct Regs {
+        count: u64,
+        level: Option<f64>,
+        runs: VecDeque<Vec<f64>>,
+    }
+
+    impl Regs {
+        fn walk_state<W: StateWalk>(&mut self, w: &mut W) -> Result<(), W::Error> {
+            w.u64(&mut self.count)?;
+            walk_opt(w, "level", &mut self.level, 0.0, W::f64)?;
+            walk_seq(w, "runs", &mut self.runs, 2, |w, run| w.f64s("run", run))
+        }
+    }
+
+    #[test]
+    fn a_tape_copies_state_and_refuses_a_foreign_one() {
+        let mut a = Regs {
+            count: 7,
+            level: Some(-0.5),
+            runs: VecDeque::from([vec![1.0], vec![], vec![2.0, f64::NAN]]),
+        };
+        let tape = Tape::record(|w| a.walk_state(w)).expect("records");
+        let mut b = Regs::default();
+        tape.play(|w| b.walk_state(w)).expect("plays");
+        assert_eq!((b.count, b.level), (7, Some(-0.5)));
+        // The cap keeps the newest runs, each bit for bit.
+        let bits = |runs: &VecDeque<Vec<f64>>| -> Vec<Vec<u64>> {
+            runs.iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&b.runs), bits(&a.runs)[1..]);
+
+        // A shorter walk leaves words unread; a longer one runs out.
+        let mut count = 0;
+        assert_eq!(tape.play(|w| w.u64(&mut count)), Err(TapeError::Trailing));
+        let longer = |w: &mut TapeWalk<'_, true>| {
+            Regs::default().walk_state(w)?;
+            w.u8(&mut 0)
+        };
+        assert_eq!(tape.play(longer), Err(TapeError::Exhausted));
+        // A presence word that is not 0 or 1 is a bad tag.
+        let bad = Tape { words: vec![7, 2] };
+        assert_eq!(
+            bad.play(|w| Regs::default().walk_state(w)),
+            Err(TapeError::Invalid("level"))
+        );
+    }
 }
