@@ -524,19 +524,32 @@ pub(crate) mod tests {
         out
     }
 
-    /// Drives `session` over `steps` frames of a synthetic channel, a
-    /// random walk seeded by `seed`: cheap enough for proptests, and it
-    /// still moves every part of the state.
-    fn drive_synthetic(session: &mut PipelineSession, seed: u64, steps: u64) {
+    /// Drives `session` over `steps` frames of a synthetic channel
+    /// seeded by `seed`, while the client walks away at 2.5 m/s: each
+    /// frame keeps `memory` of the last frame's CSI and adds a fresh
+    /// Gaussian draw (1.0 is a random walk, which settles as it grows;
+    /// 0.0 fades completely every frame). Cheap enough for proptests,
+    /// and it still moves every part of the state. Returns the last
+    /// classification.
+    fn drive_synthetic(
+        session: &mut PipelineSession,
+        seed: u64,
+        steps: u64,
+        memory: f64,
+    ) -> Option<Classification> {
         let mut rng = DetRng::seed_from_u64(seed);
         let mut csi = Csi::zeros(3, 2, 52);
+        let mut last = None;
         for i in 0..steps {
             for v in csi.as_mut_slice() {
-                *v += rng.complex_gaussian(0.5);
+                *v = v.scale(memory) + rng.complex_gaussian(0.5);
             }
             let at = i * session.config().step;
-            session.observe(at, &csi, 5.0 + 0.05 * i as f64);
+            if let Some(c) = session.observe(at, &csi, 5.0 + 0.05 * i as f64) {
+                last = Some(c);
+            }
         }
+        last
     }
 
     /// A session with every optional field populated and non-trivial
@@ -655,12 +668,10 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn busy_snapshot_exercises_every_optional_field() {
-        // Guard: if the session drive ever stops populating the state,
-        // the corruption proptests would silently lose coverage.
-        let (mut session, last) = busy_session();
-        let census = Census::of(last, &mut session);
+    /// Asserts that the page of `session` populates every optional
+    /// field and window.
+    fn assert_every_optional_field(last: Option<Classification>, session: &mut PipelineSession) {
+        let census = Census::of(last, session);
         for field in [
             "last_emitted",
             "similarity.recent",
@@ -676,6 +687,14 @@ pub(crate) mod tests {
         ] {
             assert!(census.words(field)[0] > 0, "{field} is empty");
         }
+    }
+
+    #[test]
+    fn busy_snapshot_exercises_every_optional_field() {
+        // Guard: if the session drive ever stops populating the state,
+        // the corruption proptests would silently lose coverage.
+        let (mut session, last) = busy_session();
+        assert_every_optional_field(last, &mut session);
     }
 
     #[test]
@@ -844,7 +863,13 @@ pub(crate) mod tests {
 
     #[test]
     fn encode_into_a_dirty_buffer_matches_encode_and_the_pinned_bytes() {
-        let (mut busy, last) = busy_session();
+        // Driven over the synthetic channel, not a scenario walk, so
+        // the pin moves with the codec and the pipeline only, never
+        // with the PHY simulator's numerics. 11 s of a channel that
+        // fades every frame fill every optional field.
+        let mut busy = PipelineSession::new(PipelineConfig::default(), 99);
+        let last = drive_synthetic(&mut busy, 99, 550, 0.0);
+        assert_every_optional_field(last, &mut busy);
         let owned = page(0xDEAD_BEEF, last, &mut busy);
         // Longer and shorter than the encoding, full of stale bytes.
         for dirty_len in [3 * owned.len(), 7] {
@@ -852,16 +877,12 @@ pub(crate) mod tests {
             encode_into(&mut buf, 0xDEAD_BEEF, last, &mut busy).expect("encodes");
             assert_eq!(buf, owned, "dirty buffer of {dirty_len} bytes");
         }
-        // Codec version 2 bytes: version 1's 2,094 bytes without the
-        // classifier's 8-byte decision counter, with the version, body
-        // length and CRC fields updated (the snapshot comes from a
-        // simulated walk, so a change to the PHY simulator's numerics
-        // moves this pin too).
-        assert_eq!(owned.len(), 2086);
-        assert_eq!(fnv1a64(&owned), 0x7dc7_a0c6_900f_4dd6);
+        // Codec version 2 bytes.
+        assert_eq!(owned.len(), 2454);
+        assert_eq!(fnv1a64(&owned), 0x00ae_b21a_9b23_2a37);
         assert_eq!(
             owned.get(owned.len() - 4..),
-            Some(&0xb453_bda1u32.to_le_bytes()[..])
+            Some(&0x21bb_68dau32.to_le_bytes()[..])
         );
     }
 
@@ -1095,10 +1116,10 @@ pub(crate) mod tests {
         ) {
             let cfg = PipelineConfig::default();
             let mut source = PipelineSession::new(cfg.clone(), src.0);
-            drive_synthetic(&mut source, src.0, src.1);
+            drive_synthetic(&mut source, src.0, src.1, 1.0);
             let bytes = page(9, None, &mut source);
             let mut recycled = PipelineSession::new(cfg, dirty.0);
-            drive_synthetic(&mut recycled, dirty.0 ^ 1, dirty.1);
+            drive_synthetic(&mut recycled, dirty.0 ^ 1, dirty.1, 1.0);
             proptest::prop_assert_eq!(decode_into(&bytes, &mut recycled), Ok((9, None)));
             let (_, _, mut fresh) = decode_fresh(&bytes).expect("decodes");
             proptest::prop_assert_eq!(page(9, None, &mut recycled), bytes.clone());
@@ -1115,7 +1136,7 @@ pub(crate) mod tests {
             emitted in 0usize..13,
         ) {
             let mut session = PipelineSession::new(PipelineConfig::default(), seed);
-            drive_synthetic(&mut session, seed, steps);
+            drive_synthetic(&mut session, seed, steps, 1.0);
             let last = classifications()[emitted];
             let bytes = page(client_id, last, &mut session);
             let (id, back_last, mut back) = decode_fresh(&bytes).expect("decodes");
