@@ -125,6 +125,16 @@ impl StorePager {
 
 impl SnapshotPager for StorePager {
     fn page_out(&mut self, client: u32, bytes: &[u8]) -> Result<(), PageError> {
+        // Pair the page with its client before anything is appended:
+        // recovery files every record under the id the page carries, so
+        // a refused record that reached the segment would come back.
+        let page_client = codec::peek_client_id(bytes)?;
+        if page_client != client {
+            return Err(PageError::Misfiled {
+                client,
+                page_client,
+            });
+        }
         // The writer re-validates the payload; translate its refusal
         // into the pager vocabulary so the manager's caller sees one
         // error type.
@@ -134,16 +144,6 @@ impl SnapshotPager for StorePager {
                 StoreError::BadSnapshot { error, .. } => PageError::Codec(error),
                 other => PageError::Io(other.to_string()),
             })?;
-        // Defense in depth for the resident map: the append above
-        // proved the bytes decode, but make the client-id pairing
-        // explicit — filing a snapshot under the wrong client would
-        // resurrect the wrong user's state.
-        let snap_client = codec::peek_client_id(bytes).map_err(PageError::Codec)?;
-        if snap_client != client {
-            return Err(PageError::Io(format!(
-                "snapshot for client {snap_client} paged out under client {client}"
-            )));
-        }
         // Visibility flush so live tails (and post-crash recovery of
         // everything the OS accepted) see the record promptly.
         self.writer
@@ -221,8 +221,21 @@ mod tests {
             Err(PageError::Codec(_))
         ));
         let bytes = snapshot_for(7, 2);
-        assert!(matches!(pager.page_out(8, &bytes), Err(PageError::Io(_))));
+        assert_eq!(
+            pager.page_out(8, &bytes),
+            Err(PageError::Misfiled {
+                client: 8,
+                page_client: 7
+            })
+        );
         assert!(pager.is_empty(), "rejected pages must not become resident");
+        assert_eq!(pager.snapshots_written(), 0);
+        pager.finish().expect("finish");
+        let recovered = StorePager::recover(StoreConfig::new(&dir)).expect("recover");
+        assert!(
+            recovered.is_empty(),
+            "rejected pages must not become durable"
+        );
     }
 
     #[test]
