@@ -87,6 +87,18 @@ fn bench_channel_sample(c: &mut Criterion) {
             sc.observe(t)
         })
     });
+    // The noiseless ray-channel kernel alone: the part of an
+    // observation that fleet generation pays per frame.
+    let obs = sc.observe(t + 20 * MILLISECOND);
+    let channel = sc.channel();
+    c.bench_function("csi_at", |bench| {
+        bench.iter(|| {
+            std::hint::black_box(channel).csi_at(
+                std::hint::black_box(obs.pos),
+                std::hint::black_box(obs.heading),
+            )
+        })
+    });
 }
 
 fn bench_zf_precoder(c: &mut Criterion) {
