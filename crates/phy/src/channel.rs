@@ -15,11 +15,31 @@
 //! subcarrier. Moving the client or the reflectors then *produces* the
 //! correct CSI dynamics, ToF changes, and RSSI fluctuations all at once,
 //! from one consistent model.
+//!
+//! A path of length `d` with amplitude `a` and reflection phase `g`
+//! contributes `a · e^{j(g + k f d)}` at frequency `f`, with
+//! `k = −2π/c`. The subcarrier bins are evenly spaced,
+//! `f_i = f_0 + i·Δf` ([`ChannelConfig::subcarrier_spacing_hz`]), so
+//! across the bins that contribution is a geometric sequence:
+//!
+//! ```text
+//!   h_0 = a · e^{j(g + k f_0 d)},   h_{i+1} = h_i · e^{j k Δf d}
+//! ```
+//!
+//! [`RayChannel::csi_at`] therefore takes two `sin`/`cos` pairs per path
+//! and antenna pair, then one complex multiply per bin, instead of one
+//! `sin`/`cos` pair per path, antenna pair and bin. The recurrence rests
+//! on the even spacing: bins at uneven frequencies would need a phasor
+//! each. It rounds differently from a direct evaluation of every bin:
+//! the two agree to about 1e-12 of the summed path amplitudes, even for
+//! a client 40 m out, far below the estimation noise.
 
 use crate::config::ChannelConfig;
 use crate::csi::Csi;
 use mobisense_util::units::SPEED_OF_LIGHT;
 use mobisense_util::{DetRng, Vec2, C64};
+
+use std::f64::consts::TAU;
 
 /// One environment reflector (wall segment proxy, furniture, or a person).
 ///
@@ -128,6 +148,10 @@ impl RayChannel {
 
     /// The *noiseless* CSI for a client at `pos` whose antenna array is
     /// oriented at `heading` radians.
+    ///
+    /// Each bin sums the line-of-sight path first, then the reflectors
+    /// in field order; each path's phasor steps from bin to bin (see the
+    /// module docs).
     pub fn csi_at(&self, pos: Vec2, heading: f64) -> Csi {
         let cfg = &self.cfg;
         let tx_el = self.ap_elements();
@@ -136,28 +160,35 @@ impl RayChannel {
         let amp_ref = cfg.wavelength() / (4.0 * std::f64::consts::PI);
         // Amplitude falls as d^(eta/2) since eta is a power exponent.
         let amp_exp = cfg.path_loss_exp / 2.0;
-
         let los_scale = mobisense_util::units::db_to_ratio(-cfg.los_attenuation_db / 2.0).min(1.0);
-        for (tx, &te) in tx_el.iter().enumerate() {
-            for (rx, &re) in rx_el.iter().enumerate() {
-                // Collect (path length, complex gain) for LOS + reflections.
-                let d_los = te.dist(re).max(0.1);
-                let a_los = los_scale * amp_ref / d_los.powf(amp_exp);
-                for sc in 0..cfg.n_subcarriers {
-                    let f = cfg.subcarrier_hz(sc);
-                    let phase = -std::f64::consts::TAU * f * d_los / SPEED_OF_LIGHT;
-                    csi.set(tx, rx, sc, C64::from_polar(a_los, phase));
-                }
-                for r in &self.reflectors {
-                    let d = (te.dist(r.pos) + r.pos.dist(re)).max(0.1);
-                    let a = r.gain.abs() * amp_ref / d.powf(amp_exp);
-                    let g_phase = r.gain.arg();
-                    for sc in 0..cfg.n_subcarriers {
-                        let f = cfg.subcarrier_hz(sc);
-                        let phase = g_phase - std::f64::consts::TAU * f * d / SPEED_OF_LIGHT;
-                        let cur = csi.get(tx, rx, sc);
-                        csi.set(tx, rx, sc, cur + C64::from_polar(a, phase));
-                    }
+        let (f0, df) = (cfg.subcarrier_hz(0), cfg.subcarrier_spacing_hz());
+        let gains: Vec<(f64, f64)> = self
+            .reflectors
+            .iter()
+            .map(|r| (r.gain.abs(), r.gain.arg()))
+            .collect();
+        // Per path: its phasor at the current bin, and the step to the next.
+        let mut paths: Vec<(C64, C64)> = Vec::with_capacity(1 + self.reflectors.len());
+        let antenna_pairs = tx_el
+            .iter()
+            .flat_map(|&te| rx_el.iter().map(move |&re| (te, re)));
+        let bins_per_pair = csi.as_mut_slice().chunks_exact_mut(cfg.n_subcarriers);
+        for ((te, re), bins) in antenna_pairs.zip(bins_per_pair) {
+            paths.clear();
+            let d_los = te.dist(re).max(0.1);
+            let a_los = los_scale * amp_ref / d_los.powf(amp_exp);
+            paths.push(path_phasors(a_los, 0.0, d_los, f0, df));
+            for (r, &(mag, g_phase)) in self.reflectors.iter().zip(&gains) {
+                let d = (te.dist(r.pos) + r.pos.dist(re)).max(0.1);
+                let a = mag * amp_ref / d.powf(amp_exp);
+                paths.push(path_phasors(a, g_phase, d, f0, df));
+            }
+            // Bin-major: the paths' phasor chains are independent, so
+            // their multiplies overlap instead of waiting on each other.
+            for h in bins {
+                for (phasor, step) in &mut paths {
+                    *h += *phasor;
+                    *phasor *= *step;
                 }
             }
         }
@@ -195,6 +226,14 @@ impl RayChannel {
     }
 }
 
+/// A path's phasor at the first bin, `from_polar(a, g + k·f0·d)`, and the
+/// unit step `cis(k·df·d)` that carries it one bin of `df` hertz on
+/// (`k = −2π/c`, path length `d` in metres).
+fn path_phasors(a: f64, g_phase: f64, d: f64, f0: f64, df: f64) -> (C64, C64) {
+    let start = C64::from_polar(a, g_phase - TAU * f0 * d / SPEED_OF_LIGHT);
+    (start, C64::cis(-TAU * df * d / SPEED_OF_LIGHT))
+}
+
 /// Positions of `n` uniform-linear-array elements centred on `center`,
 /// with the array axis at `angle` radians.
 fn array_elements(center: Vec2, angle: f64, n: usize, spacing: f64) -> Vec<Vec2> {
@@ -221,6 +260,73 @@ mod tests {
             3,
             &mut rng,
         )
+    }
+
+    /// The direct evaluation `csi_at` stands in for: one `from_polar`
+    /// per antenna pair, path and bin, summed line-of-sight first, then
+    /// the reflectors in field order. Also returns each antenna pair's
+    /// sum of path amplitudes, in `[tx][rx]` order.
+    fn csi_reference(ch: &RayChannel, pos: Vec2, heading: f64) -> (Csi, Vec<f64>) {
+        let cfg = &ch.cfg;
+        let rx_el = array_elements(pos, heading, cfg.n_rx, cfg.element_spacing_m());
+        let mut csi = Csi::zeros(cfg.n_tx, cfg.n_rx, cfg.n_subcarriers);
+        let mut amp_sums = Vec::new();
+        let amp_ref = cfg.wavelength() / (4.0 * std::f64::consts::PI);
+        let amp_exp = cfg.path_loss_exp / 2.0;
+        let los_scale = mobisense_util::units::db_to_ratio(-cfg.los_attenuation_db / 2.0).min(1.0);
+        for (tx, &te) in ch.ap_elements().iter().enumerate() {
+            for (rx, &re) in rx_el.iter().enumerate() {
+                let d_los = te.dist(re).max(0.1);
+                let mut paths = vec![(los_scale * amp_ref / d_los.powf(amp_exp), 0.0, d_los)];
+                for r in &ch.reflectors {
+                    let d = (te.dist(r.pos) + r.pos.dist(re)).max(0.1);
+                    let a = r.gain.abs() * amp_ref / d.powf(amp_exp);
+                    paths.push((a, r.gain.arg(), d));
+                }
+                for sc in 0..cfg.n_subcarriers {
+                    let f = cfg.subcarrier_hz(sc);
+                    let h = paths
+                        .iter()
+                        .map(|&(a, g, d)| C64::from_polar(a, g - TAU * f * d / SPEED_OF_LIGHT))
+                        .sum();
+                    csi.set(tx, rx, sc, h);
+                }
+                amp_sums.push(paths.iter().map(|&(a, _, _)| a).sum());
+            }
+        }
+        (csi, amp_sums)
+    }
+
+    #[test]
+    fn csi_at_matches_the_per_bin_reference() {
+        // Random reflector fields, several headings, and clients out to
+        // 40 m, where a path's phase reaches thousands of radians. Bound:
+        // 1e-9 of the antenna pair's summed path amplitudes; the two
+        // evaluations differ by at most ~1.1e-12 of it here.
+        let n_sc = ChannelConfig::default().n_subcarriers;
+        for seed in 100..106 {
+            let ch = test_channel(seed);
+            for (pos, heading) in [
+                (Vec2::new(3.0, 1.0), 0.0),
+                (Vec2::new(-7.5, 9.0), 1.3),
+                (Vec2::new(12.0, -4.0), -2.2),
+                (Vec2::new(40.0, 3.0), 0.4),
+                (Vec2::new(-28.0, -28.0), 3.0),
+            ] {
+                let got = ch.csi_at(pos, heading);
+                let (want, amp_sums) = csi_reference(&ch, pos, heading);
+                let pairs = got
+                    .as_slice()
+                    .chunks(n_sc)
+                    .zip(want.as_slice().chunks(n_sc));
+                for ((got, want), amp_sum) in pairs.zip(&amp_sums) {
+                    for (sc, (&g, &w)) in got.iter().zip(want).enumerate() {
+                        let err = (g - w).abs() / amp_sum;
+                        assert!(err < 1e-9, "seed {seed}, {pos:?}, bin {sc}: {err:e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
