@@ -4,8 +4,9 @@
 //! against it over TCP (one connection per client, fragmented writes),
 //! sprinkles a few frames over UDP, and prints the edge's accounting:
 //! connection lifecycle, frame conservation (`accepted == processed +
-//! shed + rejected`), resynchronizations, and proof that the decision
-//! log matches the in-process run byte for byte.
+//! shed + rejected`), resynchronizations, the reactor's idle work
+//! (sweeps, yields, parks), and proof that the decision log matches
+//! the in-process run byte for byte.
 //!
 //! Run with: `cargo run --release --example socket_serve`
 //! Optional args: `[n_clients] [chunk_bytes]` (defaults 200, 17).
@@ -84,6 +85,16 @@ fn main() {
     println!(
         "peak concurrent connections {}, peak buffered bytes observed {}, resyncs {}",
         report.stats.conns_peak, report.stats.buffered_bytes, report.stats.resyncs
+    );
+    let s = &report.stats;
+    println!(
+        "reactor: {} sweeps, {} idle ({} yields + {} parks)",
+        s.sweeps, s.idle_sweeps, s.yields, s.parks
+    );
+    assert_eq!(
+        s.idle_sweeps,
+        s.yields + s.parks,
+        "every idle sweep yields or parks"
     );
     let identical = decision_log_csv(&decisions) == decision_log_csv(&golden_decisions);
     println!(

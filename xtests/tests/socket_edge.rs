@@ -302,6 +302,18 @@ fn socket_snapshots_carry_session_gauges() {
         last.counters.get("edge.frames"),
         Some(&fleet.total_frames())
     );
+    // The reactor's idle work: every idle sweep ended in a yield or a
+    // park, and no more sweeps were idle than ran.
+    let counter = |name: &str| {
+        *last
+            .counters
+            .get(name)
+            .unwrap_or_else(|| panic!("the final snapshot carries {name}"))
+    };
+    let sweeps = counter("edge.sweeps");
+    let idle = counter("edge.sweeps.idle");
+    assert_eq!(idle, counter("edge.yields") + counter("edge.parks"));
+    assert!(sweeps >= idle, "{sweeps} sweeps, {idle} idle");
 }
 
 /// UDP ingestion: every datagram is decoded standalone and served.
