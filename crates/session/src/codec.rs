@@ -38,6 +38,7 @@
 //! dynamic field and reusing its buffers. No copy of the state exists
 //! between the session and its page in either direction.
 
+use std::cell::RefCell;
 use std::ops::RangeInclusive;
 
 use mobisense_core::classifier::Classification;
@@ -215,9 +216,17 @@ pub fn decode_into(
 /// Fully checks a page — header, length, CRC and every field — by
 /// decoding it into a scratch session, and returns its client id: the
 /// check the store runs on every snapshot record.
+///
+/// Each thread keeps one scratch session and reuses it. A session that
+/// decoded another page, or failed partway through one, decodes a page
+/// exactly as a fresh one does, so reuse changes no result; it only
+/// spares building a session per call.
 pub fn validate(buf: &[u8]) -> Result<u32, SnapshotError> {
-    let mut scratch = PipelineSession::new(PipelineConfig::default(), 0);
-    decode_into(buf, &mut scratch).map(|(client_id, _)| client_id)
+    thread_local! {
+        static SCRATCH: RefCell<PipelineSession> =
+            RefCell::new(PipelineSession::new(PipelineConfig::default(), 0));
+    }
+    SCRATCH.with_borrow_mut(|scratch| decode_into(buf, scratch).map(|(client_id, _)| client_id))
 }
 
 /// Reads the client id out of an encoded page without decoding or
@@ -884,6 +893,37 @@ pub(crate) mod tests {
             owned.get(owned.len() - 4..),
             Some(&0x21bb_68dau32.to_le_bytes()[..])
         );
+    }
+
+    #[test]
+    fn validate_reuses_its_scratch_and_answers_as_a_fresh_decode() {
+        // One thread validates a busy page, one that fails late in its
+        // body (leaving the scratch half-decoded), a bit flip and a
+        // fresh page, then the busy and fresh pages again: each answer
+        // is what a decode into a brand-new session gives.
+        let (mut busy, last) = busy_session();
+        let history = Census::of(last, &mut busy).words("tof.history")[0];
+        let bytes = busy_bytes();
+        let mut late = bytes.to_vec();
+        let at = late.len() - 4 - 16 * history as usize - 4;
+        late[at..at + 4].copy_from_slice(&(MAX_ELEMS as u32).to_le_bytes());
+        reseal(&mut late);
+        let mut flipped = bytes.to_vec();
+        flipped[SNAPSHOT_HEADER_LEN + 9] ^= 0x10;
+        let mut fresh_session = PipelineSession::new(PipelineConfig::default(), 3);
+        let fresh = page(7, None, &mut fresh_session);
+
+        let mut answers = Vec::new();
+        for buf in [bytes, &late, &flipped, &fresh, bytes, &fresh] {
+            let answer = validate(buf);
+            assert_eq!(answer, decode_fresh(buf).map(|(client_id, ..)| client_id));
+            answers.push(answer);
+        }
+        assert_eq!(answers[0], Ok(0xDEAD_BEEF));
+        assert!(matches!(answers[1], Err(SnapshotError::Truncated { .. })));
+        assert!(matches!(answers[2], Err(SnapshotError::BadCrc { .. })));
+        assert_eq!(answers[3], Ok(7));
+        assert_eq!((&answers[4], &answers[5]), (&answers[0], &answers[3]));
     }
 
     #[test]
