@@ -63,8 +63,8 @@ use mobisense_telemetry::event::Event;
 use mobisense_telemetry::sink::{timed, Sink};
 use mobisense_util::units::Nanos;
 
-use crate::reader::SegmentMeta;
-use crate::segment::{scan_segment, RecordKind};
+use crate::reader::{scan_sealed, SegmentMeta};
+use crate::segment::RecordKind;
 use crate::writer::{StoreConfig, TraceWriter};
 use crate::{manifest, StoreError, TraceReader};
 
@@ -282,21 +282,7 @@ impl StreamingCompactor {
             let bytes = fs::read(&meta.path)?;
             probe.acquire(bytes.len());
             sink.gauge_set("store.compact.resident_bytes", probe.current as f64);
-            let scan = scan_segment(&bytes).map_err(|error| StoreError::Corrupt {
-                segment_id: meta.id,
-                error,
-            })?;
-            if let Some(error) = scan.error {
-                return Err(StoreError::Corrupt {
-                    segment_id: meta.id,
-                    error,
-                });
-            }
-            if scan.seal.is_none() {
-                return Err(StoreError::Unsealed {
-                    segment_id: meta.id,
-                });
-            }
+            let scan = scan_sealed(meta.id, &bytes)?;
             let mut seg_records = 0u64;
             for record in &scan.records {
                 let obs = match record.kind {

@@ -19,7 +19,8 @@
 //!
 //! Filtered reads ([`client_frames`](TraceReader::client_frames)) use
 //! the sparse index cached at open time to skip segments that cannot
-//! contain the requested client without re-reading their bytes.
+//! contain the requested client without re-reading their bytes; the
+//! segments they do read get the strict scan.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -31,7 +32,7 @@ use mobisense_session::codec;
 use mobisense_telemetry::event::Event;
 use mobisense_telemetry::sink::Sink;
 
-use crate::segment::{scan_segment, RecordKind, SegmentIndex};
+use crate::segment::{scan_segment, RecordKind, ScannedSegment, SegmentIndex};
 use crate::StoreError;
 
 /// What is known about one segment file after listing and scanning.
@@ -182,24 +183,7 @@ impl TraceReader {
                 });
             }
             let bytes = fs::read(&meta.path)?;
-            let scan = scan_segment(&bytes).map_err(|error| StoreError::Corrupt {
-                segment_id: meta.id,
-                error,
-            })?;
-            if let Some(error) = scan.error {
-                return Err(StoreError::Corrupt {
-                    segment_id: meta.id,
-                    error,
-                });
-            }
-            if scan.seal.is_none() {
-                // A `.seg` name without a seal record: the rename
-                // promised a footer that is not there.
-                return Err(StoreError::Unsealed {
-                    segment_id: meta.id,
-                });
-            }
-            for record in &scan.records {
+            for record in &scan_sealed(meta.id, &bytes)?.records {
                 f(meta.id, record.kind, record.payload)?;
             }
         }
@@ -249,7 +233,12 @@ impl TraceReader {
     /// Strict filtered read: every frame of one client, in record
     /// order. Segments whose index rules the client out are skipped
     /// without re-reading their bytes — this is the sparse index
-    /// earning its keep on single-client replay.
+    /// earning its keep on single-client replay. Every segment that is
+    /// read is scanned as strictly as [`visit_records`] scans it, so
+    /// damage done after [`open`] is an error, never a shorter answer.
+    ///
+    /// [`visit_records`]: TraceReader::visit_records
+    /// [`open`]: TraceReader::open
     pub fn client_frames(&self, client_id: u32) -> Result<Vec<ObsFrame>, StoreError> {
         let mut frames = Vec::new();
         for meta in &self.segments {
@@ -258,28 +247,17 @@ impl TraceReader {
                     segment_id: meta.id,
                 });
             }
-            let Some(index) = &meta.index else {
-                // Sealed name but the opening scan found damage; the
-                // strict discipline surfaces it rather than guessing.
-                let bytes = fs::read(&meta.path)?;
-                let error = match scan_segment(&bytes) {
-                    Ok(scan) => scan.error.expect("open() cached no index, so scan fails"),
-                    Err(e) => e,
-                };
-                return Err(StoreError::Corrupt {
-                    segment_id: meta.id,
-                    error,
-                });
-            };
-            if !index.contains_client(client_id) {
+            // A segment the opening scan found damaged has no index and
+            // is read, so the strict scan names its damage.
+            if meta
+                .index
+                .as_ref()
+                .is_some_and(|index| !index.contains_client(client_id))
+            {
                 continue;
             }
             let bytes = fs::read(&meta.path)?;
-            let scan = scan_segment(&bytes).map_err(|error| StoreError::Corrupt {
-                segment_id: meta.id,
-                error,
-            })?;
-            for record in &scan.records {
+            for record in &scan_sealed(meta.id, &bytes)?.records {
                 if record.kind != RecordKind::Obs {
                     continue;
                 }
@@ -413,6 +391,22 @@ impl TraceReader {
     }
 }
 
+/// Scans one sealed segment's bytes strictly: header damage, a record
+/// that fails its checks and a missing or bad seal are all typed
+/// errors, so a caller sees every record of the segment or none.
+pub(crate) fn scan_sealed(segment_id: u64, bytes: &[u8]) -> Result<ScannedSegment<'_>, StoreError> {
+    let scan = scan_segment(bytes).map_err(|error| StoreError::Corrupt { segment_id, error })?;
+    if let Some(error) = scan.error {
+        return Err(StoreError::Corrupt { segment_id, error });
+    }
+    if scan.seal.is_none() {
+        // A `.seg` name without a seal record: the rename promised a
+        // footer that is not there.
+        return Err(StoreError::Unsealed { segment_id });
+    }
+    Ok(scan)
+}
+
 /// Decodes an observation-frame record: one whole wire frame.
 pub(crate) fn decode_obs(segment_id: u64, payload: &[u8]) -> Result<ObsFrame, StoreError> {
     let (frame, used) =
@@ -516,6 +510,33 @@ mod tests {
         assert_eq!(seqs, (0..10).collect::<Vec<_>>());
         assert_eq!(r.client_frames(77).expect("filter").len(), 1);
         assert!(r.client_frames(555).expect("filter").is_empty());
+    }
+
+    #[test]
+    fn client_filter_rejects_damage_done_after_open() {
+        let dir = testdir::fresh("reader-filter-late-damage");
+        build_store(&dir);
+        let r = TraceReader::open(&dir).expect("open");
+        // The last segment holding client 1, damaged mid-body once the
+        // reader has cached an index that says it is intact.
+        let victim = r
+            .segments()
+            .iter()
+            .rev()
+            .find(|m| m.index.as_ref().is_some_and(|i| i.contains_client(1)))
+            .expect("a segment of client 1");
+        let mut bytes = fs::read(&victim.path).expect("read");
+        let n = bytes.len();
+        bytes[n / 2] ^= 0x40;
+        fs::write(&victim.path, &bytes).expect("write");
+        match r.client_frames(1) {
+            Err(StoreError::Corrupt { segment_id, .. }) => assert_eq!(segment_id, victim.id),
+            other => panic!("expected Corrupt for segment {}, got {other:?}", victim.id),
+        }
+        assert!(matches!(
+            TraceReader::open(&dir).expect("reopen").client_frames(1),
+            Err(StoreError::Corrupt { .. })
+        ));
     }
 
     #[test]
