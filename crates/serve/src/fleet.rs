@@ -109,8 +109,8 @@ pub struct ClientStream {
 }
 
 impl ClientStream {
-    /// Wraps already-encoded frames (e.g. payloads read back from the
-    /// trace store) as a stream, without decoding them.
+    /// Wraps already-encoded frames as a stream, without decoding
+    /// them.
     ///
     /// Panics if `frame_len` is zero or does not divide the buffer —
     /// streams are fixed-stride by construction.

@@ -745,13 +745,14 @@ fn run_producer(engine: &ShardEngine, clients: &[&ClientStream]) -> u64 {
 /// per-shard bounded queues plus one owned worker thread each, and the
 /// run lifecycle around them (ops monitor, recorder counters, report).
 ///
-/// [`serve_streams`]' in-process producers and `mobisense-edge`'s
-/// socket reactor both feed the same engine one [`IngestBatch`] at a
-/// time through [`ShardEngine::submit_ingest`], so a frame ingested
-/// over a socket runs through exactly the recorder tee, worker, session
-/// map and decision path a replayed frame does — which is what makes a
-/// socket-fed decision log comparable byte-for-byte to the golden
-/// in-process log.
+/// Three frontends feed the same engine one [`IngestBatch`] at a time
+/// through [`ShardEngine::submit_ingest`]: [`serve_streams`]'
+/// in-process producers, `mobisense-edge`'s socket reactor, and
+/// `mobisense-store`'s replay, which walks a recorded store and hands
+/// over each verified frame. So a frame ingested over a socket runs
+/// through exactly the recorder tee, worker, session map and decision
+/// path a replayed frame does — which is what makes a socket-fed
+/// decision log comparable byte-for-byte to the golden in-process log.
 pub struct ShardEngine {
     queues: Vec<Arc<ShardQueue>>,
     workers: Vec<std::thread::JoinHandle<WorkerResult>>,
@@ -1135,7 +1136,8 @@ pub fn emit_report_events<S: Sink + ?Sized>(report: &ServeReport, sink: &mut S) 
 /// every stream to drain, and returns the merged decision log (sorted
 /// by client id, then sequence) plus the run report. A generated
 /// fleet serves as `serve_streams(cfg, &fleet.streams, None, sink)`;
-/// replay hands it streams rebuilt from a recorded trace.
+/// single-client replay hands it a stream rebuilt from a recorded
+/// trace.
 ///
 /// With a `recorder`, every frame's wire encoding is teed onto its
 /// channel as the producer submits it (one message per producer step),

@@ -197,8 +197,8 @@ impl ObsFrame {
     /// Validates the header of an encoded frame and returns its routing
     /// metadata without touching the digest payload. This is the cheap
     /// path for consumers that move encoded frames around verbatim —
-    /// the trace store indexes segments with it, and stream rebuilding
-    /// groups frames by client with it — so recording never pays a
+    /// the trace store indexes segments with it, and its filtered read
+    /// skips other clients' frames with it — so recording never pays a
     /// decode-re-encode round trip.
     pub fn peek_meta(buf: &[u8]) -> Result<FrameMeta, WireError> {
         if buf.len() < HEADER_LEN {

@@ -21,10 +21,11 @@
 //! * [`mod@compact`] — merges many small sealed segments into few large
 //!   ones, preserving record order and hence replay output;
 //! * [`replay`] — the golden-regression harness: record a fleet
-//!   together with the decision log the live service produced, then
-//!   replay the stored frames through [`serve_streams`] (the serve
-//!   layer's one in-process driver) and verify the merged decision log
-//!   is byte-identical for any shard count;
+//!   (written on its own thread while [`serve_streams`], the serve
+//!   layer's one in-process driver, classifies it) together with the
+//!   decision log the live service produced, then walk the store and
+//!   hand each verified frame straight to a [`ShardEngine`], verifying
+//!   the merged decision log is byte-identical for any shard count;
 //! * [`recording`] — the store as a flight-recorder backend: plugs a
 //!   [`TraceWriter`] into `mobisense-serve`'s background recording
 //!   channel so frames are persisted *during* normal serving;
@@ -41,6 +42,7 @@
 //!   per-client replay window.
 //!
 //! [`serve_streams`]: mobisense_serve::service::serve_streams
+//! [`ShardEngine`]: mobisense_serve::service::ShardEngine
 //!
 //! The durability story is deliberately boring: every record carries
 //! its own CRC, the seal's body CRC covers every remaining byte, and a

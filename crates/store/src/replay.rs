@@ -6,9 +6,11 @@
 //! serving layer already proves in memory: the merged decision log
 //! (sorted by client id, then sequence) is a pure function of the
 //! observation streams, independent of shard count. Recording
-//! [`record_fleet`] persists the streams **and** the log; replaying
-//! [`replay_fleet`] rebuilds the streams from disk — without trusting
-//! any in-memory state — serves them at each requested shard count and
+//! [`record_fleet`] persists the streams **and** the log, writing the
+//! frames on a `store-writer` thread while the live service classifies
+//! the same fleet; replaying [`replay_fleet`] walks the store — without
+//! trusting any in-memory state — and hands each verified frame
+//! straight to a [`ShardEngine`] at each requested shard count, then
 //! compares every log against the stored golden bytes. A mismatch
 //! means the classifier, the pipeline or the store changed observable
 //! behaviour; CI fails on it.
@@ -19,15 +21,16 @@
 //! the golden log (per-client sessions are seeded by client id alone,
 //! so serving a client in isolation is behaviour-identical).
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use mobisense_serve::fleet::{ClientStream, EncodedFleet};
-use mobisense_serve::service::{decision_log_csv, serve_streams, ServeConfig, ServeReport};
-use mobisense_serve::wire::{ObsFrame, WireError};
+use mobisense_serve::service::{
+    decision_log_csv, emit_report_events, serve_streams, ServeConfig, ServeReport, ShardEngine,
+};
 use mobisense_telemetry::event::Event;
 use mobisense_telemetry::sink::{timed, Sink};
 
-use crate::reader::{decode_row, SegmentMeta, TraceReader};
+use crate::reader::{decode_obs, decode_row, SegmentMeta, TraceReader};
 use crate::segment::RecordKind;
 use crate::writer::{StoreConfig, TraceWriter};
 use crate::StoreError;
@@ -77,10 +80,13 @@ impl ReplayReport {
 }
 
 /// Records `fleet` into the store at `store.dir` — frames in
-/// time-major ingest order via the zero-copy encoded path — runs the
-/// live service once, and appends its decision log as the golden
-/// reference. Emits one `StoreSegment` event per sealed segment and a
-/// `store.record` wall-clock span.
+/// time-major ingest order via the zero-copy encoded path — while the
+/// live service classifies the same fleet, then appends its decision
+/// log as the golden reference. The frames are written on a
+/// `store-writer` thread, so the store I/O overlaps classification;
+/// the writer alone decides the bytes, so every segment file is the
+/// same for any shard count. Emits one `StoreSegment` event per sealed
+/// segment and a `store.record` wall-clock span.
 pub fn record_fleet<S: Sink + ?Sized>(
     store: &StoreConfig,
     serve_cfg: &ServeConfig,
@@ -89,10 +95,20 @@ pub fn record_fleet<S: Sink + ?Sized>(
 ) -> Result<RecordSummary, StoreError> {
     timed(sink, "store.record", |sink| {
         let mut writer = TraceWriter::create(store.clone())?;
-        for bytes in fleet.encoded_frames_time_major() {
-            writer.append_encoded(bytes)?;
-        }
-        let (decisions, report) = serve_streams(serve_cfg, &fleet.streams, None, sink);
+        let (decisions, report) = std::thread::scope(|scope| {
+            let writing = std::thread::Builder::new()
+                .name("store-writer".into())
+                .spawn_scoped(scope, || {
+                    fleet
+                        .encoded_frames_time_major()
+                        .try_for_each(|bytes| writer.append_encoded(bytes))
+                })?;
+            let served = serve_streams(serve_cfg, &fleet.streams, None, sink);
+            writing
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+            Ok::<_, StoreError>(served)
+        })?;
         let golden = decision_log_csv(&decisions);
         for line in golden.lines() {
             writer.append_decision_row(line)?;
@@ -117,74 +133,66 @@ pub fn record_fleet<S: Sink + ?Sized>(
     })
 }
 
-/// Rebuilds per-client streams and the stored golden log from a
-/// sealed store, strictly. Streams come back in client-id order; the
-/// golden log is the stored rows re-joined with trailing newline —
-/// byte-identical to what [`record_fleet`] was handed.
-pub fn rebuild_streams(reader: &TraceReader) -> Result<(Vec<ClientStream>, String), StoreError> {
-    let mut by_client: BTreeMap<u32, (usize, Vec<u8>)> = BTreeMap::new();
-    let mut rows: Vec<String> = Vec::new();
-    reader.visit_records(|segment_id, kind, payload| {
+/// What one walk over a store saw besides serving it.
+#[derive(Default)]
+struct Contents {
+    frames: u64,
+    clients: BTreeSet<u32>,
+    rows: Vec<String>,
+}
+
+/// One strict walk over the store in record order, collecting its
+/// frames, clients and decision rows into `contents`. With an
+/// `engine`, each verified frame goes to it, one [`IngestBatch`] at a
+/// time. Session snapshots are skipped: the strict walk already
+/// CRC-verified them, and [`TraceReader::latest_snapshots`] is the
+/// read path that decodes them.
+///
+/// [`IngestBatch`]: mobisense_serve::IngestBatch
+fn walk_store(
+    reader: &TraceReader,
+    engine: Option<&ShardEngine>,
+    contents: &mut Contents,
+) -> Result<(), StoreError> {
+    let mut feed = engine.map(|engine| (engine, engine.ingest_batch()));
+    let walked = reader.visit_records(|segment_id, kind, payload| {
         match kind {
             RecordKind::Obs => {
-                let meta = ObsFrame::peek_meta(payload)
-                    .map_err(|error| StoreError::BadFrame { segment_id, error })?;
-                if meta.encoded_len != payload.len() {
-                    return Err(StoreError::BadFrame {
-                        segment_id,
-                        error: WireError::Truncated {
-                            needed: meta.encoded_len,
-                            got: payload.len(),
-                        },
-                    });
+                let frame = decode_obs(segment_id, payload)?;
+                contents.frames += 1;
+                contents.clients.insert(frame.client_id);
+                if let Some((engine, batch)) = feed.as_mut() {
+                    batch.push(frame, payload);
+                    if batch.is_full() {
+                        engine.submit_ingest(batch);
+                    }
                 }
-                let entry = by_client
-                    .entry(meta.client_id)
-                    .or_insert_with(|| (payload.len(), Vec::new()));
-                if entry.0 != payload.len() {
-                    // A client's stream is fixed-stride; ragged frame
-                    // lengths mean the trace is not a fleet recording.
-                    return Err(StoreError::BadFrame {
-                        segment_id,
-                        error: WireError::Truncated {
-                            needed: entry.0,
-                            got: payload.len(),
-                        },
-                    });
-                }
-                entry.1.extend_from_slice(payload);
             }
-            RecordKind::DecisionRow => rows.push(decode_row(segment_id, payload)?),
-            // Hibernation snapshots ride in the same store but are not
-            // part of the fleet's observation streams; the strict walk
-            // already CRC-verified them, and `TraceReader::
-            // latest_snapshots` is the read path that decodes them.
+            RecordKind::DecisionRow => contents.rows.push(decode_row(segment_id, payload)?),
             RecordKind::SessionSnapshot => {}
             RecordKind::Seal => unreachable!("scanner never yields seal records"),
         }
         Ok(())
-    })?;
-    let streams = by_client
-        .into_iter()
-        .map(|(client_id, (frame_len, bytes))| {
-            ClientStream::from_encoded(client_id, frame_len, bytes)
-        })
-        .collect();
-    let golden = if rows.is_empty() {
-        String::new()
-    } else {
-        let mut g = rows.join("\n");
-        g.push('\n');
-        g
-    };
-    Ok((streams, golden))
+    });
+    // Frames verified before any damage are served too, so every
+    // counted frame reaches the engine.
+    if let Some((engine, batch)) = feed.as_mut() {
+        engine.submit_ingest(batch);
+    }
+    walked
 }
 
 /// Replays the store through the serving layer at every shard count in
 /// `shard_counts`, comparing each merged decision log against the
-/// stored golden log. The comparison itself is left to the caller
-/// (tests want to assert, tools want to diff) — see
-/// [`ReplayReport::all_match`].
+/// stored golden log. Each shard count is one strict walk over the
+/// store that hands every verified frame, in record order, to a fresh
+/// [`ShardEngine`] — the same frontend calls the socket edge makes —
+/// so reading the next segment overlaps classifying the last. A walk
+/// that hits damage finishes its engine before the error returns, so
+/// no worker outlives the call. With no shard count the store is still
+/// walked once, for the report's frames, clients and golden log. The
+/// comparison itself is left to the caller (tests want to assert,
+/// tools want to diff) — see [`ReplayReport::all_match`].
 pub fn replay_fleet<S: Sink + ?Sized>(
     store: &StoreConfig,
     serve_cfg: &ServeConfig,
@@ -193,20 +201,31 @@ pub fn replay_fleet<S: Sink + ?Sized>(
 ) -> Result<ReplayReport, StoreError> {
     timed(sink, "store.replay", |sink| {
         let reader = TraceReader::open(&store.dir)?;
-        let (streams, golden) = rebuild_streams(&reader)?;
-        let frames: u64 = streams.iter().map(|s| s.n_frames as u64).sum();
+        let mut contents = Contents::default();
+        if shard_counts.is_empty() {
+            walk_store(&reader, None, &mut contents)?;
+        }
         let mut logs = Vec::with_capacity(shard_counts.len());
         for &n_shards in shard_counts {
             let cfg = ServeConfig {
                 n_shards,
                 ..serve_cfg.clone()
             };
-            let (decisions, _) = serve_streams(&cfg, &streams, None, sink);
+            let engine = ShardEngine::spawn(&cfg)?;
+            contents = Contents::default();
+            let walked = walk_store(&reader, Some(&engine), &mut contents);
+            let (decisions, report) = engine.finish(contents.frames);
+            emit_report_events(&report, sink);
+            walked?;
             logs.push((n_shards, decision_log_csv(&decisions)));
         }
+        let mut golden = contents.rows.join("\n");
+        if !contents.rows.is_empty() {
+            golden.push('\n');
+        }
         Ok(ReplayReport {
-            frames,
-            clients: streams.len(),
+            frames: contents.frames,
+            clients: contents.clients.len(),
             golden,
             logs,
         })
@@ -249,6 +268,8 @@ mod tests {
     use mobisense_telemetry::sink::NoopSink;
     use mobisense_telemetry::Telemetry;
     use mobisense_util::units::{MILLISECOND, SECOND};
+    use std::path::Path;
+    use std::time::{Duration, Instant};
 
     /// The defaults with a 1 s classifier warm-up: the fleets run 2 s,
     /// so the default 6 s warm-up would leave every golden log a bare
@@ -273,6 +294,20 @@ mod tests {
             gen_threads: 2,
             ..FleetConfig::default()
         })
+    }
+
+    /// Every file in `dir` as `(name, bytes)`, sorted by name.
+    fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("list")
+            .map(|entry| {
+                let entry = entry.expect("entry");
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(entry.path()).expect("read"))
+            })
+            .collect();
+        out.sort();
+        out
     }
 
     #[test]
@@ -306,16 +341,137 @@ mod tests {
         let dir = testdir::fresh("replay-rebuild");
         let fleet = small_fleet();
         let store = StoreConfig::new(&dir);
-        record_fleet(&store, &serve_cfg(), &fleet, &mut NoopSink).expect("record");
+        let rec = record_fleet(&store, &serve_cfg(), &fleet, &mut NoopSink).expect("record");
         let reader = TraceReader::open(&dir).expect("open");
-        let (streams, _) = rebuild_streams(&reader).expect("rebuild");
-        assert_eq!(streams.len(), fleet.streams.len());
-        for (rebuilt, original) in streams.iter().zip(&fleet.streams) {
-            assert_eq!(rebuilt.client_id, original.client_id);
-            assert_eq!(rebuilt.n_frames, original.n_frames);
-            assert_eq!(rebuilt.bytes, original.bytes, "byte-exact rebuild");
-            assert!(rebuilt.kind.is_none(), "replayed streams have no scenario");
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        let mut rows: Vec<String> = Vec::new();
+        reader
+            .visit_records(|segment_id, kind, payload| {
+                match kind {
+                    RecordKind::Obs => {
+                        assert!(rows.is_empty(), "every frame precedes the golden rows");
+                        frames.push(payload.to_vec());
+                    }
+                    RecordKind::DecisionRow => rows.push(decode_row(segment_id, payload)?),
+                    other => panic!("unexpected {other:?} record"),
+                }
+                Ok(())
+            })
+            .expect("walk");
+        let want: Vec<&[u8]> = fleet.encoded_frames_time_major().collect();
+        assert_eq!(frames.len(), want.len());
+        assert_eq!(frames.len() as u64, fleet.total_frames());
+        for (i, (got, want)) in frames.iter().zip(&want).enumerate() {
+            assert_eq!(got.as_slice(), *want, "frame {i}: byte-exact, time-major");
         }
+        assert_eq!(rows, rec.golden.lines().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn recorded_segments_match_a_plain_writer_at_any_shard_count() {
+        let fleet = small_fleet();
+        let target = 8 << 10;
+        let mut recorded = Vec::new();
+        for n_shards in [1, 4] {
+            let dir = testdir::fresh(&format!("replay-record-{n_shards}-shards"));
+            let store = StoreConfig::new(&dir).with_target_segment_bytes(target);
+            let cfg = ServeConfig {
+                n_shards,
+                ..serve_cfg()
+            };
+            let rec = record_fleet(&store, &cfg, &fleet, &mut NoopSink).expect("record");
+            recorded.push((n_shards, rec.golden, files(&dir)));
+        }
+        let golden = recorded[0].1.clone();
+        assert!(rows(&golden) >= 8, "{} decision rows", rows(&golden));
+
+        // The reference: one thread appending the fleet time-major,
+        // then the golden rows.
+        let plain = testdir::fresh("replay-plain-writer");
+        let mut writer =
+            TraceWriter::create(StoreConfig::new(&plain).with_target_segment_bytes(target))
+                .expect("create");
+        for bytes in fleet.encoded_frames_time_major() {
+            writer.append_encoded(bytes).expect("append");
+        }
+        for line in golden.lines() {
+            writer.append_decision_row(line).expect("row");
+        }
+        writer.finish().expect("finish");
+        let want = files(&plain);
+        assert!(want.len() > 2, "the target must rotate");
+        for (n_shards, log, got) in &recorded {
+            assert_eq!(*log, golden, "{n_shards} shards: golden log");
+            let names = |files: &[(String, Vec<u8>)]| -> Vec<String> {
+                files.iter().map(|(name, _)| name.clone()).collect()
+            };
+            assert_eq!(names(got), names(&want), "{n_shards} shards: file names");
+            for ((name, got), (_, want)) in got.iter().zip(&want) {
+                assert!(got == want, "{n_shards} shards: {name} differs");
+            }
+        }
+    }
+
+    #[test]
+    fn replay_stops_at_a_damaged_segment_and_finishes_its_engine() {
+        let dir = testdir::fresh("replay-damaged");
+        let fleet = small_fleet();
+        let store = StoreConfig::new(&dir).with_target_segment_bytes(8 << 10);
+        let serve_cfg = serve_cfg();
+        let rec = record_fleet(&store, &serve_cfg, &fleet, &mut NoopSink).expect("record");
+        assert!(rec.segments.len() >= 3, "{} segments", rec.segments.len());
+        let victim = &rec.segments[rec.segments.len() / 2];
+        let mut bytes = std::fs::read(&victim.path).expect("read");
+        let n = bytes.len();
+        bytes[n / 2] ^= 0x40;
+        std::fs::write(&victim.path, &bytes).expect("write");
+
+        let mut sink = Telemetry::new();
+        let t0 = Instant::now();
+        let result = replay_fleet(&store, &serve_cfg, &[1, 4], &mut sink);
+        let elapsed = t0.elapsed();
+        match result {
+            Err(StoreError::Corrupt { segment_id, .. }) => assert_eq!(segment_id, victim.id),
+            other => panic!("expected Corrupt for segment {}, got {other:?}", victim.id),
+        }
+        assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+        // Only `finish` reports shards, and it joins every worker: one
+        // report from the one-shard walk means its engine was finished
+        // before the error returned, and no four-shard engine started.
+        let served: Vec<(u32, u64)> = sink
+            .events()
+            .filter_map(|e| match e {
+                Event::ServeShard { shard, frames, .. } => Some((*shard, *frames)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(served.len(), 1, "{served:?}");
+        let (shard, frames) = served[0];
+        assert_eq!(shard, 0);
+        assert!(
+            frames > 0 && frames < rec.frames,
+            "served {frames} of {} frames before the damage",
+            rec.frames
+        );
+    }
+
+    #[test]
+    fn replay_without_shard_counts_still_reads_the_store() {
+        let dir = testdir::fresh("replay-no-shards");
+        let fleet = small_fleet();
+        let store = StoreConfig::new(&dir).with_target_segment_bytes(8 << 10);
+        let serve_cfg = serve_cfg();
+        let rec = record_fleet(&store, &serve_cfg, &fleet, &mut NoopSink).expect("record");
+        let mut sink = Telemetry::new();
+        let read = replay_fleet(&store, &serve_cfg, &[], &mut sink).expect("read");
+        assert_eq!(read.frames, rec.frames);
+        assert_eq!(read.clients, 8);
+        assert_eq!(read.golden, rec.golden);
+        assert!(read.logs.is_empty() && read.all_match());
+        assert!(
+            !sink.events().any(|e| e.kind() == "serve_shard"),
+            "nothing is served"
+        );
     }
 
     #[test]
