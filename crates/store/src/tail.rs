@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 
 use mobisense_serve::wire::ObsFrame;
 
-use crate::reader::{decode_obs, decode_row, decode_snapshot};
+use crate::reader::{decode_obs, decode_row, decode_snapshot, scan_sealed};
 use crate::segment::{scan_segment, RecordKind, SEGMENT_HEADER_LEN};
 use crate::{open_name, parse_segment_name, sealed_name, StoreError};
 
@@ -153,21 +153,7 @@ impl TailCursor {
     /// Consumes a sealed segment from the cursor's offset to its end
     /// and advances to the next id. Damage is an error, not a skip.
     fn consume_sealed(&mut self, bytes: &[u8], out: &mut Vec<TailItem>) -> Result<(), StoreError> {
-        let scan = scan_segment(bytes).map_err(|error| StoreError::Corrupt {
-            segment_id: self.segment_id,
-            error,
-        })?;
-        if !scan.sealed_ok() {
-            return Err(match scan.error {
-                Some(error) => StoreError::Corrupt {
-                    segment_id: self.segment_id,
-                    error,
-                },
-                None => StoreError::Unsealed {
-                    segment_id: self.segment_id,
-                },
-            });
-        }
+        let scan = scan_sealed(self.segment_id, bytes)?;
         self.yield_from_offset(&scan.records, out)?;
         self.advance();
         Ok(())
