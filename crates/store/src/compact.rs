@@ -63,10 +63,10 @@ use mobisense_telemetry::event::Event;
 use mobisense_telemetry::sink::{timed, Sink};
 use mobisense_util::units::Nanos;
 
-use crate::reader::{scan_sealed, SegmentMeta};
+use crate::reader::{self, scan_sealed, SegmentMeta};
 use crate::segment::RecordKind;
 use crate::writer::{StoreConfig, TraceWriter};
-use crate::{manifest, StoreError, TraceReader};
+use crate::{manifest, StoreError};
 
 /// What a compaction did.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -238,16 +238,14 @@ impl StreamingCompactor {
         }
         self.fail_at(CrashPoint::BeforeStaging)?;
 
-        let reader = TraceReader::open(dir)?;
-        for meta in reader.segments() {
-            if !meta.sealed {
-                return Err(StoreError::Unsealed {
-                    segment_id: meta.id,
-                });
-            }
+        let inputs = reader::list(dir)?.segments;
+        if let Some(open) = inputs.iter().find(|input| !input.sealed) {
+            return Err(StoreError::Unsealed {
+                segment_id: open.id,
+            });
         }
-        let segments_before = reader.segments().len();
-        let bytes_before: u64 = reader.segments().iter().map(|m| m.bytes).sum();
+        let segments_before = inputs.len();
+        let bytes_before: u64 = inputs.iter().map(|input| input.bytes).sum();
         if segments_before == 0 {
             // Nothing to rewrite; the generation does not move.
             let report = CompactReport {
@@ -278,11 +276,11 @@ impl StreamingCompactor {
         let mut records = 0u64;
         let mut max_at: Nanos = 0;
         let mut emitted = 0usize;
-        for (done, meta) in reader.segments().iter().enumerate() {
-            let bytes = fs::read(&meta.path)?;
+        for (done, input) in inputs.iter().enumerate() {
+            let bytes = fs::read(&input.path)?;
             probe.acquire(bytes.len());
             sink.gauge_set("store.compact.resident_bytes", probe.current as f64);
-            let scan = scan_sealed(meta.id, &bytes)?;
+            let scan = scan_sealed(input.id, &bytes)?;
             let mut seg_records = 0u64;
             for record in &scan.records {
                 let obs = match record.kind {
@@ -293,7 +291,7 @@ impl StreamingCompactor {
                         // data damage, not a programming invariant.
                         let peek = ObsFrame::peek_meta(record.payload).map_err(|error| {
                             StoreError::BadFrame {
-                                segment_id: meta.id,
+                                segment_id: input.id,
                                 error,
                             }
                         })?;
@@ -314,7 +312,7 @@ impl StreamingCompactor {
             // Per-input-segment progress: a long pass over a big store
             // shows movement in ops snapshots, not one end-of-run jump.
             sink.count("store.compact.segments_in", 1);
-            sink.count("store.compact.bytes_in", meta.bytes);
+            sink.count("store.compact.bytes_in", input.bytes);
             sink.count("store.compact.records", seg_records);
             emitted = emit_new_outputs(sink, writer.sealed(), emitted);
             if done == 0 && self.opts.crash_at == Some(CrashPoint::MidStage) {
@@ -340,8 +338,8 @@ impl StreamingCompactor {
 
         // Step 6: the old generation is garbage now; delete it. A
         // crash in here leaves files the next open sweeps.
-        for (removed, meta) in reader.segments().iter().enumerate() {
-            fs::remove_file(&meta.path)?;
+        for (removed, input) in inputs.iter().enumerate() {
+            fs::remove_file(&input.path)?;
             if removed == 0 {
                 self.fail_at(CrashPoint::MidGc)?;
             }
@@ -435,7 +433,7 @@ mod tests {
     use super::*;
     use crate::segment::scan_segment;
     use crate::writer::TraceWriter;
-    use crate::{open_name, sealed_name, testdir};
+    use crate::{open_name, sealed_name, testdir, TraceReader};
     use mobisense_telemetry::{NoopSink, Telemetry};
 
     fn frame(client: u32, seq: u32) -> ObsFrame {
@@ -536,6 +534,20 @@ mod tests {
         let (got_frames, got_rows) = r.read_frames().expect("strict read");
         assert_eq!(got_frames, frames);
         assert_eq!(got_rows, rows);
+    }
+
+    #[test]
+    fn compaction_scans_each_input_segment_once() {
+        let dir = testdir::fresh("compact-scans");
+        let (frames, _) = build_fragmented_store(&dir);
+        let inputs = TraceReader::open(&dir).expect("open").segments().len();
+        let scans = || crate::segment::SEGMENT_SCANS.with(|c| c.get());
+        let before = scans();
+        let cfg = StoreConfig::new(&dir).with_target_segment_bytes(1 << 20);
+        let report = compact(&cfg, &mut NoopSink).expect("compact");
+        assert_eq!(scans() - before, inputs as u64, "one scan per input");
+        assert_eq!(report.segments_before, inputs);
+        assert_eq!(report.frames, frames.len() as u64);
     }
 
     #[test]

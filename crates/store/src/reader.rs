@@ -90,36 +90,29 @@ pub struct TraceReader {
 }
 
 impl TraceReader {
-    /// Lists and scans every segment file of the **current
-    /// generation** under `dir` (per the store
-    /// [`manifest`](crate::manifest); other generations are compaction
-    /// leftovers awaiting GC and are never read). Scanning here only
+    /// Lists every segment file of the **current generation** under
+    /// `dir` (per the store [`manifest`](crate::manifest); other
+    /// generations are compaction leftovers awaiting GC and are never
+    /// read), then reads and scans each one. Scanning here only
     /// classifies (sealed-intact vs damaged vs open tail) and caches
     /// the sparse indexes; record payloads are re-read by the read
-    /// methods. Never fails on damaged *contents* — only on I/O.
+    /// methods. The callers that need that classification open a
+    /// reader: retention, filtered reads ([`client_frames`]), recovery
+    /// and a writer's retention preload. Compaction and
+    /// [`replay_fleet`](crate::replay::replay_fleet) only walk the
+    /// listing, reading each segment once. Never fails on damaged
+    /// *contents* — only on I/O.
+    ///
+    /// [`client_frames`]: TraceReader::client_frames
     pub fn open(dir: &Path) -> io::Result<TraceReader> {
-        let generation = crate::manifest::current_generation(dir)?;
-        let mut stale_files = 0usize;
-        let mut segments = Vec::new();
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            let Some((gen, id, sealed)) = entry
-                .file_name()
-                .to_str()
-                .and_then(crate::parse_segment_name)
-            else {
-                continue;
-            };
-            if gen != generation {
-                stale_files += 1;
-                continue;
-            }
-            let path = entry.path();
-            let bytes = fs::read(&path)?;
+        let listing = list(dir)?;
+        let mut segments = Vec::with_capacity(listing.segments.len());
+        for listed in listing.segments {
+            let bytes = fs::read(&listed.path)?;
             let (records, index) = match scan_segment(&bytes) {
                 Ok(scan) => (
                     scan.records.len() as u64,
-                    if sealed && scan.sealed_ok() {
+                    if listed.sealed && scan.sealed_ok() {
                         scan.seal.map(|s| s.index)
                     } else {
                         None
@@ -128,19 +121,18 @@ impl TraceReader {
                 Err(_) => (0, None),
             };
             segments.push(SegmentMeta {
-                id,
-                path,
-                sealed,
+                id: listed.id,
+                path: listed.path,
+                sealed: listed.sealed,
                 bytes: bytes.len() as u64,
                 records,
                 index,
             });
         }
-        segments.sort_by_key(|m| m.id);
         Ok(TraceReader {
             dir: dir.to_path_buf(),
-            generation,
-            stale_files,
+            generation: listing.generation,
+            stale_files: listing.stale_files,
             segments,
         })
     }
@@ -177,15 +169,7 @@ impl TraceReader {
         F: FnMut(u64, RecordKind, &[u8]) -> Result<(), StoreError>,
     {
         for meta in &self.segments {
-            if !meta.sealed {
-                return Err(StoreError::Unsealed {
-                    segment_id: meta.id,
-                });
-            }
-            let bytes = fs::read(&meta.path)?;
-            for record in &scan_sealed(meta.id, &bytes)?.records {
-                f(meta.id, record.kind, record.payload)?;
-            }
+            visit_segment(meta.id, &meta.path, meta.sealed, &mut f)?;
         }
         Ok(())
     }
@@ -391,6 +375,99 @@ impl TraceReader {
     }
 }
 
+/// One segment file of the current generation as its directory entry
+/// describes it: nothing has been read from the file.
+#[derive(Clone, Debug)]
+pub(crate) struct ListedSegment {
+    /// Segment id (from the file name).
+    pub(crate) id: u64,
+    /// Path of the segment file.
+    pub(crate) path: PathBuf,
+    /// Whether the file carries the sealed (`.seg`) name.
+    pub(crate) sealed: bool,
+    /// File size in bytes, from the directory entry.
+    pub(crate) bytes: u64,
+}
+
+/// The segment files of a store's current generation, listed without
+/// reading any of them.
+#[derive(Clone, Debug)]
+pub(crate) struct Listing {
+    /// The generation resolved from the manifest.
+    pub(crate) generation: u64,
+    /// Segment files of other generations seen (and skipped).
+    pub(crate) stale_files: usize,
+    /// The current generation's segment files, in id order.
+    pub(crate) segments: Vec<ListedSegment>,
+}
+
+impl Listing {
+    /// Strict sequential visit of every non-seal record, as
+    /// [`TraceReader::visit_records`] makes it: each segment is read and
+    /// scanned once, and any unsealed or damaged segment aborts the
+    /// walk with a typed error.
+    pub(crate) fn visit_records<F>(&self, mut f: F) -> Result<(), StoreError>
+    where
+        F: FnMut(u64, RecordKind, &[u8]) -> Result<(), StoreError>,
+    {
+        for listed in &self.segments {
+            visit_segment(listed.id, &listed.path, listed.sealed, &mut f)?;
+        }
+        Ok(())
+    }
+}
+
+/// Lists the segment files of the current generation under `dir`: ids,
+/// paths, sealed names and sizes from the directory entries alone.
+pub(crate) fn list(dir: &Path) -> io::Result<Listing> {
+    let generation = crate::manifest::current_generation(dir)?;
+    let mut stale_files = 0usize;
+    let mut segments = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        let Some((gen, id, sealed)) = entry
+            .file_name()
+            .to_str()
+            .and_then(crate::parse_segment_name)
+        else {
+            continue;
+        };
+        if gen != generation {
+            stale_files += 1;
+            continue;
+        }
+        segments.push(ListedSegment {
+            id,
+            path: entry.path(),
+            sealed,
+            bytes: entry.metadata()?.len(),
+        });
+    }
+    segments.sort_by_key(|s| s.id);
+    Ok(Listing {
+        generation,
+        stale_files,
+        segments,
+    })
+}
+
+/// Reads one segment and hands its records to `f` in order, strictly:
+/// an unsealed name, damage or a missing seal is a typed error before
+/// any of its records is handed over.
+fn visit_segment<F>(id: u64, path: &Path, sealed: bool, f: &mut F) -> Result<(), StoreError>
+where
+    F: FnMut(u64, RecordKind, &[u8]) -> Result<(), StoreError>,
+{
+    if !sealed {
+        return Err(StoreError::Unsealed { segment_id: id });
+    }
+    let bytes = fs::read(path)?;
+    for record in &scan_sealed(id, &bytes)?.records {
+        f(id, record.kind, record.payload)?;
+    }
+    Ok(())
+}
+
 /// Scans one sealed segment's bytes strictly: header damage, a record
 /// that fails its checks and a missing or bad seal are all typed
 /// errors, so a caller sees every record of the segment or none.
@@ -510,6 +587,33 @@ mod tests {
         assert_eq!(seqs, (0..10).collect::<Vec<_>>());
         assert_eq!(r.client_frames(77).expect("filter").len(), 1);
         assert!(r.client_frames(555).expect("filter").is_empty());
+    }
+
+    #[test]
+    fn open_scans_every_segment_and_a_filtered_read_only_those_it_reads() {
+        let dir = testdir::fresh("reader-scans");
+        build_store(&dir);
+        let cfg = StoreConfig::new(&dir).with_target_segment_bytes(200);
+        let mut w = TraceWriter::create(cfg).expect("create");
+        w.append_frame(&frame(77, 0)).expect("append");
+        w.finish().expect("finish");
+
+        let scans = || crate::segment::SEGMENT_SCANS.with(|c| c.get());
+        let before = scans();
+        let r = TraceReader::open(&dir).expect("open");
+        let segments = r.segments().len() as u64;
+        assert_eq!(scans() - before, segments, "open classifies every segment");
+        for client in [1u32, 77, 555] {
+            let holding = r
+                .segments()
+                .iter()
+                .filter(|m| m.index.as_ref().is_some_and(|i| i.contains_client(client)))
+                .count() as u64;
+            let before = scans();
+            r.client_frames(client).expect("filter");
+            assert_eq!(scans() - before, holding, "client {client}");
+        }
+        assert!(segments > 1);
     }
 
     #[test]

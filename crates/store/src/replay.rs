@@ -30,7 +30,7 @@ use mobisense_serve::service::{
 use mobisense_telemetry::event::Event;
 use mobisense_telemetry::sink::{timed, Sink};
 
-use crate::reader::{decode_obs, decode_row, SegmentMeta, TraceReader};
+use crate::reader::{self, decode_obs, decode_row, Listing, SegmentMeta, TraceReader};
 use crate::segment::RecordKind;
 use crate::writer::{StoreConfig, TraceWriter};
 use crate::StoreError;
@@ -150,12 +150,12 @@ struct Contents {
 ///
 /// [`IngestBatch`]: mobisense_serve::IngestBatch
 fn walk_store(
-    reader: &TraceReader,
+    listing: &Listing,
     engine: Option<&ShardEngine>,
     contents: &mut Contents,
 ) -> Result<(), StoreError> {
     let mut feed = engine.map(|engine| (engine, engine.ingest_batch()));
-    let walked = reader.visit_records(|segment_id, kind, payload| {
+    let walked = listing.visit_records(|segment_id, kind, payload| {
         match kind {
             RecordKind::Obs => {
                 let frame = decode_obs(segment_id, payload)?;
@@ -200,10 +200,10 @@ pub fn replay_fleet<S: Sink + ?Sized>(
     sink: &mut S,
 ) -> Result<ReplayReport, StoreError> {
     timed(sink, "store.replay", |sink| {
-        let reader = TraceReader::open(&store.dir)?;
+        let listing = reader::list(&store.dir)?;
         let mut contents = Contents::default();
         if shard_counts.is_empty() {
-            walk_store(&reader, None, &mut contents)?;
+            walk_store(&listing, None, &mut contents)?;
         }
         let mut logs = Vec::with_capacity(shard_counts.len());
         for &n_shards in shard_counts {
@@ -213,7 +213,7 @@ pub fn replay_fleet<S: Sink + ?Sized>(
             };
             let engine = ShardEngine::spawn(&cfg)?;
             contents = Contents::default();
-            let walked = walk_store(&reader, Some(&engine), &mut contents);
+            let walked = walk_store(&listing, Some(&engine), &mut contents);
             let (decisions, report) = engine.finish(contents.frames);
             emit_report_events(&report, sink);
             walked?;
@@ -452,6 +452,27 @@ mod tests {
             frames > 0 && frames < rec.frames,
             "served {frames} of {} frames before the damage",
             rec.frames
+        );
+    }
+
+    #[test]
+    fn replay_scans_each_segment_once_per_shard_count() {
+        let dir = testdir::fresh("replay-scans");
+        let fleet = small_fleet();
+        let store = StoreConfig::new(&dir).with_target_segment_bytes(8 << 10);
+        let serve_cfg = serve_cfg();
+        let rec = record_fleet(&store, &serve_cfg, &fleet, &mut NoopSink).expect("record");
+        let segments = rec.segments.len() as u64;
+        assert!(segments >= 3, "{segments} segments");
+        // The walks run on this thread; the engines' workers never scan.
+        let scans = || crate::segment::SEGMENT_SCANS.with(|c| c.get());
+        let before = scans();
+        let replay = replay_fleet(&store, &serve_cfg, &[1, 2], &mut NoopSink).expect("replay");
+        assert!(replay.all_match(), "diverged: {:?}", replay.mismatches());
+        assert_eq!(
+            scans() - before,
+            2 * segments,
+            "one scan per segment per shard count"
         );
     }
 

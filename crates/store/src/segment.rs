@@ -376,6 +376,8 @@ impl ScannedSegment<'_> {
 /// returned records are the longest verified prefix, and `error` says
 /// what stopped the scan.
 pub fn scan_segment(bytes: &[u8]) -> Result<ScannedSegment<'_>, SegmentError> {
+    #[cfg(test)]
+    SEGMENT_SCANS.with(|c| c.set(c.get() + 1));
     if bytes.len() < SEGMENT_HEADER_LEN {
         return Err(SegmentError::TooShort { got: bytes.len() });
     }
@@ -449,6 +451,14 @@ pub fn scan_segment(bytes: &[u8]) -> Result<ScannedSegment<'_>, SegmentError> {
         pos = end;
     }
     Ok(out)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Per-thread count of `scan_segment` calls, so unit tests can pin
+    /// how often a pass reads each segment without cross-test
+    /// interference.
+    pub(crate) static SEGMENT_SCANS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Builds a complete sealed segment in memory: header, the given
