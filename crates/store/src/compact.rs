@@ -304,7 +304,7 @@ impl StreamingCompactor {
                     RecordKind::Seal => continue,
                     RecordKind::DecisionRow | RecordKind::SessionSnapshot => None,
                 };
-                writer.append_raw(record.kind, record.payload, obs)?;
+                writer.append_raw(record.kind, record.payload, record.crc, obs)?;
                 seg_records += 1;
             }
             probe.release(bytes.len());
@@ -548,6 +548,38 @@ mod tests {
         assert_eq!(scans() - before, inputs as u64, "one scan per input");
         assert_eq!(report.segments_before, inputs);
         assert_eq!(report.frames, frames.len() as u64);
+    }
+
+    /// Every record of the store, in order, as `(kind, payload, CRC)`
+    /// read from the files; every segment must be sealed and intact.
+    fn stored_records(dir: &std::path::Path) -> Vec<(RecordKind, Vec<u8>, u32)> {
+        let mut out = Vec::new();
+        for meta in TraceReader::open(dir).expect("open").segments() {
+            let bytes = fs::read(&meta.path).expect("read");
+            let scan = scan_segment(&bytes).expect("header");
+            assert!(scan.sealed_ok(), "segment {} intact", meta.id);
+            for r in &scan.records {
+                out.push((r.kind, r.payload.to_vec(), r.crc));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn compacted_records_equal_their_inputs_crcs_included() {
+        let dir = testdir::fresh("compact-carry");
+        build_fragmented_store(&dir);
+        let before = stored_records(&dir);
+        let cfg = StoreConfig::new(&dir).with_target_segment_bytes(512);
+        let report = compact(&cfg, &mut NoopSink).expect("compact");
+        assert!(report.segments_after > 1);
+        let after = stored_records(&dir);
+        assert_eq!(after, before);
+        for (kind, payload, crc) in &after {
+            let mut framed = vec![kind.as_u8()];
+            framed.extend_from_slice(payload);
+            assert_eq!(*crc, mobisense_util::crc::crc32(&framed));
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 
 use mobisense_util::units::Nanos;
 
-use mobisense_util::crc::{crc32, Crc32};
+use mobisense_util::crc::{crc32, CheckedRuns, Crc32};
 
 /// Segment file magic: `"MSSG"` little-endian.
 pub const SEGMENT_MAGIC: u32 = 0x4753_534D;
@@ -325,6 +325,14 @@ pub fn segment_header(segment_id: u64) -> [u8; SEGMENT_HEADER_LEN] {
     h
 }
 
+/// The CRC-32 a record carries: over its kind byte, then its payload.
+pub(crate) fn record_crc(kind: u8, payload: &[u8]) -> u32 {
+    let mut c = Crc32::new();
+    c.update(&[kind]);
+    c.update(payload);
+    c.finish()
+}
+
 /// Appends one framed record (length, kind, payload, CRC) to `out`.
 pub fn append_record(out: &mut Vec<u8>, kind: RecordKind, payload: &[u8]) {
     assert!(payload.len() <= MAX_RECORD_LEN, "record payload too large");
@@ -332,10 +340,7 @@ pub fn append_record(out: &mut Vec<u8>, kind: RecordKind, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.push(kind.as_u8());
     out.extend_from_slice(payload);
-    let mut c = Crc32::new();
-    c.update(&[kind.as_u8()]);
-    c.update(payload);
-    out.extend_from_slice(&c.finish().to_le_bytes());
+    out.extend_from_slice(&record_crc(kind.as_u8(), payload).to_le_bytes());
 }
 
 /// One record found by a scan, borrowing the segment bytes.
@@ -345,6 +350,9 @@ pub struct Record<'a> {
     pub kind: RecordKind,
     /// The payload bytes (CRC already verified).
     pub payload: &'a [u8],
+    /// The record's stored CRC-32 over kind byte + payload, verified
+    /// by the scan; the compactor carries it instead of recomputing it.
+    pub crc: u32,
     /// File offset of the record's length prefix.
     pub offset: usize,
 }
@@ -398,13 +406,18 @@ pub fn scan_segment(bytes: &[u8]) -> Result<ScannedSegment<'_>, SegmentError> {
         seal: None,
         error: None,
     };
+    // The body CRC runs alongside the records, so each record's bytes
+    // pass the CRC tables once (see the module docs).
+    let mut body = Crc32::new();
+    body.update(bytes.get(..SEGMENT_HEADER_LEN).ok_or(too_short)?);
+    let mut runs = CheckedRuns::new();
     let mut pos = SEGMENT_HEADER_LEN;
     while pos < bytes.len() {
-        let (Some(len), Some(&kind_byte)) = (le_u32(bytes, pos), bytes.get(pos + 4)) else {
+        let (Some(len_prefix), Some(&kind_byte)) = (le_u32(bytes, pos), bytes.get(pos + 4)) else {
             out.error = Some(SegmentError::RecordTruncated { offset: pos });
             break;
         };
-        let len = len as usize;
+        let len = len_prefix as usize;
         if len > MAX_RECORD_LEN {
             out.error = Some(SegmentError::RecordCorrupt { offset: pos });
             break;
@@ -415,10 +428,7 @@ pub fn scan_segment(bytes: &[u8]) -> Result<ScannedSegment<'_>, SegmentError> {
             out.error = Some(SegmentError::RecordTruncated { offset: pos });
             break;
         };
-        let mut c = Crc32::new();
-        c.update(&[kind_byte]);
-        c.update(payload);
-        if c.finish() != stored {
+        if record_crc(kind_byte, payload) != stored {
             out.error = Some(SegmentError::RecordCorrupt { offset: pos });
             break;
         }
@@ -427,11 +437,10 @@ pub fn scan_segment(bytes: &[u8]) -> Result<ScannedSegment<'_>, SegmentError> {
             break;
         };
         if kind == RecordKind::Seal {
-            // lint: checked-index -- pos < bytes.len() loop invariant
-            let body_crc = crc32(&bytes[..pos]);
             match SealInfo::decode(payload) {
                 Some(info)
-                    if info.records == out.records.len() as u64 && info.body_crc == body_crc =>
+                    if info.records == out.records.len() as u64
+                        && info.body_crc == body.finish() =>
                 {
                     if end != bytes.len() {
                         out.error = Some(SegmentError::TrailingData { offset: end });
@@ -443,9 +452,14 @@ pub fn scan_segment(bytes: &[u8]) -> Result<ScannedSegment<'_>, SegmentError> {
             }
             break;
         }
+        // The length prefix goes through the tables; the rest of the
+        // record (kind byte, payload and the CRC just checked) folds in.
+        body.update(&len_prefix.to_le_bytes());
+        runs.fold(&mut body, 1 + len + 4);
         out.records.push(Record {
             kind,
             payload,
+            crc: stored,
             offset: pos,
         });
         pos = end;

@@ -24,7 +24,7 @@ use crate::segment::{
     self, RecordKind, SealInfo, SegmentIndex, MAX_RECORD_LEN, RECORD_OVERHEAD, SEGMENT_HEADER_LEN,
 };
 use crate::{open_name, parse_segment_name, sealed_name, StoreError};
-use mobisense_util::crc::Crc32;
+use mobisense_util::crc::{CheckedRuns, Crc32};
 
 /// Where and how a trace store writes its segments.
 #[derive(Clone, Debug)]
@@ -116,6 +116,8 @@ pub struct TraceWriter {
     file: BufWriter<File>,
     open_path: PathBuf,
     body_crc: Crc32,
+    /// Folds each record into `body_crc` after its own CRC is known.
+    runs: CheckedRuns,
     body_len: usize,
     records: u64,
     index: SegmentIndex,
@@ -183,6 +185,7 @@ impl TraceWriter {
             file,
             open_path,
             body_crc,
+            runs: CheckedRuns::new(),
             body_len: SEGMENT_HEADER_LEN,
             records: 0,
             index: SegmentIndex::empty(),
@@ -319,34 +322,31 @@ impl TraceWriter {
         seq: u32,
         at: Nanos,
     ) -> Result<(), StoreError> {
-        self.append_record(RecordKind::Obs, bytes)?;
-        // After append_record: a rotation in there must not carry this
-        // frame's metadata into the *previous* segment's index.
-        self.index.note(client_id, seq, at);
-        self.frames_total += 1;
-        Ok(())
+        let crc = segment::record_crc(RecordKind::Obs.as_u8(), bytes);
+        self.append_raw(RecordKind::Obs, bytes, crc, Some((client_id, seq, at)))
     }
 
-    /// The compactor's raw append: one record whose payload was
-    /// already CRC-verified by the input scan, carried across
-    /// byte-for-byte. Observation records pass their peeked header as
-    /// `obs` so the output segment's sparse index is rebuilt without
-    /// decoding the frame.
-    pub(crate) fn append_raw(
-        &mut self,
-        kind: RecordKind,
-        payload: &[u8],
-        obs: Option<(u32, u32, Nanos)>,
-    ) -> Result<(), StoreError> {
-        match obs {
-            Some((client_id, seq, at)) => self.append_obs(payload, client_id, seq, at),
-            None => self.append_record(kind, payload),
-        }
+    /// Checksums one record and appends it.
+    fn append_record(&mut self, kind: RecordKind, payload: &[u8]) -> Result<(), StoreError> {
+        let crc = segment::record_crc(kind.as_u8(), payload);
+        self.append_raw(kind, payload, crc, None)
     }
 
     /// Streams one framed record (length, kind, payload, CRC) to the
     /// file, rotating first when it would overflow the size target.
-    fn append_record(&mut self, kind: RecordKind, payload: &[u8]) -> Result<(), StoreError> {
+    /// `crc` must be the record's CRC over kind byte + payload: the
+    /// body CRC folds the record in from its length alone. The
+    /// compactor calls this directly, carrying each record and its
+    /// verified CRC across byte-for-byte; observation records pass
+    /// their peeked header as `obs`, so the output segment's sparse
+    /// index is rebuilt without decoding the frame.
+    pub(crate) fn append_raw(
+        &mut self,
+        kind: RecordKind,
+        payload: &[u8],
+        crc: u32,
+        obs: Option<(u32, u32, Nanos)>,
+    ) -> Result<(), StoreError> {
         if payload.len() > MAX_RECORD_LEN {
             return Err(StoreError::RecordTooLarge { len: payload.len() });
         }
@@ -357,16 +357,19 @@ impl TraceWriter {
         }
         let len = (payload.len() as u32).to_le_bytes();
         let kind_byte = [kind.as_u8()];
-        let mut rec_crc = Crc32::new();
-        rec_crc.update(&kind_byte);
-        rec_crc.update(payload);
-        let crc = rec_crc.finish().to_le_bytes();
-        for part in [len.as_slice(), &kind_byte, payload, &crc] {
+        for part in [len.as_slice(), &kind_byte, payload, &crc.to_le_bytes()] {
             self.file.write_all(part)?;
-            self.body_crc.update(part);
         }
+        self.body_crc.update(&len);
+        self.runs.fold(&mut self.body_crc, 1 + payload.len() + 4);
         self.body_len += RECORD_OVERHEAD + payload.len();
         self.records += 1;
+        // After the rotation: this frame's metadata belongs to the
+        // segment it landed in, never the previous one.
+        if let Some((client_id, seq, at)) = obs {
+            self.index.note(client_id, seq, at);
+            self.frames_total += 1;
+        }
         Ok(())
     }
 
@@ -489,6 +492,9 @@ mod tests {
     use super::*;
     use crate::segment::scan_segment;
     use crate::testdir;
+    use mobisense_core::pipeline::{PipelineConfig, PipelineSession};
+    use mobisense_telemetry::NoopSink;
+    use mobisense_util::units::MILLISECOND;
 
     fn frame(client: u32, seq: u32) -> ObsFrame {
         ObsFrame {
@@ -669,6 +675,86 @@ mod tests {
             first.segments.iter().any(|m| !m.path.exists()),
             "a preexisting segment was deleted"
         );
+    }
+
+    /// An encoded page of a session driven `frames` 20 ms steps over a
+    /// synthetic 16-bin digest.
+    fn session_page(client: u32, frames: u32) -> Vec<u8> {
+        let mut session = PipelineSession::new(PipelineConfig::default(), u64::from(client));
+        for i in 0..frames {
+            let profile = (0..16u32)
+                .map(|k| 1.0 + f64::from((i * 7 + k) % 13) / 13.0)
+                .collect();
+            let at = 20 * MILLISECOND * Nanos::from(i);
+            session.observe_profile_with(at, profile, 3.0 + f64::from(i) / 100.0, &mut NoopSink);
+        }
+        let mut page = Vec::new();
+        mobisense_session::codec::encode_into(&mut page, client, None, &mut session)
+            .expect("encode");
+        page
+    }
+
+    #[test]
+    fn sealed_segments_match_the_reference_builder() {
+        // The writer folds each record into the body CRC from its
+        // length; `build_sealed_segment` runs the byte-wise CRC over the
+        // whole body. Every file must come out byte-identical.
+        let page = session_page(5, 300);
+        assert!(
+            (1_100..1_400).contains(&page.len()),
+            "{} B page",
+            page.len()
+        );
+        let mut records: Vec<(RecordKind, Vec<u8>)> = Vec::new();
+        for seq in 0..24u32 {
+            records.push((RecordKind::Obs, frame(seq % 4, seq).encode()));
+            if seq % 5 == 0 {
+                let row = format!("{},{seq},row", seq % 4);
+                records.push((RecordKind::DecisionRow, row.into_bytes()));
+            }
+            if seq % 7 == 3 {
+                records.push((RecordKind::DecisionRow, Vec::new()));
+            }
+            if seq == 11 {
+                records.push((RecordKind::SessionSnapshot, page.clone()));
+            }
+        }
+        let dir = testdir::fresh("writer-reference");
+        let cfg = StoreConfig::new(&dir).with_target_segment_bytes(1_500);
+        let mut w = TraceWriter::create(cfg).expect("create");
+        for (kind, payload) in &records {
+            match kind {
+                RecordKind::Obs => w.append_encoded(payload),
+                RecordKind::DecisionRow => {
+                    w.append_decision_row(std::str::from_utf8(payload).expect("utf-8"))
+                }
+                RecordKind::SessionSnapshot => w.append_session_snapshot(payload),
+                RecordKind::Seal => unreachable!("the writer seals by itself"),
+            }
+            .expect("append");
+        }
+        let summary = w.finish().expect("finish");
+        assert!(summary.segments.len() > 2, "the target must rotate");
+        let mut rest = records.as_slice();
+        for meta in &summary.segments {
+            let (mine, later) = rest.split_at(meta.records as usize);
+            let mut index = SegmentIndex::empty();
+            for (kind, payload) in mine {
+                if *kind == RecordKind::Obs {
+                    let peek = ObsFrame::peek_meta(payload).expect("peek");
+                    index.note(peek.client_id, peek.seq, peek.at);
+                }
+            }
+            let want = segment::build_sealed_segment(meta.id, mine.iter().cloned(), index);
+            let got = fs::read(&meta.path).expect("read");
+            assert!(
+                got == want,
+                "segment {} differs from the reference",
+                meta.id
+            );
+            rest = later;
+        }
+        assert!(rest.is_empty(), "every record sealed");
     }
 
     #[test]

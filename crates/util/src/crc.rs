@@ -10,8 +10,19 @@
 //! session hibernate → fault-in cycle checksums a ~1.2 KB snapshot
 //! twice, so the checksum sits on the per-frame path. A byte-at-a-time
 //! loop (table 0 only) handles the unaligned tail.
+//!
+//! [`CheckedRuns`] advances a running checksum over a run that ends in
+//! its own CRC without reading the run: any such run checksums to
+//! [`RESIDUE`], so only its length matters. The trace store uses it to
+//! fold each verified record into a segment's body CRC, so a record's
+//! bytes go through the tables once, not twice.
 
 const POLY: u32 = 0xEDB8_8320;
+
+/// The CRC-32 of every run `data ++ le32(crc32(data))`, whatever
+/// `data` is: a run that ends in its own checksum always checksums to
+/// this constant.
+pub const RESIDUE: u32 = 0x2144_DF1C;
 
 /// Number of slicing tables, and bytes consumed per sliced step.
 const SLICES: usize = 16;
@@ -127,6 +138,112 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c.finish()
 }
 
+/// `v · x mod P` in the tables' bit-reflected representation, where
+/// bit 31 holds the coefficient of x^0 and bit 0 that of x^31: one
+/// step of the CRC's shift register.
+const fn times_x(v: u32) -> u32 {
+    (v >> 1) ^ (POLY & 0u32.wrapping_sub(v & 1))
+}
+
+/// `a · b mod P`, both bit-reflected.
+const fn mul_mod_p(a: u32, b: u32) -> u32 {
+    let mut product = 0;
+    let mut b_times_xk = b;
+    let mut k = 0;
+    while k < 32 {
+        // Bit 31 - k of `a` is its coefficient of x^k.
+        product ^= b_times_xk & 0u32.wrapping_sub((a >> (31 - k)) & 1);
+        b_times_xk = times_x(b_times_xk);
+        k += 1;
+    }
+    product
+}
+
+/// `X2N[k]` is x^(2^k) mod P. For this P, x^(2^32) = x, so the table
+/// repeats with period 32 (a unit test checks it).
+const fn make_x2n() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    let mut square = 1 << 30; // x
+    let mut rest: &mut [u32] = &mut table;
+    while let [first, tail @ ..] = rest {
+        *first = square;
+        square = mul_mod_p(square, square);
+        rest = tail;
+    }
+    table
+}
+
+static X2N: [u32; 32] = make_x2n();
+
+/// x^(8n) mod P: what a CRC state is multiplied by when `n` bytes pass
+/// through the register.
+fn x_pow_8n(n: usize) -> u32 {
+    let mut power = 1 << 31; // x^0
+    let mut rest = n;
+    // x^(8n) is the product of x^(2^(k+3)) over the set bits k of n.
+    for &square in X2N.iter().cycle().skip(3) {
+        if rest == 0 {
+            break;
+        }
+        if rest & 1 != 0 {
+            power = mul_mod_p(square, power);
+        }
+        rest >>= 1;
+    }
+    power
+}
+
+/// Advances a running [`Crc32`] over a run that ends in its own
+/// checksum, from the run's length alone.
+///
+/// A run `data ++ le32(crc32(data))` always checksums to [`RESIDUE`],
+/// so the state after it follows from zlib's `crc32_combine`
+/// arithmetic: the state before it, multiplied by x^(8·len) mod P,
+/// plus the run's constant contribution. The multiply is a 32 × 32
+/// GF(2) matrix, one column per state bit, and the matrix for the last
+/// length is kept: a stream of equal-length runs costs 32 masked XORs
+/// per run where [`Crc32::update`] would look up every byte. The trace
+/// store folds each record whose CRC it has just verified or computed
+/// into its segment's body CRC this way.
+#[derive(Clone, Debug, Default)]
+pub struct CheckedRuns {
+    /// The run length `op` belongs to; `None` before the first run.
+    len: Option<usize>,
+    /// `op[b]` is x^(8·len) times the state's bit `b` alone, x^(31-b).
+    op: [u32; 32],
+}
+
+impl CheckedRuns {
+    /// An empty cache: the first fold computes its operator.
+    pub fn new() -> Self {
+        CheckedRuns::default()
+    }
+
+    /// Advances `crc` exactly as `crc.update(run)` would, for any `run`
+    /// of `len` bytes whose last four are the little-endian CRC-32 of
+    /// the bytes before them. `len` counts those four bytes, so it is
+    /// at least 4. The run's bytes are never read: the result rests on
+    /// that CRC being right, so fold a record only after checking it.
+    pub fn fold(&mut self, crc: &mut Crc32, len: usize) {
+        debug_assert!(len >= 4, "a checked run ends in its 4-byte CRC");
+        if self.len != Some(len) {
+            let mut column = x_pow_8n(len);
+            for slot in self.op.iter_mut().rev() {
+                *slot = column;
+                column = times_x(column);
+            }
+            self.len = Some(len);
+        }
+        // In `Crc32::finish` terms: crc(prefix ++ run) =
+        // x^(8·len) · crc(prefix) + crc(run), and crc(run) = RESIDUE.
+        let prefix = crc.state ^ 0xFFFF_FFFF;
+        let shifted = self.op.iter().enumerate().fold(0, |acc, (bit, &column)| {
+            acc ^ (column & 0u32.wrapping_sub((prefix >> bit) & 1))
+        });
+        crc.state = shifted ^ RESIDUE ^ 0xFFFF_FFFF;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,5 +315,96 @@ mod tests {
                 assert_ne!(crc32(&flipped), base, "flip {byte}:{bit} undetected");
             }
         }
+    }
+
+    /// `data ++ le32(crc32(data))`: a run that ends in its own CRC.
+    fn checked_run(data: &[u8]) -> Vec<u8> {
+        let mut run = data.to_vec();
+        run.extend_from_slice(&crc32(data).to_le_bytes());
+        run
+    }
+
+    /// Deterministic filler bytes.
+    fn bytes(n: usize, salt: u32) -> Vec<u8> {
+        (0..n as u32)
+            .map(|i| (i.wrapping_mul(131).wrapping_add(salt) >> 3) as u8)
+            .collect()
+    }
+
+    /// The running state after `prefix` then `run`, byte by byte and
+    /// folded, as `finish()` values.
+    fn updated_and_folded(runs: &mut CheckedRuns, prefix: &[u8], run: &[u8]) -> (u32, u32) {
+        let mut updated = Crc32::new();
+        updated.update(prefix);
+        let mut folded = updated;
+        updated.update(run);
+        runs.fold(&mut folded, run.len());
+        (updated.finish(), folded.finish())
+    }
+
+    #[test]
+    fn every_checked_run_checksums_to_the_residue() {
+        for n in [0usize, 1, 4, 15, 16, 17, 255, 1000] {
+            assert_eq!(crc32(&checked_run(&bytes(n, 7))), RESIDUE, "len {n}");
+        }
+    }
+
+    #[test]
+    fn the_power_table_repeats_with_period_32() {
+        let x = 1u32 << 30;
+        assert_eq!(X2N.first(), Some(&x));
+        assert_eq!(X2N.last().map(|&s| mul_mod_p(s, s)), Some(x));
+        // x^(8n) is the state `n` zero bytes leave behind a state of 1.
+        for n in [0usize, 1, 2, 3, 7, 64, 300, 65_537] {
+            let mut state = 1u32 << 31;
+            for _ in 0..n {
+                state = TABLES[0][(state & 0xFF) as usize] ^ (state >> 8);
+            }
+            assert_eq!(x_pow_8n(n), state, "n {n}");
+        }
+    }
+
+    #[test]
+    fn fold_matches_the_byte_wise_update_at_every_short_length() {
+        // Each length is folded after 18 prefixes: the first fold
+        // fills the cache, the other 17 reuse it.
+        let mut runs = CheckedRuns::new();
+        let prefix_bytes = bytes(17, 3);
+        for n in 0..=300usize {
+            let run = checked_run(&bytes(n, n as u32));
+            for p in 0..=17usize {
+                let (updated, folded) = updated_and_folded(&mut runs, &prefix_bytes[..p], &run);
+                assert_eq!(folded, updated, "data len {n} after {p} prefix bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_matches_the_byte_wise_update_over_a_long_run() {
+        let run = checked_run(&bytes(70_000, 11));
+        let (updated, folded) = updated_and_folded(&mut CheckedRuns::new(), b"MSSG", &run);
+        assert_eq!(folded, updated);
+    }
+
+    #[test]
+    fn a_cache_filled_at_one_length_serves_another() {
+        let short = checked_run(&bytes(40, 1));
+        let long = checked_run(&bytes(241, 2));
+        let mut runs = CheckedRuns::new();
+        for (prefix, run) in [
+            (&b"a"[..], &short),
+            (b"bc", &long),
+            (b"def", &short),
+            (b"", &long),
+            (b"ghij", &long),
+        ] {
+            let (updated, folded) = updated_and_folded(&mut runs, prefix, run);
+            assert_eq!(folded, updated, "run of {} after {prefix:?}", run.len());
+        }
+        // A copy of a filled cache answers for its own length and
+        // refills for a new one.
+        let mut copy = runs.clone();
+        let (updated, folded) = updated_and_folded(&mut copy, b"k", &short);
+        assert_eq!(folded, updated);
     }
 }
