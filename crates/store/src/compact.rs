@@ -13,11 +13,16 @@
 //!
 //! # Streaming, not buffering
 //!
-//! The pass reads one sealed input segment, re-appends its records
-//! through a real [`TraceWriter`] (so outputs get the writer's full
-//! seal discipline: per-record CRC, sparse index rebuilt from peeked
+//! The pass walks a listing of the input generation (names and sizes
+//! from the directory, nothing read), reads one sealed input segment,
+//! checks it with one strict scan, re-appends its records through a
+//! real [`TraceWriter`], then drops the input buffer before reading
+//! the next: each input is read and checked once. Outputs get the
+//! writer's full seal discipline (sparse index rebuilt from peeked
 //! headers, file `sync_all` before the sealing rename, directory
-//! fsync), then drops the input buffer before reading the next. Peak
+//! fsync), and each record carries across byte for byte with the CRC
+//! the input scan verified, so the pass never recomputes a record CRC;
+//! the writer folds it into the output's body CRC from its length. Peak
 //! resident record bytes are therefore O(max input segment), not
 //! O(store) — asserted by a byte-accounting probe whose high-water
 //! mark is reported as [`CompactReport::peak_resident_bytes`]; the

@@ -21,6 +21,18 @@
 //! the sparse index cached at open time to skip segments that cannot
 //! contain the requested client without re-reading their bytes; the
 //! segments they do read get the strict scan.
+//!
+//! **Listing, then classifying.** [`TraceReader::open`] lists the
+//! current generation, then reads and scans every segment once to
+//! classify it (sealed and intact, damaged, or an open tail) and cache
+//! its index. Only the callers that use that classification open a
+//! reader: retention, filtered reads, recovery (the
+//! [`StorePager`](crate::pager::StorePager) rebuilds through it) and a
+//! writer's retention preload. Compaction and
+//! [`replay_fleet`](crate::replay::replay_fleet) need none of it: they
+//! walk the bare listing (ids, paths, sealed names and sizes from the
+//! directory entries) with one strict scan per segment, so each of
+//! their passes reads every segment once.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -602,6 +614,7 @@ mod tests {
         let before = scans();
         let r = TraceReader::open(&dir).expect("open");
         let segments = r.segments().len() as u64;
+        assert!(segments > 1);
         assert_eq!(scans() - before, segments, "open classifies every segment");
         for client in [1u32, 77, 555] {
             let holding = r
@@ -613,7 +626,6 @@ mod tests {
             r.client_frames(client).expect("filter");
             assert_eq!(scans() - before, holding, "client {client}");
         }
-        assert!(segments > 1);
     }
 
     #[test]

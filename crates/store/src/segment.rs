@@ -33,6 +33,18 @@
 //! client-id set plus sequence and timestamp ranges, enough to skip
 //! whole segments during filtered replay without decoding a frame.
 //!
+//! The body CRC is the plain CRC-32 of those bytes, but neither
+//! [`scan_segment`] nor the [`TraceWriter`](crate::writer::TraceWriter)
+//! runs the CRC tables over a record twice. Each runs the header and
+//! every length prefix through [`Crc32`], and folds the rest of a
+//! record (kind byte, payload, CRC) in with
+//! [`CheckedRuns`] once the record's own CRC has been checked or
+//! computed. The result is exact, not an estimate: a run that ends in
+//! its own CRC always checksums to [`RESIDUE`](mobisense_util::crc::RESIDUE),
+//! so the state after it depends only on the state before it and its
+//! length. [`build_sealed_segment`] keeps the byte-wise CRC over the
+//! whole body as the reference both are tested against.
+//!
 //! Scanning is *total*: [`scan_segment`] never panics on hostile
 //! bytes. Header damage is a hard error (nothing in the file can be
 //! trusted); record-level damage yields the good record prefix plus a

@@ -202,9 +202,12 @@ fn x_pow_8n(n: usize) -> u32 {
 /// plus the run's constant contribution. The multiply is a 32 × 32
 /// GF(2) matrix, one column per state bit, and the matrix for the last
 /// length is kept: a stream of equal-length runs costs 32 masked XORs
-/// per run where [`Crc32::update`] would look up every byte. The trace
-/// store folds each record whose CRC it has just verified or computed
-/// into its segment's body CRC this way.
+/// per run where [`Crc32::update`] would look up every byte. A new
+/// length rebuilds the matrix, which costs more than a table pass over
+/// a run of a few hundred bytes, so the fold pays off where lengths
+/// repeat, as a store's frames do. The trace store folds each record
+/// whose CRC it has just verified or computed into its segment's body
+/// CRC this way.
 #[derive(Clone, Debug, Default)]
 pub struct CheckedRuns {
     /// The run length `op` belongs to; `None` before the first run.
