@@ -16,8 +16,9 @@
 //! The pass walks a listing of the input generation (names and sizes
 //! from the directory, nothing read), reads one sealed input segment,
 //! checks it with one strict scan, re-appends its records through a
-//! real [`TraceWriter`], then drops the input buffer before reading
-//! the next: each input is read and checked once. Outputs get the
+//! real [`TraceWriter`], then reads the next into the same buffer (the
+//! thread's segment buffer, see the [`reader`] module): each input is
+//! read and checked once. Outputs get the
 //! writer's full seal discipline (sparse index rebuilt from peeked
 //! headers, file `sync_all` before the sealing rename, directory
 //! fsync), and each record carries across byte for byte with the CRC
@@ -282,37 +283,40 @@ impl StreamingCompactor {
         let mut max_at: Nanos = 0;
         let mut emitted = 0usize;
         for (done, input) in inputs.iter().enumerate() {
-            let bytes = fs::read(&input.path)?;
-            probe.acquire(bytes.len());
-            sink.gauge_set("store.compact.resident_bytes", probe.current as f64);
-            let scan = scan_sealed(input.id, &bytes)?;
-            let mut seg_records = 0u64;
-            for record in &scan.records {
-                let obs = match record.kind {
-                    RecordKind::Obs => {
-                        // The input scan CRC-verified the payload, but
-                        // the peek still gets a typed error path: a
-                        // record that checksums yet does not parse is
-                        // data damage, not a programming invariant.
-                        let peek = ObsFrame::peek_meta(record.payload).map_err(|error| {
-                            StoreError::BadFrame {
-                                segment_id: input.id,
-                                error,
-                            }
-                        })?;
-                        max_at = max_at.max(peek.at);
-                        Some((peek.client_id, peek.seq, peek.at))
-                    }
-                    // The scanner never yields seal records; skipping
-                    // (rather than asserting) keeps the pass panic-free
-                    // if that contract ever shifts.
-                    RecordKind::Seal => continue,
-                    RecordKind::DecisionRow | RecordKind::SessionSnapshot => None,
-                };
-                writer.append_raw(record.kind, record.payload, record.crc, obs)?;
-                seg_records += 1;
-            }
-            probe.release(bytes.len());
+            let seg_records = reader::with_segment_bytes(&input.path, |bytes| {
+                probe.acquire(bytes.len());
+                sink.gauge_set("store.compact.resident_bytes", probe.current as f64);
+                let scan = scan_sealed(input.id, bytes)?;
+                let mut seg_records = 0u64;
+                for record in &scan.records {
+                    let obs = match record.kind {
+                        RecordKind::Obs => {
+                            // The input scan CRC-verified the payload,
+                            // but the peek still gets a typed error
+                            // path: a record that checksums yet does
+                            // not parse is data damage, not a
+                            // programming invariant.
+                            let peek = ObsFrame::peek_meta(record.payload).map_err(|error| {
+                                StoreError::BadFrame {
+                                    segment_id: input.id,
+                                    error,
+                                }
+                            })?;
+                            max_at = max_at.max(peek.at);
+                            Some((peek.client_id, peek.seq, peek.at))
+                        }
+                        // The scanner never yields seal records;
+                        // skipping (rather than asserting) keeps the
+                        // pass panic-free if that contract ever shifts.
+                        RecordKind::Seal => continue,
+                        RecordKind::DecisionRow | RecordKind::SessionSnapshot => None,
+                    };
+                    writer.append_raw(record.kind, record.payload, record.crc, obs)?;
+                    seg_records += 1;
+                }
+                probe.release(bytes.len());
+                Ok(seg_records)
+            })?;
             records += seg_records;
             // Per-input-segment progress: a long pass over a big store
             // shows movement in ops snapshots, not one end-of-run jump.

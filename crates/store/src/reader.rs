@@ -33,10 +33,19 @@
 //! walk the bare listing (ids, paths, sealed names and sizes from the
 //! directory entries) with one strict scan per segment, so each of
 //! their passes reads every segment once.
+//!
+//! **One buffer per thread.** The sequential passes (strict visits,
+//! replay and compaction) read each segment into a buffer their thread
+//! keeps and reuses (`with_segment_bytes`), so a thread allocates it
+//! once, at the size of the largest segment it has read. A fresh
+//! buffer per segment would land wherever the allocator finds room,
+//! which depends on what other threads freed meanwhile, so the passes'
+//! peak memory would vary from one run to the next.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 use mobisense_serve::wire::ObsFrame;
@@ -473,11 +482,36 @@ where
     if !sealed {
         return Err(StoreError::Unsealed { segment_id: id });
     }
-    let bytes = fs::read(path)?;
-    for record in &scan_sealed(id, &bytes)?.records {
-        f(id, record.kind, record.payload)?;
+    with_segment_bytes(path, |bytes| {
+        for record in &scan_sealed(id, bytes)?.records {
+            f(id, record.kind, record.payload)?;
+        }
+        Ok(())
+    })
+}
+
+/// Reads the file at `path` into this thread's segment buffer and runs
+/// `f` over its bytes.
+///
+/// The buffer outlives the call: the next read on the thread reuses it,
+/// so it grows only to the largest segment the thread has read and a
+/// walk allocates nothing per segment. A call made from inside `f`
+/// reads into a buffer of its own.
+pub(crate) fn with_segment_bytes<T>(
+    path: &Path,
+    f: impl FnOnce(&[u8]) -> Result<T, StoreError>,
+) -> Result<T, StoreError> {
+    thread_local! {
+        static BUFFER: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
     }
-    Ok(())
+    let mut buffer = BUFFER.take();
+    buffer.clear();
+    let out = match File::open(path).and_then(|mut file| file.read_to_end(&mut buffer)) {
+        Ok(_) => f(&buffer),
+        Err(e) => Err(StoreError::Io(e)),
+    };
+    BUFFER.set(buffer);
+    out
 }
 
 /// Scans one sealed segment's bytes strictly: header damage, a record
@@ -599,6 +633,35 @@ mod tests {
         assert_eq!(seqs, (0..10).collect::<Vec<_>>());
         assert_eq!(r.client_frames(77).expect("filter").len(), 1);
         assert!(r.client_frames(555).expect("filter").is_empty());
+    }
+
+    #[test]
+    fn segment_reads_reuse_one_buffer_per_thread() {
+        let dir = testdir::fresh("reader-buffer");
+        let (big, small) = (dir.join("big"), dir.join("small"));
+        fs::write(&big, vec![7u8; 4096]).expect("write");
+        fs::write(&small, b"abc").expect("write");
+        let read = |path: &Path| {
+            with_segment_bytes(path, |bytes| Ok((bytes.to_vec(), bytes.as_ptr()))).expect("read")
+        };
+        let (bytes, first) = read(&big);
+        assert_eq!(bytes, vec![7u8; 4096]);
+        let (bytes, second) = read(&small);
+        assert_eq!(bytes, b"abc");
+        assert_eq!(first, second, "a smaller file is read into the same buffer");
+
+        // A read from inside another gets a buffer of its own.
+        let nested = with_segment_bytes(&big, |outer| {
+            let inner = with_segment_bytes(&small, |inner| Ok(inner.to_vec()))?;
+            Ok((outer.to_vec(), inner))
+        })
+        .expect("nested");
+        assert_eq!(nested, (vec![7u8; 4096], b"abc".to_vec()));
+
+        // A failed open is an I/O error and leaves the buffer usable.
+        let missing = with_segment_bytes(&dir.join("missing"), |_| Ok(()));
+        assert!(matches!(missing, Err(StoreError::Io(_))), "{missing:?}");
+        assert_eq!(read(&big).0, vec![7u8; 4096]);
     }
 
     #[test]
