@@ -32,8 +32,9 @@
 //!   encoded straight from a live session and decoded straight into
 //!   one, through the session's own state walk.
 //! * [`hibernate`] — [`hibernate::HibernationManager`]: deterministic
-//!   idle/LRU victim selection over a [`hibernate::SnapshotPager`]
-//!   backend (in-memory here; the trace store implements the trait in
+//!   idle/LRU victim selection over dense per-client slots, which also
+//!   hold the hibernated pages; a [`hibernate::SnapshotPager`] writes
+//!   the durable copy (the trace store implements the trait in
 //!   `mobisense-store`).
 
 #![forbid(unsafe_code)]
@@ -44,6 +45,5 @@ pub mod hibernate;
 
 pub use codec::SnapshotError;
 pub use hibernate::{
-    HibernationConfig, HibernationManager, HibernationStats, MemoryPager, PageError, RetirePolicy,
-    SnapshotPager,
+    HibernationConfig, HibernationManager, HibernationStats, PageError, RetirePolicy, SnapshotPager,
 };

@@ -4,6 +4,7 @@
 //! footprint bounded by the hot-set cap, live shard rebalancing over
 //! disk-backed pagers, and crash recovery of paged-out sessions.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -13,7 +14,7 @@ use mobisense_serve::queue::Ticket;
 use mobisense_serve::service::{
     decision_log_csv, serve_streams, BoxedPager, ServeConfig, ServeReport, ShardEngine,
 };
-use mobisense_session::{codec, HibernationConfig, RetirePolicy, SnapshotPager};
+use mobisense_session::{codec, HibernationConfig, RetirePolicy};
 use mobisense_store::{record_fleet, replay_fleet, StoreConfig, StorePager, TraceReader};
 use mobisense_telemetry::NoopSink;
 use mobisense_util::units::{MILLISECOND, SECOND};
@@ -221,20 +222,17 @@ fn disk_paged_hibernation_is_invisible_and_recoverable() {
             .recover()
             .expect("recover shard store");
         assert!(recovery.frames.is_empty(), "pager stores hold no frames");
-        let mut pager = StorePager::recover(StoreConfig::new(&shard_dir)).expect("pager recovers");
-        recovered_total += pager.len() as u64;
-        let clients: Vec<u32> = recovery
-            .session_snapshots
-            .iter()
-            .map(|(client, _)| *client)
-            .collect();
-        for client in clients {
-            if let Some(bytes) = pager.page_in(client).expect("page in") {
-                let mut session = PipelineSession::new(cfg.pipeline.clone(), 0);
-                let (snap_client, _) =
-                    codec::decode_into(&bytes, &mut session).expect("snapshot decodes");
-                assert_eq!(snap_client, client);
-            }
+        let (_, pages) = StorePager::recover(StoreConfig::new(&shard_dir)).expect("pager recovers");
+        recovered_total += pages.len() as u64;
+        // The newest record per client, as the recovering read found
+        // them.
+        let latest: BTreeMap<u32, Vec<u8>> = recovery.session_snapshots.into_iter().collect();
+        assert_eq!(pages, latest);
+        for (client, bytes) in pages {
+            let mut session = PipelineSession::new(cfg.pipeline.clone(), 0);
+            let (snap_client, _) =
+                codec::decode_into(&bytes, &mut session).expect("snapshot decodes");
+            assert_eq!(snap_client, client);
         }
     }
     assert!(
