@@ -145,8 +145,9 @@ struct Contents {
 /// frames, clients and decision rows into `contents`. With an
 /// `engine`, each verified frame goes to it, one [`IngestBatch`] at a
 /// time. Session snapshots are skipped: the strict walk already
-/// CRC-verified them, and [`TraceReader::latest_snapshots`] is the
-/// read path that decodes them.
+/// CRC-verified them, and
+/// [`StorePager::recover`](crate::StorePager::recover) is the read path
+/// that decodes them.
 ///
 /// [`IngestBatch`]: mobisense_serve::IngestBatch
 fn walk_store(
