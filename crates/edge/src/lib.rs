@@ -4,12 +4,12 @@
 //! memory; a deployment's frames arrive over the network. This crate is
 //! that network edge, built entirely on `std`:
 //!
-//! * [`conn`] — [`FrameAssembler`], incremental length-framing over a
-//!   growable per-connection buffer: arbitrary read fragmentation
-//!   (1-byte reads up to whole-stream) yields exactly the frames a
-//!   whole-buffer [`mobisense_serve::wire::decode_stream_lossy`] pass
-//!   would, including single-byte-skip resynchronization after
-//!   corruption;
+//! * [`conn`] — [`FrameAssembler`], incremental length-framing in
+//!   place over each read's bytes, carrying less than one frame per
+//!   connection between reads: arbitrary read fragmentation (1-byte
+//!   reads up to whole-stream) yields exactly the frames a whole-buffer
+//!   [`mobisense_serve::wire::decode_stream_lossy`] pass would,
+//!   including single-byte-skip resynchronization after corruption;
 //! * [`poll`] — the readiness seam: a [`Poller`] backs the reactor's
 //!   level-triggered sweep loop and reports what each wait did
 //!   ([`Waited`]); the shipped [`SpinPark`] implementation is a
@@ -18,8 +18,10 @@
 //!   `poll(2)` cannot be issued — the trait is where a platform poller
 //!   would slot in);
 //! * [`reactor`] — [`Edge`]: a single-threaded, poll-based reactor over
-//!   a nonblocking `TcpListener` plus `UdpSocket`, handing decoded
-//!   frames into the serve layer's hash(client id) → shard queues
+//!   a nonblocking `TcpListener` plus `UdpSocket`, reading up to 64 KiB
+//!   per connection per sweep and handing each sweep's decoded frames
+//!   over as one batch into the serve layer's hash(client id) → shard
+//!   queues
 //!   ([`mobisense_serve::ShardEngine`], which also owns the ops monitor
 //!   and the run report) under the queue's explicit backpressure
 //!   policies, with the flight recorder teed on the exact wire bytes.

@@ -9,8 +9,9 @@
 //! condvars, one item type, no unsafe.
 //!
 //! Every hand-off moves a batch, not a frame. A frontend collects what
-//! one socket read, one UDP sweep or one producer step yields into an
-//! [`IngestBatch`] — every ticket stamped from one clock read — and
+//! one reactor sweep or one producer step yields into an
+//! [`IngestBatch`] — tickets stamped from one clock read per socket
+//! read or step — and
 //! [`ShardQueue::push_batch`] enqueues it under one lock hold; the
 //! worker's [`ShardQueue::pop_batch`] takes the whole queue under one
 //! lock. Each side counts its parked waiters under the mutex and
@@ -84,17 +85,20 @@ impl Ticket {
     }
 }
 
-/// One hand-off's worth of decoded frames — everything one socket
-/// read, one UDP sweep or one producer step yields — on their way to
-/// the shard queues, plus their wire bytes on their way to the flight
-/// recorder when one is attached. Build one per frontend with
+/// One hand-off's worth of decoded frames — everything one reactor
+/// sweep or one producer step yields — on their way to the shard
+/// queues, plus their wire bytes on their way to the flight recorder
+/// when one is attached. Build one per frontend with
 /// [`ShardEngine::ingest_batch`] and hand it over with
 /// [`ShardEngine::submit_ingest`].
 ///
-/// Every ticket in a batch shares one ingest clock read, taken when the
-/// batch's first frame arrives; a [`Sampler`] running across batches
-/// picks which tickets carry a stage trace. The buffers survive each
-/// hand-off, so a warm frontend allocates nothing per batch.
+/// Tickets share ingest clock reads: one is taken when the first frame
+/// after a hand-off or a [`restamp`](Self::restamp) arrives, so a
+/// frontend that gathers several socket reads into one batch restamps
+/// once per read and no ticket's stamp predates its own read. A
+/// [`Sampler`] running across batches picks which tickets carry a stage
+/// trace. The buffers survive each hand-off, so a warm frontend
+/// allocates nothing per batch.
 ///
 /// [`ShardEngine::ingest_batch`]: crate::service::ShardEngine::ingest_batch
 /// [`ShardEngine::submit_ingest`]: crate::service::ShardEngine::submit_ingest
@@ -104,7 +108,8 @@ pub struct IngestBatch {
     /// The frames' wire bytes, kept only when recording.
     raw: Option<FrameBatch>,
     sampler: Sampler,
-    /// The batch's ingest stamp, read at its first frame.
+    /// The current ingest stamp, read at the first frame since the
+    /// last hand-off or restamp.
     ingested: Option<Instant>,
     /// Frames past which [`is_full`](Self::is_full) says hand over.
     limit: usize,
@@ -134,14 +139,22 @@ impl IngestBatch {
         }
     }
 
+    /// Makes the next frame pushed read the clock afresh: its ticket,
+    /// and those after it, get a stamp no earlier than this call. Costs
+    /// nothing when no frame follows before the hand-off.
+    pub fn restamp(&mut self) {
+        self.ingested = None;
+    }
+
     /// Whether the batch holds no frame.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.frames.is_empty()
     }
 
     /// Whether the batch reached its limit — the memory bound for
-    /// sources with no natural end (a UDP sweep under a flood, a
-    /// producer step over a huge shard); one queue's capacity.
+    /// sources with no natural end (a reactor sweep over many busy
+    /// connections or a UDP flood, a producer step over a huge shard);
+    /// one queue's capacity.
     pub fn is_full(&self) -> bool {
         self.frames.len() >= self.limit
     }
@@ -163,7 +176,7 @@ impl IngestBatch {
     /// Hands the frames over in arrival order; the next frame pushed
     /// starts a new batch with a fresh ingest stamp.
     pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, (Ticket, ObsFrame)> {
-        self.ingested = None;
+        self.restamp();
         self.frames.drain(..)
     }
 }

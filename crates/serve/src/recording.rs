@@ -10,7 +10,7 @@
 //! cycle (the store crate depends on this one, not vice versa).
 //!
 //! The unit of hand-off is a batch, not a frame. A producer tees every
-//! frame of one socket read (or one producer step) as a single
+//! frame of one reactor sweep (or one producer step) as a single
 //! `FrameBatch` message; the recorder thread takes the whole queue
 //! under one lock and writes it frame by frame through
 //! [`RecordBackend::record_frame`]. Both sides count their parked

@@ -4,7 +4,7 @@
 //! decision on every post-warm-up mode transition.
 //!
 //! Frames move in batches. A frontend hands the [`ShardEngine`] one
-//! [`IngestBatch`] per socket read or producer step
+//! [`IngestBatch`] per reactor sweep or producer step
 //! ([`ShardEngine::submit_ingest`]); the engine tees it to the flight
 //! recorder as one message and pushes each shard's share under one
 //! queue lock. A worker takes its whole queue per lock

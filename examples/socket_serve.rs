@@ -88,8 +88,13 @@ fn main() {
     );
     let s = &report.stats;
     println!(
-        "reactor: {} sweeps, {} idle ({} yields + {} parks)",
-        s.sweeps, s.idle_sweeps, s.yields, s.parks
+        "reactor: {} sweeps, {} idle ({} yields + {} parks), {} hand-offs ({:.1} frames each)",
+        s.sweeps,
+        s.idle_sweeps,
+        s.yields,
+        s.parks,
+        s.handoffs,
+        (s.frames - s.frames_rejected) as f64 / s.handoffs.max(1) as f64
     );
     assert_eq!(
         s.idle_sweeps,

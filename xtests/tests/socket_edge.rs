@@ -74,10 +74,11 @@ fn wait_for(edge: &Edge, deadline: Duration, pred: impl Fn(&EdgeStats) -> bool) 
 /// The headline determinism contract on the wire: serving a fleet over
 /// real loopback TCP yields a decision log byte-identical to the
 /// in-process run, and the recorded session replays byte-identically
-/// through the store at shard counts 1 and 4 — whatever the batch size
-/// each read hands over: 7-byte writes into 4 KiB reads, 7-byte reads
-/// (batches of zero or one frame), and whole streams into 64 KiB reads
-/// (hundreds of frames per batch).
+/// through the store at shard counts 1 and 4 — whatever the read size
+/// and however a sweep's reads fill its batch: 7-byte writes into 4 KiB
+/// reads, 7-byte reads (zero or one frame per read, so a sweep's batch
+/// holds about one frame per connection), and whole streams into 64 KiB
+/// reads (hundreds of frames per read).
 #[test]
 fn socket_serve_matches_in_process_golden_and_replays() {
     let fleet = EncodedFleet::generate(&FleetConfig {
